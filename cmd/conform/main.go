@@ -22,7 +22,6 @@
 //	-topo T   interconnect: uniform (default), mesh, or mesh:WxH
 //	-j N      worker-pool size (<=0 means all CPUs)
 //	-par N    shard each simulation across up to N goroutines
-//	-engine E parallel shard engine: auto (default), conservative, optimistic
 //	-quick    paper timing only (the fuzz target's reduced grid)
 //	-protocol coherence-protocol axis: both (default), msi, or mesi
 //	-quiet    suppress the progress line on stderr
@@ -56,7 +55,6 @@ func main() {
 		ops    = flag.Int("ops", 0, "max operations per processor (0 = default)")
 		jobs   = flag.Int("j", runtime.NumCPU(), "worker-pool size (<=0 means all CPUs)")
 		par    = flag.Int("par", 1, "shard each simulation across up to N goroutines (verdicts are identical for every N)")
-		engine = flag.String("engine", "auto", "parallel shard engine: auto, conservative, or optimistic")
 		quick  = flag.Bool("quick", false, "paper timing only instead of the full timing axis")
 		cpus   = flag.Int("cpus", 0, "pad the machine to this many processors (extra CPUs halt immediately; 0 = program size)")
 		topo   = flag.String("topo", "", "interconnect for every cell: uniform (default), mesh, or mesh:WxH")
@@ -86,13 +84,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "conform:", err)
 			os.Exit(2)
 		}
-	}
-	switch *engine {
-	case "auto", "conservative", "optimistic":
-		sim.ParEngine = *engine
-	default:
-		fmt.Fprintf(os.Stderr, "conform: unknown -engine %q (want auto, conservative, or optimistic)\n", *engine)
-		os.Exit(2)
 	}
 	sim.ParWorkers = *par
 	if *par > 1 {

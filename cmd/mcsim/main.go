@@ -64,7 +64,6 @@ func main() {
 		disasm    = flag.Bool("disasm", false, "print the program(s) before running")
 		dense     = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler (step every cycle)")
 		par       = flag.Int("par", 1, "shard the simulation across up to N goroutines (results are byte-identical for every N)")
-		engine    = flag.String("engine", "auto", "parallel engine with -par: auto, conservative, or optimistic (all byte-identical)")
 		schedWant = flag.Bool("schedstats", false, "print the parallel scheduler's per-shard counters after the run (requires -par > 1)")
 		saveState = flag.String("save-state", "", "write a machine snapshot to this file (after warmup if the workload has one, else after the run)")
 		loadState = flag.String("load-state", "", "restore the machine from this snapshot instead of simulating the warmup; a mid-flight checkpoint resumes in place")
@@ -78,12 +77,6 @@ func main() {
 
 	sim.ForceDense = *dense
 	sim.ParWorkers = *par
-	switch *engine {
-	case "auto", "conservative", "optimistic":
-		sim.ParEngine = *engine
-	default:
-		fatal(fmt.Errorf("unknown -engine %q (want auto, conservative or optimistic)", *engine))
-	}
 	if *par > 1 {
 		// The engine's worker pool takes the caller's goroutine plus extras
 		// from this budget; honor an explicit -par above the core count.
@@ -190,7 +183,12 @@ func main() {
 
 	var cycles uint64
 	finished := true
+	// Why the measured phase runs sequentially, if it does (-schedstats);
+	// a parallel warmup's report must not stand in for it.
+	s.ParReport = ""
+	seqReason := parsim.DeclineReason(s, *par)
 	if *ckptEvery > 0 || *stopAt > 0 {
+		seqReason = "-checkpoint-every and -stop-at drive the sequential loop"
 		if *ckptEvery > 0 && *saveState == "" {
 			fatal(fmt.Errorf("-checkpoint-every requires -save-state"))
 		}
@@ -261,7 +259,7 @@ func main() {
 	if *schedWant {
 		fmt.Println()
 		if s.ParReport == "" {
-			fmt.Println("parsim: sequential run (use -par N with N > 1; zero-latency networks and traced runs always fall back, whichever -engine is asked for)")
+			fmt.Printf("parsim: sequential run (%s)\n", seqReason)
 		} else {
 			fmt.Print(s.ParReport)
 		}

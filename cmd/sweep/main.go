@@ -42,8 +42,6 @@
 //	                  (default true; output is byte-identical either way)
 //	-protocol P       base coherence protocol, msi (default) or mesi;
 //	                  experiments with their own protocol axis are unaffected
-//	-engine E         parallel shard engine for -par: auto (default),
-//	                  conservative, or optimistic (output is identical)
 //	-cpuprofile FILE  write a pprof CPU profile
 //	-memprofile FILE  write a pprof heap profile at exit
 //
@@ -87,7 +85,6 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "suppress per-job progress on stderr")
 		dense   = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler (step every cycle)")
 		par     = flag.Int("par", 1, "shard each simulation across up to N goroutines (output stays byte-identical for every N)")
-		engine  = flag.String("engine", "auto", "parallel shard engine: auto, conservative, or optimistic")
 		snapC   = flag.Bool("snapshot-cache", true, "simulate each distinct warmup phase once and clone it via machine snapshots (output stays byte-identical either way)")
 		proto   = flag.String("protocol", "msi", "base coherence protocol for experiments that do not set their own: msi or mesi")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -101,13 +98,6 @@ func main() {
 		sim.BaseProtocol = coherence.ProtoMESI
 	default:
 		fmt.Fprintf(os.Stderr, "sweep: unknown -protocol %q (want msi or mesi)\n", *proto)
-		os.Exit(1)
-	}
-	switch *engine {
-	case "auto", "conservative", "optimistic":
-		sim.ParEngine = *engine
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown -engine %q (want auto, conservative, or optimistic)\n", *engine)
 		os.Exit(1)
 	}
 	sim.ForceDense = *dense
@@ -148,7 +138,7 @@ func main() {
 		os.Exit(1)
 	}
 	if len(invites) > 0 || *listen != "" {
-		err = runFarm(*exp, params, *proto, *engine, *par, *dense, localN, invites,
+		err = runFarm(*exp, params, *proto, *par, *dense, localN, invites,
 			*listen, *adv, *ttl, *every, *format, *out, *quiet)
 	} else {
 		err = run(*exp, params, *jobs, *format, *out, *quiet, *snapC, *par)
@@ -189,14 +179,13 @@ func parseWorkers(s string) (local int, invites []string, err error) {
 // the in-process pool: local:N workers attach over loopback, remote
 // entries are invited sweepd daemons. The report is byte-identical to
 // run()'s for the same flags — `make differential` gates it.
-func runFarm(exp string, params experiments.Params, proto, engine string, par int, dense bool, localN int, invites []string, listen, advertise string, ttl time.Duration, every uint64, format, out string, quiet bool) error {
+func runFarm(exp string, params experiments.Params, proto string, par int, dense bool, localN int, invites []string, listen, advertise string, ttl time.Duration, every uint64, format, out string, quiet bool) error {
 	if err := runner.CheckFormat(format); err != nil {
 		return err
 	}
 	spec := farm.JobSpec{
 		Kind:      "sweep",
 		Protocol:  proto,
-		Engine:    engine,
 		Par:       par,
 		Dense:     dense,
 		Procs:     params.Procs,

@@ -22,7 +22,7 @@
 //	sweepd -worker -listen :7334 -j 8
 //
 // Coordinator flags mirror cmd/sweep (-exp, -procs, -seed, -cpus, -topo,
-// -protocol, -engine, -par, -dense, -format, -out, -quiet) and
+// -protocol, -par, -dense, -format, -out, -quiet) and
 // cmd/conform (-conform selects the batch; -seed, -n, -ops, -quick,
 // -pad-cpus then apply; the report matches `conform -notime`). Farm
 // flags:
@@ -67,15 +67,14 @@ func main() {
 		conform = flag.Bool("conform", false, "serve a conformance batch instead of a sweep")
 
 		// Sweep spec (mirrors cmd/sweep).
-		exp    = flag.String("exp", "all", "experiments to serve (comma-separated, or all)")
-		procs  = flag.Int("procs", 3, "processors for the workload experiments (conform: 0 = random 2-3)")
-		seed   = flag.Int64("seed", 7, "workload seed (conform: first generator seed, default 1)")
-		cpus   = flag.String("cpus", "", "comma-separated machine sizes for the scale sweep")
-		topo   = flag.String("topo", "", "scale-sweep interconnect (conform: every cell's interconnect)")
-		proto  = flag.String("protocol", "msi", "base coherence protocol: msi or mesi (conform: both, msi, or mesi)")
-		engine = flag.String("engine", "auto", "parallel shard engine: auto, conservative, or optimistic")
-		par    = flag.Int("par", 1, "shard each simulation across up to N goroutines")
-		dense  = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler")
+		exp   = flag.String("exp", "all", "experiments to serve (comma-separated, or all)")
+		procs = flag.Int("procs", 3, "processors for the workload experiments (conform: 0 = random 2-3)")
+		seed  = flag.Int64("seed", 7, "workload seed (conform: first generator seed, default 1)")
+		cpus  = flag.String("cpus", "", "comma-separated machine sizes for the scale sweep")
+		topo  = flag.String("topo", "", "scale-sweep interconnect (conform: every cell's interconnect)")
+		proto = flag.String("protocol", "msi", "base coherence protocol: msi or mesi (conform: both, msi, or mesi)")
+		par   = flag.Int("par", 1, "shard each simulation across up to N goroutines")
+		dense = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler")
 
 		// Conform spec extras (mirror cmd/conform).
 		n       = flag.Int("n", 64, "conform: number of programs")
@@ -121,7 +120,7 @@ func main() {
 		return
 	}
 
-	spec, err := buildSpec(*conform, *exp, *procs, *seed, *cpus, *topo, *proto, *engine, *par, *dense, *n, *ops, *quick, *padCPUs)
+	spec, err := buildSpec(*conform, *exp, *procs, *seed, *cpus, *topo, *proto, *par, *dense, *n, *ops, *quick, *padCPUs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)
@@ -191,10 +190,9 @@ func main() {
 }
 
 // buildSpec assembles the farm spec from the flag values.
-func buildSpec(conform bool, exp string, procs int, seed int64, cpus, topo, proto, engine string, par int, dense bool, n, ops int, quick bool, padCPUs int) (farm.JobSpec, error) {
+func buildSpec(conform bool, exp string, procs int, seed int64, cpus, topo, proto string, par int, dense bool, n, ops int, quick bool, padCPUs int) (farm.JobSpec, error) {
 	spec := farm.JobSpec{
 		Protocol: proto,
-		Engine:   engine,
 		Par:      par,
 		Dense:    dense,
 	}

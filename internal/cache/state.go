@@ -234,7 +234,7 @@ func (c *Cache) ExportStateInto(st *SavedState) error {
 // RestoreState replaces the cache's entire state — arrays, transients and
 // statistics — with the exported one. The geometry must match the cache's
 // configuration. Any in-progress state the cache held is discarded, which
-// is exactly what the optimistic engine's rollback requires.
+// is exactly what a speculative shard window's rollback requires.
 func (c *Cache) RestoreState(st SavedState) error {
 	if len(st.Sets) != c.cfg.Sets {
 		return fmt.Errorf("cache %d: snapshot has %d sets, cache has %d", c.ID, len(st.Sets), c.cfg.Sets)

@@ -94,8 +94,8 @@ func (d *Directory) ExportStateInto(st *State) error {
 
 // RestoreState replaces the directory's entire state — line table, busy
 // transactions, ingress queue and statistics — with the exported one. Any
-// in-progress state the directory held is discarded (the optimistic
-// engine's rollback path); retained messages are materialized as fresh
+// in-progress state the directory held is discarded (the shard engine's
+// rollback path); retained messages are materialized as fresh
 // unpooled allocations, since the originals may have been recycled.
 func (d *Directory) RestoreState(st State) error {
 	// Rollback restores once per mis-speculated window; reuse the discarded

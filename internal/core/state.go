@@ -266,7 +266,7 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 
 // RestoreState replaces the LSU's entire state — entries, queues, buffers,
 // ids and statistics — with the exported one. Any in-progress state is
-// discarded (the optimistic engine's rollback path). The cached histogram
+// discarded (the shard engine's rollback path). The cached histogram
 // pointers are dropped: Stats.RestoreState recreates the histogram objects,
 // so stale pointers would record into orphaned metrics.
 func (u *LSU) RestoreState(st LSUState) error {

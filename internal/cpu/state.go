@@ -93,8 +93,8 @@ func (p *Proc) ExportState() (State, error) {
 }
 
 // ExportStateInto captures the processor state into st, reusing st's
-// backing storage (the optimistic shard engine checkpoints every dispatched
-// shard once per window).
+// backing storage (a speculative shard window checkpoints every dispatched
+// shard).
 func (p *Proc) ExportStateInto(st *State) error {
 	st.PC = p.pc
 	st.FetchResumeAt = p.fetchResumeAt
@@ -132,7 +132,7 @@ func (p *Proc) ExportStateInto(st *State) error {
 // RestoreState replaces the processor's entire state — architectural
 // registers, reorder buffer, renaming table, predictor and statistics —
 // with the exported one. Any in-flight instructions the processor held are
-// discarded (the optimistic engine's rollback path).
+// discarded (the shard engine's rollback path).
 func (p *Proc) RestoreState(st State) error {
 	if len(st.Regfile) != int(isa.NumRegs) {
 		return fmt.Errorf("cpu %d: snapshot has %d registers, machine has %d", p.ID, len(st.Regfile), isa.NumRegs)

@@ -30,7 +30,6 @@ type JobSpec struct {
 	// fingerprint anyway: a homogeneous fleet is cheaper than reasoning
 	// about which knob could matter.
 	Protocol string // base coherence protocol: "", "msi", "mesi"
-	Engine   string // parallel shard engine: "", "auto", "conservative", "optimistic"
 	Par      int    // shard workers per simulation
 	Dense    bool   // disable idle-cycle fast-forward
 
@@ -91,14 +90,6 @@ func ApplyGlobals(spec JobSpec) error {
 	default:
 		return fmt.Errorf("farm: unknown protocol %q in spec", spec.Protocol)
 	}
-	engine := spec.Engine
-	switch engine {
-	case "":
-		engine = "auto"
-	case "auto", "conservative", "optimistic":
-	default:
-		return fmt.Errorf("farm: unknown engine %q in spec", spec.Engine)
-	}
 	par := spec.Par
 	if par <= 0 {
 		par = 1
@@ -107,9 +98,6 @@ func ApplyGlobals(spec JobSpec) error {
 	defer globalsMu.Unlock()
 	if sim.BaseProtocol != proto {
 		sim.BaseProtocol = proto
-	}
-	if sim.ParEngine != engine {
-		sim.ParEngine = engine
 	}
 	if sim.ForceDense != spec.Dense {
 		sim.ForceDense = spec.Dense

@@ -33,8 +33,8 @@ func (m *Memory) ExportState() State {
 }
 
 // ExportStateInto captures the memory image into st, reusing its backing
-// storage (the optimistic shard engine checkpoints memory every window a
-// home shard is dispatched in).
+// storage (a speculative shard window checkpoints memory whenever a home
+// shard is dispatched in it).
 func (m *Memory) ExportStateInto(st *State) {
 	if cap(st.Banks) < len(m.banks) {
 		st.Banks = make([]BankState, len(m.banks))

@@ -1,4 +1,4 @@
-// Per-endpoint inboxes and outboxes for the conservative parallel engine
+// Per-endpoint inboxes and outboxes for the parallel shard engine
 // (internal/parsim).
 //
 // The sequential simulator funnels every message through one delivery heap;
@@ -249,6 +249,10 @@ type Exchange struct {
 	nextSeq uint64
 	scratch []pendingSend
 
+	// held keeps the deliveries the network had queued at construction
+	// until their destination endpoints exist.
+	held []*Message
+
 	// nextInject numbers Inject calls; injected messages order among
 	// themselves by this ordinal, never against real sequence numbers.
 	nextInject uint64
@@ -257,14 +261,20 @@ type Exchange struct {
 	Exchanged uint64
 }
 
-// NewExchange starts a parallel message exchange over n. The network must
-// be quiescent (no pending deliveries); the exchange continues its sequence
-// counter so a subsequent sequential run stays aligned.
+// NewExchange starts a parallel message exchange over n, continuing its
+// sequence counter so a subsequent sequential run stays aligned. Any
+// deliveries n still has queued (a machine restored from a mid-flight
+// snapshot, or a phase chained onto an aborted run) leave the network
+// here and enter their destination endpoint's inbox as Endpoint creates
+// it, delivery cycle and sequence number intact — exactly as if a barrier
+// had routed them. Close reinjects whatever is still undelivered, so the
+// detour is invisible to a subsequent sequential run.
 func NewExchange(n *Network) *Exchange {
-	if n.q.Len() != 0 {
-		panic("network: NewExchange with pending deliveries")
+	x := &Exchange{net: n, dest: make(map[NodeID]*Endpoint), nextSeq: n.nextSeq}
+	for n.q.Len() > 0 {
+		x.held = append(x.held, heap.Pop(&n.q).(*Message))
 	}
-	return &Exchange{net: n, dest: make(map[NodeID]*Endpoint), nextSeq: n.nextSeq}
+	return x
 }
 
 // Endpoint creates the endpoint for one shard: its network node, its
@@ -274,12 +284,17 @@ func (x *Exchange) Endpoint(id NodeID, rank uint64, h Handler) *Endpoint {
 	ep := &Endpoint{lat: x.net.topo.MinDelay(), rank: rank, handler: h}
 	x.eps = append(x.eps, ep)
 	x.dest[id] = ep
+	kept := x.held[:0]
+	for _, m := range x.held {
+		if m.Dst == id {
+			heap.Push(&ep.inbox, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	x.held = kept
 	return ep
 }
-
-// AttachNode routes an additional node ID to an existing endpoint (a shard
-// that owns several network nodes).
-func (x *Exchange) AttachNode(id NodeID, ep *Endpoint) { x.dest[id] = ep }
 
 // Inject places a copy of proto directly into the destination's inbox for
 // delivery at the given absolute cycle, before the first window runs. This
@@ -349,7 +364,7 @@ func (x *Exchange) Barrier() int {
 // PendingTotal reports undelivered messages across all inboxes (the
 // parallel engine's replacement for Network.Pending in its Done check).
 func (x *Exchange) PendingTotal() int {
-	total := 0
+	total := len(x.held)
 	for _, ep := range x.eps {
 		total += ep.inbox.Len()
 	}
@@ -360,10 +375,14 @@ func (x *Exchange) PendingTotal() int {
 // indistinguishable from having run sequentially: per-endpoint send
 // counters fold into MessagesSent/HopsByType, the sequence counter is
 // written back, endpoint free lists rejoin the global pool, and any
-// undelivered inbox messages (error paths only) are reinjected into the
+// undelivered messages (error paths only) are reinjected into the
 // delivery heap with their deliver cycle and sequence number intact.
 func (x *Exchange) Close() {
 	n := x.net
+	for _, m := range x.held {
+		heap.Push(&n.q, m)
+	}
+	x.held = nil
 	for _, ep := range x.eps {
 		if len(ep.out) != 0 {
 			panic("network: Exchange.Close with unbarriered sends")

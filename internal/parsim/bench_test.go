@@ -14,9 +14,10 @@ import (
 // sharing workload at the sweep's longest miss latency (400 cycles), SC
 // and RC under conventional and combined techniques — with the given shard
 // worker count. par=1 is the sequential fast-forward engine; par>1 routes
-// through the conservative window engine. "simcycles/s" is aggregate
-// simulated throughput; the par=N / par=1 ns/op ratio is the scaling table
-// in EXPERIMENTS.md.
+// through the shard engine, whose windows are all conservative here (the
+// network latency is far above the speculation gate). "simcycles/s" is
+// aggregate simulated throughput; the par=N / par=1 ns/op ratio is the
+// scaling table in EXPERIMENTS.md.
 func benchmarkShards(b *testing.B, par int) {
 	const procs = 8
 	progs := mixProgs(procs, 7)
@@ -34,22 +35,7 @@ func benchmarkShards(b *testing.B, par int) {
 				cfg.Procs = procs
 				cfg.Model = m
 				cfg.Tech = tc
-				s := sim.New(cfg, progs)
-				var cycles uint64
-				var err error
-				if par <= 1 {
-					cycles, err = s.Run()
-				} else {
-					var handled bool
-					cycles, handled, err = parsim.Run(s, par)
-					if !handled {
-						b.Fatal("parallel engine declined the benchmark config")
-					}
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += cycles
+				total += runBench(b, sim.New(cfg, progs), par)
 			}
 		}
 	}
@@ -62,11 +48,12 @@ func BenchmarkParallelShards4(b *testing.B) { benchmarkShards(b, 4) }
 func BenchmarkParallelShards8(b *testing.B) { benchmarkShards(b, 8) }
 
 // benchmarkMeshShards is the low-lookahead scaling benchmark: the
-// wide-sharing workload on a 16-CPU mesh with 1-cycle hops, where the
-// conservative engine's window collapses to a single cycle (a global
-// barrier per simulated cycle). engine selects the shard engine; par=1 is
-// the sequential fast-forward loop.
-func benchmarkMeshShards(b *testing.B, par int, engine string) {
+// wide-sharing workload on a 16-CPU mesh with 1-cycle hops, where a
+// conservative window collapses to a single cycle (a global barrier per
+// simulated cycle) and messages are almost always in flight, so the
+// window policy rarely speculates. par=1 is the sequential fast-forward
+// loop.
+func benchmarkMeshShards(b *testing.B, par int) {
 	cfg := sim.RealisticConfig()
 	cfg.Procs = 16
 	cfg.Model = core.RC
@@ -80,51 +67,26 @@ func benchmarkMeshShards(b *testing.B, par int, engine string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sim.New(cfg, progs)
-		var cycles uint64
-		var err error
-		switch {
-		case par <= 1:
-			cycles, err = s.Run()
-		case engine == "optimistic":
-			var handled bool
-			cycles, handled, err = parsim.RunOptimistic(s, par)
-			if !handled {
-				b.Fatal("optimistic engine declined the benchmark config")
-			}
-		default:
-			var handled bool
-			cycles, handled, err = parsim.Run(s, par)
-			if !handled {
-				b.Fatal("conservative engine declined the benchmark config")
-			}
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = cycles
+		total = runBench(b, sim.New(cfg, progs), par)
 	}
 	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-func BenchmarkMeshShards1(b *testing.B)       { benchmarkMeshShards(b, 1, "") }
-func BenchmarkMeshShards2(b *testing.B)       { benchmarkMeshShards(b, 2, "conservative") }
-func BenchmarkMeshShards4(b *testing.B)       { benchmarkMeshShards(b, 4, "conservative") }
-func BenchmarkMeshShards8(b *testing.B)       { benchmarkMeshShards(b, 8, "conservative") }
-func BenchmarkOptimisticShards2(b *testing.B) { benchmarkMeshShards(b, 2, "optimistic") }
-func BenchmarkOptimisticShards4(b *testing.B) { benchmarkMeshShards(b, 4, "optimistic") }
-func BenchmarkOptimisticShards8(b *testing.B) { benchmarkMeshShards(b, 8, "optimistic") }
+func BenchmarkMeshShards1(b *testing.B) { benchmarkMeshShards(b, 1) }
+func BenchmarkMeshShards2(b *testing.B) { benchmarkMeshShards(b, 2) }
+func BenchmarkMeshShards4(b *testing.B) { benchmarkMeshShards(b, 4) }
+func BenchmarkMeshShards8(b *testing.B) { benchmarkMeshShards(b, 8) }
 
 // benchmarkMeshBarrier is the bulk-synchronous low-lookahead benchmark:
 // four CPUs on a memory-rich 1-cycle-hop mesh, each computing a long
 // data-parallel phase on private lines (warm after a cold-miss trickle)
-// and meeting at a sense-reversing barrier. The conservative engine's
-// window collapses to one cycle on this machine, so it pays a work
-// selection scan, a dispatch and a global barrier per simulated cycle of
-// the compute stretch; the optimistic engine commits the same stretches
-// in horizon-sized windows off a single checkpoint — the workload shape
-// Time Warp optimism is built for.
-func benchmarkMeshBarrier(b *testing.B, par int, engine string) {
+// and meeting at a sense-reversing barrier. A conservative window
+// collapses to one cycle on this machine, paying a work selection scan, a
+// dispatch and a global barrier per simulated cycle of the compute
+// stretch; the window policy speculates across those quiet stretches
+// instead, committing them in horizon-sized windows off a single
+// checkpoint — the workload shape Time Warp optimism is built for.
+func benchmarkMeshBarrier(b *testing.B, par int) {
 	const procs = 4
 	cfg := sim.RealisticConfig()
 	cfg.Procs = procs
@@ -142,37 +104,32 @@ func benchmarkMeshBarrier(b *testing.B, par int, engine string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sim.New(cfg, progs)
-		var cycles uint64
-		var err error
-		switch {
-		case par <= 1:
-			cycles, err = s.Run()
-		case engine == "optimistic":
-			var handled bool
-			cycles, handled, err = parsim.RunOptimistic(s, par)
-			if !handled {
-				b.Fatal("optimistic engine declined the benchmark config")
-			}
-		default:
-			var handled bool
-			cycles, handled, err = parsim.Run(s, par)
-			if !handled {
-				b.Fatal("conservative engine declined the benchmark config")
-			}
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = cycles
+		total = runBench(b, sim.New(cfg, progs), par)
 	}
 	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-func BenchmarkMeshBarrier1(b *testing.B)       { benchmarkMeshBarrier(b, 1, "") }
-func BenchmarkMeshBarrier2(b *testing.B)       { benchmarkMeshBarrier(b, 2, "conservative") }
-func BenchmarkMeshBarrier4(b *testing.B)       { benchmarkMeshBarrier(b, 4, "conservative") }
-func BenchmarkMeshBarrier8(b *testing.B)       { benchmarkMeshBarrier(b, 8, "conservative") }
-func BenchmarkOptimisticBarrier2(b *testing.B) { benchmarkMeshBarrier(b, 2, "optimistic") }
-func BenchmarkOptimisticBarrier4(b *testing.B) { benchmarkMeshBarrier(b, 4, "optimistic") }
-func BenchmarkOptimisticBarrier8(b *testing.B) { benchmarkMeshBarrier(b, 8, "optimistic") }
+func BenchmarkMeshBarrier1(b *testing.B) { benchmarkMeshBarrier(b, 1) }
+func BenchmarkMeshBarrier2(b *testing.B) { benchmarkMeshBarrier(b, 2) }
+func BenchmarkMeshBarrier4(b *testing.B) { benchmarkMeshBarrier(b, 4) }
+func BenchmarkMeshBarrier8(b *testing.B) { benchmarkMeshBarrier(b, 8) }
+
+// runBench runs s to completion: sequentially at par=1, else through the
+// shard engine, which must not decline.
+func runBench(b *testing.B, s *sim.System, par int) uint64 {
+	if par <= 1 {
+		cycles, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cycles
+	}
+	cycles, handled, err := parsim.Run(s, par)
+	if !handled {
+		b.Fatal("shard engine declined the benchmark config")
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cycles
+}

@@ -1,10 +1,13 @@
 package parsim_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"mcmsim/internal/conformance"
+	"mcmsim/internal/core"
+	"mcmsim/internal/isa"
 	"mcmsim/internal/sim"
 )
 
@@ -36,4 +39,40 @@ func TestParallelEngineConformParity(t *testing.T) {
 			t.Errorf("conformance report differs between -par 1 and -par %d:\nseq: %+v\npar: %+v", par, seq, got)
 		}
 	}
+}
+
+// TestParallelEngineGeneratedPrograms carries speculation over generated
+// litmus programs. No conformance timing reaches a lookahead below 8
+// cycles, so the batch runs here instead: conformance.Generate programs
+// padded to 4 CPUs on a 1-cycle-hop mesh, sequentially and through the
+// engine at 2 and 4 workers. Halt cycle, clock, stats report and memory
+// image must be identical, and the batch must roll back.
+func TestParallelEngineGeneratedPrograms(t *testing.T) {
+	const cpus = 4
+	idle := isa.NewBuilder().Halt().Build()
+	var rollbacks uint64
+	for seed := int64(1); seed <= 64; seed++ {
+		progs := conformance.Generate(seed, conformance.Params{}).Build()
+		for len(progs) < cpus {
+			progs = append(progs, idle)
+		}
+		for _, m := range core.AllModels {
+			for _, tc := range techniques {
+				cfg := sim.PaperConfig()
+				cfg.Procs = cpus
+				cfg.Model = m
+				cfg.Tech = tc.tech
+				cfg.Topo = "mesh"
+				cfg.HopLatency = 1
+				cfg.MemModules = cpus
+				seq := runSeq(t, cfg, progs)
+				for _, par := range []int{2, 4} {
+					r := runPar(t, cfg, progs, par)
+					rollbacks += r.rollbacks
+					diffResults(t, fmt.Sprintf("seed=%d/%v/%s/par=%d", seed, m, tc.name, par), seq, r)
+				}
+			}
+		}
+	}
+	requireRollbacks(t, rollbacks)
 }

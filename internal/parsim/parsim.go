@@ -1,17 +1,19 @@
-// Package parsim is the conservative parallel engine for sim.System: it
+// Package parsim is the parallel shard engine for sim.System: it
 // partitions the machine into node shards (each processor with its LSU and
 // private cache, each home directory with its memory bank, the external
-// write agent) and advances them on separate goroutines in lookahead
-// windows of W = network latency cycles, exchanging messages at a
-// deterministic barrier between windows.
+// write agent) and advances them on separate goroutines in windows,
+// exchanging messages at a deterministic barrier between windows.
 //
 // Safety: shards share no mutable state — every cross-shard interaction is
-// a network message, and every send is delivered at least W cycles after it
-// is made (Network.Send/Post add the full one-way latency; nothing sends
-// into the past). A message sent anywhere in window [T, T+W) therefore
-// delivers at or after T+W: no shard can observe, during a window, anything
-// another shard does in that window, so stepping them concurrently is
-// indistinguishable from stepping them in the sequential loop's order.
+// a network message, and every send is delivered at least W = network
+// latency cycles after it is made (Network.Send/Post add the full one-way
+// latency; nothing sends into the past). A message sent anywhere in window
+// [T, T+W) therefore delivers at or after T+W: no shard can observe, during
+// such a conservative window, anything another shard does in that window,
+// so stepping them concurrently is indistinguishable from stepping them in
+// the sequential loop's order. Longer windows speculate: they run off a
+// checkpoint and roll back when a send lands inside them (speculate.go).
+// Run's window policy decides which windows speculate.
 //
 // Determinism: the barrier (network.Exchange) sorts the window's sends by
 // the position the sequential loop would have sent them at — (cycle, step
@@ -22,13 +24,11 @@
 // worker count, enforced by the differential tests in this package and
 // `make differential`.
 //
-// The engine composes with the PR 2 fast-forward scheduler at two levels:
+// The engine composes with the fast-forward scheduler at two levels:
 // inside a window each shard skips straight between its own event cycles,
 // and between windows the engine jumps the global clock over stretches
-// where no shard has any event. Run declines (and System.Run falls back to
-// the sequential loop) when the network latency is zero (no lookahead),
-// trace hooks are attached (they observe whole-machine state every cycle),
-// or deliveries are already in flight.
+// where no shard has any event. DeclineReason names the configurations the
+// engine leaves to the sequential loop.
 package parsim
 
 import (
@@ -51,7 +51,7 @@ func init() { sim.RegisterParallelRunner(Run) }
 var budget = struct {
 	mu   sync.Mutex
 	free int
-}{free: maxInt(runtime.NumCPU()-1, 0)}
+}{free: max(runtime.NumCPU()-1, 0)}
 
 // SetWorkerBudget sets the number of extra worker goroutines the engines in
 // this process may use in total (the calling goroutine of each Run is
@@ -59,7 +59,7 @@ var budget = struct {
 // The default is NumCPU-1.
 func SetWorkerBudget(n int) {
 	budget.mu.Lock()
-	budget.free = maxInt(n, 0)
+	budget.free = max(n, 0)
 	budget.mu.Unlock()
 }
 
@@ -72,7 +72,7 @@ func SetWorkerBudget(n int) {
 // engines that start (or would have acquired less) afterwards.
 func AddWorkerBudget(n int) {
 	budget.mu.Lock()
-	budget.free = maxInt(budget.free+n, 0)
+	budget.free = max(budget.free+n, 0)
 	budget.mu.Unlock()
 }
 
@@ -98,13 +98,6 @@ func releaseExtra(n int) {
 	budget.mu.Unlock()
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // shardStats is one shard's scheduler-observability record (the -schedstats
 // report). Each entry is written only by the goroutine running that shard
 // and read by the coordinator after the window barrier.
@@ -127,7 +120,7 @@ type engine struct {
 	st     []shardStats
 
 	dense    bool
-	from, to uint64 // current window [from, to)
+	from, to uint64 // current dispatch range [from, to)
 
 	tasks   chan int
 	wg      sync.WaitGroup
@@ -136,74 +129,79 @@ type engine struct {
 	windows     uint64
 	globalJumps uint64
 
-	// Optimistic-engine state (RunOptimistic): the adaptive optimism
-	// horizon, the current window's rollback record, and the Time Warp
-	// counters surfaced in the -schedstats report.
-	opt         bool
+	// Speculative-window state (speculate.go): the adaptive horizon, the
+	// current window's rollback record, and the counters surfaced in the
+	// -schedstats report.
 	horizon     uint64
 	ck          checkpoint
 	checkpoints uint64
 	rollbacks   uint64
 	replayed    uint64 // cycles re-executed after rollbacks
 	maxOptimism uint64 // largest single-window committed advance
-	consWindows uint64 // windows run at conservative pacing (throttled)
 }
 
-// Run advances s to completion with up to par shard goroutines, selecting
-// an engine per sim.ParEngine. It reports handled=false when no engine can
-// run the configuration (the caller then falls back to the sequential
-// loop); otherwise its results — halt cycle, error, every observable
-// stat — are identical to the sequential engine's.
+// DeclineReason reports why Run leaves s to the sequential loop, or ""
+// when the engine runs it. Every declined case is sequential-only by
+// construction:
 //
-// Engine coverage, from sim.Run's perspective:
+//   - fewer than two workers: nothing to overlap;
+//   - zero minimum network delay: the sequential loop delivers a
+//     zero-latency send mid-phase of the cycle it is made in, which no
+//     window barrier can reproduce;
+//   - trace hooks or coherence line tracing: both observe whole-machine
+//     state every cycle, undefined while shards sit at different local
+//     times.
 //
-//   - conservative: any machine with nonzero minimum network delay, no
-//     deliveries in flight, no tracing;
-//   - optimistic: additionally accepts deliveries already in flight (a
-//     machine restored from a mid-flight snapshot), which "auto" routes
-//     here;
-//   - sequential-only, by construction: zero-latency networks (the
-//     sequential loop delivers a zero-latency send mid-phase of the same
-//     cycle, which no window barrier can reproduce), trace hooks and
-//     coherence line tracing (both observe whole-machine state every
-//     cycle, undefined while shards sit at different local times), and
-//     single-shard machines.
-func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
-	switch sim.ParEngine {
-	case "conservative":
-		return runConservative(s, par)
-	case "optimistic":
-		return RunOptimistic(s, par)
-	default:
-		if halt, handled, err = runConservative(s, par); handled {
-			return halt, handled, err
-		}
-		return RunOptimistic(s, par)
+// Every machine has at least two shards (a home module and the external
+// write agent), so there is always something to overlap.
+func DeclineReason(s *sim.System, par int) string {
+	switch {
+	case par < 2:
+		return fmt.Sprintf("par=%d: sharding needs at least 2 workers", par)
+	case s.Net.Latency() == 0:
+		return "zero network lookahead: a zero-latency send lands mid-cycle"
+	case len(s.TraceHooks) > 0:
+		return "trace hooks observe the whole machine every cycle"
+	case coherence.DebugTraceLine != 0:
+		return "coherence line tracing observes the whole machine every cycle"
 	}
+	return ""
 }
 
-// runConservative advances s to completion in lookahead windows of the
-// network's minimum delay. It reports handled=false when the configuration
-// cannot be windowed.
-func runConservative(s *sim.System, par int) (halt uint64, handled bool, err error) {
-	w := s.Net.Latency()
-	if par < 2 || w == 0 || len(s.TraceHooks) > 0 || s.Net.Pending() > 0 ||
-		coherence.DebugTraceLine != 0 {
+// Run advances s to completion with up to par shard goroutines. It reports
+// handled=false when DeclineReason is non-empty (the caller then falls
+// back to the sequential loop); otherwise its results — halt cycle, error,
+// every observable stat — are identical to the sequential loop's.
+// Deliveries already in flight (a machine restored from a mid-flight
+// snapshot) are fine: the exchange absorbs them into the shard inboxes.
+//
+// Window policy. With W the network's minimum delay, a window speculates
+// only when all of these hold, and is otherwise a conservative W-cycle
+// window with no checkpoint:
+//
+//   - W < minHorizon. At W ≥ minHorizon a conservative window is already
+//     as long as the shortest speculative one, so a checkpoint buys
+//     nothing; such machines run conservative windows only.
+//   - No delivery is queued in any inbox, and the previous barrier routed
+//     no message (the run's first window counts as busy). Speculation pays
+//     only across stretches with nothing in flight: a queued delivery
+//     triggers sends that land about W cycles later — the straggler a
+//     speculative window would roll back on.
+func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
+	if DeclineReason(s, par) != "" {
 		return 0, false, nil
 	}
 	shards := s.Shards()
-	if len(shards) < 2 {
-		return 0, false, nil
-	}
-
+	w := s.Net.Latency()
 	e := &engine{
-		s:      s,
-		shards: shards,
-		eps:    make([]*network.Endpoint, len(shards)),
-		x:      network.NewExchange(s.Net),
-		st:     make([]shardStats, len(shards)),
-		dense:  s.Cfg.DenseLoop || sim.ForceDense,
-		tasks:  make(chan int, len(shards)),
+		s:       s,
+		shards:  shards,
+		eps:     make([]*network.Endpoint, len(shards)),
+		x:       network.NewExchange(s.Net),
+		st:      make([]shardStats, len(shards)),
+		dense:   s.Cfg.DenseLoop || sim.ForceDense,
+		tasks:   make(chan int, len(shards)),
+		horizon: max(4*w, minHorizon),
 	}
 	for i, sh := range shards {
 		e.eps[i] = e.x.Endpoint(sh.NodeID(), sh.Rank(), sh.Handler())
@@ -213,7 +211,7 @@ func runConservative(s *sim.System, par int) (halt uint64, handled bool, err err
 	// agent shard: its window loop is then pure delivery, with no
 	// special-case peek at the write queue.
 	s.InjectScheduledWrites(e.x)
-	extra := acquireExtra(minInt(par, len(shards)) - 1)
+	extra := acquireExtra(min(par, len(shards)) - 1)
 	e.workers = 1 + extra
 	for k := 0; k < extra; k++ {
 		go func() {
@@ -236,19 +234,19 @@ func runConservative(s *sim.System, par int) (halt uint64, handled bool, err err
 	start := s.Cycle
 	limit := s.BaseCycle() + s.Cfg.MaxCycles
 	work := make([]int, 0, len(shards))
-	for {
-		if e.done() {
-			break
-		}
+	busy := true // the previous barrier routed a message (the first window counts as busy)
+	for !e.done() {
 		if s.Cycle-s.BaseCycle() > s.Cfg.MaxCycles {
 			teardown()
 			return 0, true, fmt.Errorf("sim: no convergence after %d cycles\n%s", s.Cfg.MaxCycles, s.Dump())
 		}
 		t := s.Cycle
+		spec := w < minHorizon && !busy && e.x.PendingTotal() == 0
 		end := t + w
-		if end > limit+1 {
-			end = limit + 1
+		if spec {
+			end = t + e.horizon
 		}
+		end = min(end, limit+1)
 		work = work[:0]
 		if e.dense {
 			for i := range e.shards {
@@ -261,15 +259,10 @@ func runConservative(s *sim.System, par int) (halt uint64, handled bool, err err
 			// the shards with an event inside this window.
 			horizon, any := e.globalHorizon(t)
 			if !any {
-				s.FastForwarded += limit + 1 - t
-				s.Cycle = limit + 1
-				e.globalJumps++
-				continue
+				horizon = limit + 1
 			}
 			if horizon > t {
-				if horizon > limit+1 {
-					horizon = limit + 1
-				}
+				horizon = min(horizon, limit+1)
 				s.FastForwarded += horizon - t
 				s.Cycle = horizon
 				e.globalJumps++
@@ -281,10 +274,17 @@ func runConservative(s *sim.System, par int) (halt uint64, handled bool, err err
 				}
 			}
 		}
-		e.from, e.to = t, end
-		e.dispatch(work)
 		e.windows++
-		e.x.Barrier()
+		if spec {
+			if end, err = e.speculate(t, end, work); err != nil {
+				teardown()
+				return 0, true, err
+			}
+		} else {
+			e.from, e.to = t, end
+			e.dispatch(work)
+		}
+		busy = e.x.Barrier() > 0
 		s.Cycle = end
 	}
 
@@ -295,13 +295,6 @@ func runConservative(s *sim.System, par int) (halt uint64, handled bool, err err
 	s.Cycle = e.finishCycle(start)
 	teardown()
 	return s.HaltCycle() - s.BaseCycle(), true, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // dispatch fans the window's shard list out to the worker pool; the calling
@@ -324,9 +317,10 @@ func (e *engine) dispatch(work []int) {
 	}
 }
 
-// runShard advances one shard through the current window, stepping only the
-// cycles where the shard provably has work (unless dense mode insists on
-// stepping them all — the step is a no-op then, by the NextWake contract).
+// runShard advances one shard through the current dispatch range, stepping
+// only the cycles where the shard provably has work (unless dense mode
+// insists on stepping them all — the step is a no-op then, by the NextWake
+// contract).
 func (e *engine) runShard(i int) {
 	sh, ep, st := e.shards[i], e.eps[i], &e.st[i]
 	for now := e.from; now < e.to; {
@@ -390,14 +384,14 @@ func (e *engine) done() bool {
 func (e *engine) finishCycle(start uint64) uint64 {
 	out := start
 	for i := range e.st {
-		if au := e.st[i].activeUntil; au > out {
-			out = au
-		}
+		out = max(out, e.st[i].activeUntil)
 	}
 	return out
 }
 
 // report renders the scheduler-observability summary (mcsim -schedstats).
+// The speculation line appears only for runs that took a speculative
+// window.
 func (e *engine) report() string {
 	var b strings.Builder
 	var steps, skipped uint64
@@ -407,9 +401,9 @@ func (e *engine) report() string {
 	}
 	fmt.Fprintf(&b, "parsim: shards=%d workers=%d window=%d windows=%d exchanged=%d global_jumps=%d ff_cycles=%d shard_steps=%d shard_skipped=%d\n",
 		len(e.shards), e.workers, e.s.Net.Latency(), e.windows, e.x.Exchanged, e.globalJumps, e.s.FastForwarded, steps, skipped)
-	if e.opt {
-		fmt.Fprintf(&b, "parsim: engine=optimistic horizon=%d checkpoints=%d rollbacks=%d replayed_cycles=%d max_optimism=%d cons_windows=%d\n",
-			e.horizon, e.checkpoints, e.rollbacks, e.replayed, e.maxOptimism, e.consWindows)
+	if e.checkpoints > 0 {
+		fmt.Fprintf(&b, "parsim: engine=optimistic horizon=%d checkpoints=%d rollbacks=%d replayed_cycles=%d max_optimism=%d\n",
+			e.horizon, e.checkpoints, e.rollbacks, e.replayed, e.maxOptimism)
 	}
 	for i, sh := range e.shards {
 		st := &e.st[i]

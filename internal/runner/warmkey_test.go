@@ -32,7 +32,7 @@ func baseWarmCfg() sim.Config {
 // TestWarmupKeyIgnoresProcessGlobals pins the property the farm's fleet-
 // wide dedup depends on: the key is a pure function of (config, programs,
 // preload). Execution-strategy knobs that live outside sim.Config — the
-// worker-pool width, the shard engine and its worker count, the forced
+// worker-pool width, the shard worker count, the forced
 // dense loop, profiling — cannot reach it, so a key computed on any fleet
 // member names the same warmed machine on every other, whatever flags
 // each process runs under.
@@ -41,12 +41,9 @@ func TestWarmupKeyIgnoresProcessGlobals(t *testing.T) {
 	pre := map[uint64]int64{16: 3}
 	before := WarmupKey(cfg, progs, pre)
 
-	savedPar, savedEngine, savedDense := sim.ParWorkers, sim.ParEngine, sim.ForceDense
-	defer func() {
-		sim.ParWorkers, sim.ParEngine, sim.ForceDense = savedPar, savedEngine, savedDense
-	}()
+	savedPar, savedDense := sim.ParWorkers, sim.ForceDense
+	defer func() { sim.ParWorkers, sim.ForceDense = savedPar, savedDense }()
 	sim.ParWorkers = 8
-	sim.ParEngine = "optimistic"
 	sim.ForceDense = !savedDense
 	if after := WarmupKey(cfg, progs, pre); after != before {
 		t.Errorf("key depends on process globals:\nbefore: %q\nafter:  %q", before, after)

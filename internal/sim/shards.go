@@ -10,8 +10,8 @@ import (
 	"mcmsim/internal/network"
 )
 
-// This file partitions a System into node shards for the conservative
-// parallel engine (internal/parsim). A shard is a set of components that
+// This file partitions a System into node shards for the parallel shard
+// engine (internal/parsim). A shard is a set of components that
 // share no mutable state with any other shard — they interact only through
 // network messages, whose one-way latency bounds how far a shard can run
 // ahead privately. Three shard kinds cover the whole machine:
@@ -64,20 +64,10 @@ func (s *System) Shards() []*NodeShard {
 	return out
 }
 
-// ShardKind identifies a shard's component family, for engine policies
-// that depend on it (the optimistic engine checkpoints the shared memory
-// image only when a home shard is dispatched).
-type ShardKind uint8
-
-// Shard kinds, mirroring the internal partition.
-const (
-	ShardKindProc ShardKind = iota
-	ShardKindDir
-	ShardKindAgent
-)
-
-// Kind reports the shard's component family.
-func (sh *NodeShard) Kind() ShardKind { return ShardKind(sh.kind) }
+// IsHome reports whether the shard is a home module — the only kind that
+// touches the shared memory image, which a speculative window therefore
+// checkpoints only when a home shard is dispatched.
+func (sh *NodeShard) IsHome() bool { return sh.kind == shardDir }
 
 // NodeID returns the network node the shard receives messages at.
 func (sh *NodeShard) NodeID() network.NodeID {
@@ -216,7 +206,7 @@ func (sh *NodeShard) Quiescent() bool {
 }
 
 // ShardState is one shard's component checkpoint, taken and restored by
-// the optimistic engine (internal/parsim) at window granularity. Only the
+// the shard engine's speculative windows (internal/parsim). Only the
 // fields for the shard's kind are populated. The memory image is not here:
 // home shards only ever touch their own banks, so the engine checkpoints
 // the one shared Memory once per window alongside the per-shard states.
@@ -230,16 +220,9 @@ type ShardState struct {
 	NextWrite        int
 }
 
-// ExportState captures the shard's components mid-flight.
-func (sh *NodeShard) ExportState() (ShardState, error) {
-	var st ShardState
-	err := sh.ExportStateInto(&st)
-	return st, err
-}
-
-// ExportStateInto captures the shard into st, reusing st's backing storage
-// (the optimistic engine checkpoints every dispatched shard once per
-// window).
+// ExportStateInto captures the shard's components mid-flight into st,
+// reusing st's backing storage (a speculative window checkpoints every
+// dispatched shard).
 func (sh *NodeShard) ExportStateInto(st *ShardState) error {
 	switch sh.kind {
 	case shardProc:

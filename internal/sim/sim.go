@@ -102,20 +102,10 @@ var ForceDense bool
 // same value.
 var ParWorkers int
 
-// ParEngine selects which parallel engine Run asks for when ParWorkers ≥ 2
-// (the -engine flag): "auto" tries the conservative engine and falls back
-// to the optimistic one for configurations it declines (deliveries already
-// in flight); "conservative" and "optimistic" force one engine, falling
-// back to the sequential loop when it declines. Every engine produces
-// byte-identical results, so this is purely a performance/diagnostics
-// knob. Like ForceDense it must only change while no simulations run.
-var ParEngine = "auto"
-
 // parallelRunner is installed by internal/parsim (an init-time hook keeps
 // sim free of an import cycle: parsim imports sim). It returns handled=false
-// when the engine declines the configuration — zero network latency, trace
-// hooks attached, pending messages — in which case Run falls back to the
-// sequential loop below.
+// when the engine declines the configuration (parsim.DeclineReason says
+// why), in which case Run falls back to the sequential loop below.
 var parallelRunner func(s *System, workers int) (halt uint64, handled bool, err error)
 
 // RegisterParallelRunner installs the parallel engine Run consults when

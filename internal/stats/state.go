@@ -34,7 +34,7 @@ func (s *Set) ExportState() State {
 }
 
 // ExportStateInto captures the set into st, reusing st's backing storage.
-// The optimistic shard engine checkpoints every component once per window;
+// A speculative shard window checkpoints every dispatched component;
 // reusing the previous window's buffers keeps that off the allocator.
 func (s *Set) ExportStateInto(st *State) {
 	st.Counters = st.Counters[:0]
