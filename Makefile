@@ -45,8 +45,8 @@ race:
 # batch with every simulation sharded: verdicts must be identical to the
 # sequential run. The farm tier holds the distributed coordinator to the
 # same bar: a farmed suite and conformance batch must be byte-identical
-# to the local pool, through worker deaths, lease expiries, and
-# checkpoint resumes.
+# to the local pool, through worker deaths, lease expiries, checkpoint
+# resumes, and two farms on different specs sharing one process.
 differential:
 	$(GO) test -run 'TestFastForward|TestParallelEngine|TestSnapshot|TestWarmupCache|TestFarm' ./internal/sim ./internal/experiments ./internal/parsim ./internal/runner ./internal/farm
 	$(GO) run ./cmd/conform -seed 1 -n 32 -quick -par 4 -quiet

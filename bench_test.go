@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/experiments"
 	"mcmsim/internal/isa"
@@ -303,7 +304,7 @@ func BenchmarkSweepSuite(b *testing.B) {
 // cold/cache ns/op ratio is the suite wall-clock win EXPERIMENTS.md
 // reports.
 func benchmarkSuiteWarmup(b *testing.B, cached bool) {
-	jobs := append(experiments.AdveHillComparisonJobs(32), experiments.WarmedEqualizationJobs()...)
+	jobs := append(experiments.AdveHillComparisonJobs(32, coherence.ProtoInvalidate), experiments.WarmedEqualizationJobs(coherence.ProtoInvalidate)...)
 	var rowsSum uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

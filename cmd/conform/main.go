@@ -21,13 +21,19 @@
 //	          the oracle stays on the program's own processors)
 //	-topo T   interconnect: uniform (default), mesh, or mesh:WxH
 //	-j N      worker-pool size (<=0 means all CPUs)
-//	-par N    shard each simulation across up to N goroutines
+//	-par N    shard every cell's simulation across up to N goroutines
 //	-quick    paper timing only (the fuzz target's reduced grid)
 //	-protocol coherence-protocol axis: both (default), msi, or mesi
 //	-quiet    suppress the progress line on stderr
 //	-out FILE write the report to FILE instead of stdout
 //	-notime   omit the elapsed-seconds figure from the OK line, making the
 //	          report byte-stable (what the farm-vs-local CI diff compares)
+//
+// Fleet flags, shared with cmd/sweep: -workers LIST (comma-separated
+// local:N and `sweepd -listen` daemon host:port entries), -listen,
+// -advertise, -lease-ttl, -checkpoint-every. A list with a daemon entry,
+// or -listen, runs the batch on a farm (internal/farm); the report is
+// byte-identical to the local run's.
 //
 // Any violation is minimized to a 1-minimal reproducer and printed with
 // the failing cell, the observed outcome, and the oracle's allowed set;
@@ -41,10 +47,10 @@ import (
 	"runtime"
 	"time"
 
-	"mcmsim/internal/coherence"
 	"mcmsim/internal/conformance"
+	"mcmsim/internal/farm"
 	"mcmsim/internal/parsim"
-	"mcmsim/internal/sim"
+	"mcmsim/internal/runner"
 )
 
 func main() {
@@ -63,29 +69,17 @@ func main() {
 		outF   = flag.String("out", "", "write the report to this file instead of stdout")
 		notime = flag.Bool("notime", false, "omit elapsed seconds from the OK line (byte-stable output)")
 	)
+	fleet := farm.FleetFlags(flag.CommandLine)
 	flag.Parse()
-	var protocols []coherence.Protocol
-	switch *proto {
-	case "both", "":
-	case "msi":
-		protocols = []coherence.Protocol{coherence.ProtoInvalidate}
-	case "mesi":
-		protocols = []coherence.Protocol{coherence.ProtoMESI}
-	default:
-		fmt.Fprintf(os.Stderr, "conform: unknown -protocol %q (want both, msi, or mesi)\n", *proto)
+	spec := farm.JobSpec{
+		Kind: "conform", Seed: *seed, N: *n, Procs: *procs, Ops: *ops,
+		Quick: *quick, PadCPUs: *cpus, Topo: *topo, Protocol: *proto, Par: *par,
+	}
+	params, opts, err := farm.ConformOptions(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "conform:", err)
 		os.Exit(2)
 	}
-	if *topo != "" {
-		machineCPUs := *cpus
-		if machineCPUs < 2 {
-			machineCPUs = 2 // smallest generated program
-		}
-		if err := sim.ValidateTopo(*topo, machineCPUs); err != nil {
-			fmt.Fprintln(os.Stderr, "conform:", err)
-			os.Exit(2)
-		}
-	}
-	sim.ParWorkers = *par
 	if *par > 1 {
 		// Batch workers and shard workers share the machine; the shard pool
 		// gets whatever the batch pool leaves free (conformance programs are
@@ -97,25 +91,29 @@ func main() {
 		parsim.SetWorkerBudget(extra)
 	}
 
-	params := conformance.Params{Procs: *procs, ProcOps: *ops}
-	opts := conformance.CheckOptions{Quick: *quick, CPUs: *cpus, Topo: *topo, Protocols: protocols}
-
-	progress := func(done, total int) {
-		fmt.Fprintf(os.Stderr, "\rconform: %d/%d programs", done, total)
-		if done == total {
-			fmt.Fprintln(os.Stderr)
+	pool := runner.Options{Workers: *jobs}
+	if !*quiet {
+		pool.OnProgress = func(p runner.Progress) {
+			fmt.Fprintf(os.Stderr, "\rconform: %d/%d programs", p.Done, p.Total)
+			if p.Done == p.Total {
+				fmt.Fprintln(os.Stderr)
+			}
 		}
 	}
-	if *quiet {
-		progress = nil
-	}
-
 	start := time.Now()
-	rep := conformance.CheckBatch(*seed, *n, params, *jobs, opts, progress)
+	results, summary, err := fleet.Run(spec, pool)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "conform:", err)
+		os.Exit(2)
+	}
 	elapsed := time.Since(start)
+	if !*quiet {
+		fmt.Fprintf(os.Stderr, "%d programs in %s (%s)\n", len(results), elapsed.Round(time.Millisecond), summary)
+	}
 	if *notime {
 		elapsed = -1
 	}
+	rep := conformance.BatchReport(spec.Seed, spec.N, params, results)
 
 	w := os.Stdout
 	if *outF != "" {
@@ -127,7 +125,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if !conformance.Summarize(w, rep, *seed, *n, opts, elapsed) {
+	if !conformance.Summarize(w, rep, spec.Seed, spec.N, opts, elapsed) {
 		os.Exit(1)
 	}
 }

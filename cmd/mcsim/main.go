@@ -75,8 +75,6 @@ func main() {
 	flag.IntVar(procs, "cpus", 0, "alias for -procs")
 	flag.Parse()
 
-	sim.ForceDense = *dense
-	sim.ParWorkers = *par
 	if *par > 1 {
 		// The engine's worker pool takes the caller's goroutine plus extras
 		// from this budget; honor an explicit -par above the core count.
@@ -107,6 +105,7 @@ func main() {
 	cfg.HopLatency = *hoplat
 	cfg.LinkGap = *linkgap
 	cfg.DirPointers = *dirptrs
+	cfg.DenseLoop = *dense
 	if *update {
 		cfg.Protocol = coherence.ProtoUpdate
 	}
@@ -139,6 +138,7 @@ func main() {
 	switch {
 	case *loadState != "":
 		s = restoreState(*loadState, cfg, len(progs))
+		s.Cfg.DenseLoop = *dense
 		if s.Done() {
 			s.Cfg.Model = cfg.Model
 			s.Cfg.Tech = cfg.Tech
@@ -160,7 +160,7 @@ func main() {
 	case warmups != nil:
 		s = sim.New(cfg, warmups)
 		s.Preload(preload)
-		if _, err := s.Run(); err != nil {
+		if _, err := parsim.Drive(s, *par); err != nil {
 			fatal(fmt.Errorf("warmup: %w", err))
 		}
 		if *saveState != "" {
@@ -221,7 +221,7 @@ func main() {
 		} else {
 			cycles = s.Cycle - s.BaseCycle()
 		}
-	} else if cycles, err = s.Run(); err != nil {
+	} else if cycles, err = parsim.Drive(s, *par); err != nil {
 		fatal(err)
 	}
 	if *saveState != "" && !savedPostWarmup {

@@ -11,6 +11,7 @@ import (
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 )
@@ -149,6 +150,10 @@ type CheckOptions struct {
 	// Protocols restricts the protocol axis; nil runs the full
 	// GridProtocols set.
 	Protocols []coherence.Protocol
+	// Par drives every cell through the shard engine on up to Par
+	// workers (parsim.Drive); 0 or 1 runs the sequential loop. Verdicts
+	// are identical for every value.
+	Par int
 }
 
 // idleProgram is the padding CPUs' program: halt immediately. Programs are
@@ -193,7 +198,7 @@ func runCell(p Program, progs []*isa.Program, m core.Model, tech core.Technique,
 	cfg.Tech.DetectSC = true // the §6 monitor is passive; always watch
 	cfg.DenseLoop = dense
 	s := sim.New(cfg, progs)
-	cycles, err := s.Run()
+	cycles, err := parsim.Drive(s, opts.Par)
 	if err != nil {
 		return cellResult{}, err
 	}

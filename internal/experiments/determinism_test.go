@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/runner"
 )
 
@@ -33,8 +34,8 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		name string
 		jobs func() []runner.Job
 	}{
-		{"equalization", func() []runner.Job { return EqualizationJobs(3, 7) }},
-		{"latency", func() []runner.Job { return LatencySweepJobs(3, 7, []uint64{20, 100}) }},
+		{"equalization", func() []runner.Job { return EqualizationJobs(3, 7, coherence.ProtoInvalidate) }},
+		{"latency", func() []runner.Job { return LatencySweepJobs(3, 7, []uint64{20, 100}, coherence.ProtoInvalidate) }},
 	}
 	for _, sw := range sweeps {
 		sw := sw
@@ -50,7 +51,9 @@ func TestParallelSweepDeterminism(t *testing.T) {
 }
 
 // TestSuiteRegistry sanity-checks the registry: names are unique, every
-// enumerator yields jobs, and lookups work.
+// enumerator yields jobs, every job is executor-driven (Measure, so
+// Options.Drive and the farm's checkpointed drive reach it), and lookups
+// work.
 func TestSuiteRegistry(t *testing.T) {
 	p := DefaultParams()
 	seen := map[string]bool{}
@@ -69,6 +72,9 @@ func TestSuiteRegistry(t *testing.T) {
 		for _, j := range jobs {
 			if j.Name == "" || (j.Run == nil && j.Measure == nil) {
 				t.Errorf("sweep %q has a malformed job: %+v", s.Name, j)
+			}
+			if j.Measure == nil {
+				t.Errorf("sweep %q job %s is an opaque Run job; the executor cannot drive it", s.Name, j.Name)
 			}
 		}
 	}

@@ -8,15 +8,16 @@ import (
 	"mcmsim/internal/sim"
 )
 
-// renderSuite runs every sweep in the registry on one worker pool and
-// renders the full report in the given format — exactly what
-// `sweep -exp all -format F` produces.
-func renderSuite(t *testing.T, format string) []byte {
+// renderSuite runs every sweep in the registry through runner.Run with the
+// given options and renders the full report in the given format — exactly
+// what `sweep -exp all -format F` produces. A WarmupCache in opts is shared
+// by all the sweeps, as in cmd/sweep.
+func renderSuite(t *testing.T, format string, opts runner.Options) []byte {
 	t.Helper()
 	p := DefaultParams()
 	var tables []runner.Table
 	for _, s := range Suite() {
-		rows, err := runner.Execute(s.Jobs(p), 0)
+		rows, err := runner.Rows(runner.Run(s.Jobs(p), opts))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -29,31 +30,30 @@ func renderSuite(t *testing.T, format string) []byte {
 	return buf.Bytes()
 }
 
+// denseDrive advances a machine on the sequential loop with fast-forward
+// disabled: the -dense drive.
+func denseDrive(s *sim.System) (uint64, error) {
+	s.Cfg.DenseLoop = true
+	return s.Run()
+}
+
 // TestFastForwardSuiteByteIdentical is the end-to-end differential gate
 // for the idle-cycle fast-forward scheduler: the complete experiment suite
 // (every E-series sweep, i.e. `sweep -exp all`) must render byte-identical
-// reports in every output format whether cycles are stepped densely or
-// fast-forwarded. This test deliberately goes through the same
+// reports in every output format whether the measured phases are stepped
+// densely or fast-forwarded. This test deliberately goes through the same
 // enumeration, execution and rendering layers as cmd/sweep, so a
 // divergence anywhere — a skipped stall that a counter should have seen,
 // a histogram observed at a shifted cycle — fails loudly with a report
 // diff.
-//
-// Not t.Parallel: it toggles the package-wide sim.ForceDense knob, which
-// must not race with other tests' simulations. (Parallel subtests of
-// earlier top-level tests have fully completed before this runs.)
 func TestFastForwardSuiteByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run; skipped in -short mode")
 	}
-	prev := sim.ForceDense
-	defer func() { sim.ForceDense = prev }()
-
+	t.Parallel()
 	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
-		sim.ForceDense = true
-		dense := renderSuite(t, format)
-		sim.ForceDense = false
-		fast := renderSuite(t, format)
+		dense := renderSuite(t, format, runner.Options{Drive: denseDrive})
+		fast := renderSuite(t, format, runner.Options{})
 		if !bytes.Equal(dense, fast) {
 			t.Errorf("%s reports differ:\n--- dense ---\n%s--- fast-forward ---\n%s", format, dense, fast)
 		}
@@ -65,16 +65,12 @@ func TestFastForwardSuiteByteIdentical(t *testing.T) {
 // cycles in which nothing happens, so the traced walkthrough — every
 // event annotated with its cycle number — must come out identical.
 func TestFastForwardFigure5TraceIdentical(t *testing.T) {
-	prev := sim.ForceDense
-	defer func() { sim.ForceDense = prev }()
-
-	sim.ForceDense = true
-	denseRes, err := RunFigure5()
+	t.Parallel()
+	denseRes, err := runFigure5(denseDrive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.ForceDense = false
-	fastRes, err := RunFigure5()
+	fastRes, err := runFigure5((*sim.System).Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,11 @@ func RunLitmusWithProtocol(l workload.Litmus, model core.Model, tech core.Techni
 	if err != nil {
 		return Figure1Cell{}, err
 	}
-	return litmusMeasure(l, model, tech, s)
+	cycles, err := s.Run()
+	if err != nil {
+		return Figure1Cell{}, fmt.Errorf("%s: %w", l.Name, err)
+	}
+	return litmusCell(l, model, tech, s, cycles), nil
 }
 
 // litmusSystem assembles (and, where the litmus requires it, warms up) the
@@ -66,17 +70,10 @@ func litmusSystem(l workload.Litmus, model core.Model, tech core.Technique, prot
 	return s, nil
 }
 
-// litmusMeasure drives a configured litmus machine to completion and
-// extracts the cell, including the SC-violation detector count.
-func litmusMeasure(l workload.Litmus, model core.Model, tech core.Technique, s *sim.System) (Figure1Cell, error) {
-	cycles, err := s.Run()
-	if err != nil {
-		return Figure1Cell{}, fmt.Errorf("%s: %w", l.Name, err)
-	}
-	var detections uint64
-	for _, u := range s.LSUs {
-		detections += u.SCViolations()
-	}
+// litmusCell extracts the cell from a litmus machine that ran to its halt
+// cycle, including the SC-violation detector count. It is the Measure half
+// of a litmus job.
+func litmusCell(l workload.Litmus, model core.Model, tech core.Technique, s *sim.System, cycles uint64) Figure1Cell {
 	return Figure1Cell{
 		Litmus:     l.Name,
 		Model:      model,
@@ -84,8 +81,17 @@ func litmusMeasure(l workload.Litmus, model core.Model, tech core.Technique, s *
 		Relaxed:    l.Relaxed(s.ReadCoherent),
 		Allowed:    l.AllowedUnder[model.String()],
 		Cycles:     cycles,
-		Detections: detections,
-	}, nil
+		Detections: scViolations(s),
+	}
+}
+
+// scViolations sums the SC-violation detector's hits across the machine.
+func scViolations(s *sim.System) uint64 {
+	var n uint64
+	for _, u := range s.LSUs {
+		n += u.SCViolations()
+	}
+	return n
 }
 
 // Figure1Matrix runs the full litmus battery across all four models,

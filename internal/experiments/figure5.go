@@ -42,7 +42,11 @@ type Figure5Result struct {
 // ownership, and C's recall completes before D's reissued value returns, so
 // the paper's events 2/3 and 7/8 appear swapped. Buffer contents at each
 // milestone match the paper's table.
-func RunFigure5() (Figure5Result, error) {
+func RunFigure5() (Figure5Result, error) { return runFigure5((*sim.System).Run) }
+
+// runFigure5 is RunFigure5 with both phases, warmup and traced run,
+// advanced by drive — the differential tests' dense and sharded arms.
+func runFigure5(drive func(*sim.System) (uint64, error)) (Figure5Result, error) {
 	cfg := sim.PaperConfig()
 	cfg.Procs = 2
 	cfg.Model = core.SC
@@ -56,7 +60,7 @@ func RunFigure5() (Figure5Result, error) {
 	w1.Halt()
 	s := sim.New(cfg, []*isa.Program{workload.Figure5Warmup(), w1.Build()})
 	s.Preload(map[uint64]int64{workload.AddrD: workload.DValue})
-	if _, err := s.Run(); err != nil {
+	if _, err := drive(s); err != nil {
 		return Figure5Result{}, fmt.Errorf("figure5 warmup: %w", err)
 	}
 
@@ -69,7 +73,7 @@ func RunFigure5() (Figure5Result, error) {
 	base := s.Cycle
 	s.ScheduleWrites([]sim.ScheduledWrite{{Cycle: base + 60, Addr: workload.AddrD, Value: workload.DValue}})
 
-	cycles, err := s.Run()
+	cycles, err := drive(s)
 	if err != nil {
 		return Figure5Result{}, err
 	}

@@ -9,33 +9,29 @@ import (
 	"mcmsim/internal/sim"
 )
 
-// renderSuitePar renders the full suite with the given shard-parallelism
-// degree (0 = sequential loop).
-func renderSuitePar(t *testing.T, format string, par int) []byte {
-	t.Helper()
-	prev := sim.ParWorkers
-	sim.ParWorkers = par
-	defer func() { sim.ParWorkers = prev }()
-	return renderSuite(t, format)
+// shardedDrive advances a machine through the shard engine on up to par
+// workers: the -par drive.
+func shardedDrive(par int) func(*sim.System) (uint64, error) {
+	return func(s *sim.System) (uint64, error) { return parsim.Drive(s, par) }
 }
 
 // TestParallelEngineSuiteByteIdentical is the end-to-end differential gate
-// for the conservative parallel engine: the complete experiment suite
-// (`sweep -exp all`) must render byte-identical reports in every output
-// format whether each simulation runs on the sequential loop or on 2, 4 or
-// 8 shard workers. Together with TestFastForwardSuiteByteIdentical this
-// pins the full -dense × -par matrix the CLIs expose.
-//
-// Not t.Parallel: it toggles the package-wide sim.ParWorkers knob.
+// for the shard engine: the complete experiment suite (`sweep -exp all`)
+// must render byte-identical reports in every output format whether each
+// measured phase runs on the sequential loop or on 2, 4 or 8 shard
+// workers. Together with TestFastForwardSuiteByteIdentical this pins the
+// -dense × -par matrix the CLIs expose.
 func TestParallelEngineSuiteByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run; skipped in -short mode")
 	}
+	// Before t.Parallel: no simulation runs yet.
 	parsim.SetWorkerBudget(8)
+	t.Parallel()
 
 	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
-		seq := renderSuitePar(t, format, 0)
-		par := renderSuitePar(t, format, 4)
+		seq := renderSuite(t, format, runner.Options{})
+		par := renderSuite(t, format, runner.Options{Drive: shardedDrive(4)})
 		if !bytes.Equal(seq, par) {
 			t.Errorf("%s reports differ between -par 1 and -par 4:\n--- sequential ---\n%s--- parallel ---\n%s", format, seq, par)
 		}
@@ -44,9 +40,9 @@ func TestParallelEngineSuiteByteIdentical(t *testing.T) {
 	// are deterministic, so any divergence is count-independent and the
 	// par=4 sweep above would have caught it; this guards the dispatch edges
 	// (fewer workers than shards, more workers than shards).
-	seq := renderSuitePar(t, runner.FormatCSV, 0)
+	seq := renderSuite(t, runner.FormatCSV, runner.Options{})
 	for _, par := range []int{2, 8} {
-		got := renderSuitePar(t, runner.FormatCSV, par)
+		got := renderSuite(t, runner.FormatCSV, runner.Options{Drive: shardedDrive(par)})
 		if !bytes.Equal(seq, got) {
 			t.Errorf("csv report differs between -par 1 and -par %d", par)
 		}
@@ -54,21 +50,17 @@ func TestParallelEngineSuiteByteIdentical(t *testing.T) {
 }
 
 // TestParallelEngineFigure5TraceIdentical pins the trace-hook fallback end
-// to end: Figure 5 attaches per-cycle trace hooks, which the parallel
-// engine must decline, transparently producing the identical trace through
-// the sequential loop.
+// to end: Figure 5's traced phase attaches per-cycle trace hooks, which the
+// shard engine must decline, transparently producing the identical trace
+// through the sequential loop; its warmup phase does shard.
 func TestParallelEngineFigure5TraceIdentical(t *testing.T) {
-	prev := sim.ParWorkers
-	defer func() { sim.ParWorkers = prev }()
-
-	sim.ParWorkers = 0
-	seqRes, err := RunFigure5()
+	t.Parallel()
+	seqRes, err := runFigure5((*sim.System).Run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 8} {
-		sim.ParWorkers = par
-		parRes, err := RunFigure5()
+		parRes, err := runFigure5(shardedDrive(par))
 		if err != nil {
 			t.Fatal(err)
 		}

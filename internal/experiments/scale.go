@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/machine"
@@ -65,8 +66,13 @@ func scaleStats(s *sim.System) map[string]float64 {
 // conventional, SC prefetch, SC prefetch+speculation, RC conventional and
 // RC prefetch+speculation. If prefetch+speculation still closes the SC/RC
 // gap when an invalidation fans out across a 16x16 mesh, the paper's claim
-// survives two orders of magnitude of scaling.
+// survives two orders of magnitude of scaling. The machines run MSI; the
+// suite's E16 entry runs them on Params.Protocol.
 func ScaleSweepJobs(cpuCounts []int, topo string) []runner.Job {
+	return scaleSweepJobs(cpuCounts, topo, coherence.ProtoInvalidate)
+}
+
+func scaleSweepJobs(cpuCounts []int, topo string, proto coherence.Protocol) []runner.Job {
 	points := []struct {
 		model core.Model
 		tech  core.Technique
@@ -85,6 +91,7 @@ func ScaleSweepJobs(cpuCounts []int, topo string) []runner.Job {
 				Topology(topo).
 				Model(pt.model).
 				Technique(pt.tech).
+				Protocol(proto).
 				Config()
 			if err != nil {
 				panic(fmt.Sprintf("experiments: E16 machine rejected: %v", err))

@@ -22,7 +22,25 @@ type Row = runner.Row
 // job list on the default worker pool and returns the rows in enumeration
 // order. The Jobs form is what cmd/sweep and the determinism tests feed to
 // a shared pool; the plain form keeps the historical call sites (tests,
-// benchmarks, examples) unchanged.
+// benchmarks, examples) unchanged. Jobs forms whose machines have no
+// protocol axis of their own take the base protocol (Params.Protocol);
+// the plain forms run MSI.
+
+// paperConfig and realisticConfig are sim.PaperConfig and
+// sim.RealisticConfig on the suite's base coherence protocol
+// (Params.Protocol). Every sweep without a protocol axis of its own builds
+// its machines from one of them.
+func paperConfig(proto coherence.Protocol) sim.Config {
+	c := sim.PaperConfig()
+	c.Protocol = proto
+	return c
+}
+
+func realisticConfig(proto coherence.Protocol) sim.Config {
+	c := sim.RealisticConfig()
+	c.Protocol = proto
+	return c
+}
 
 // simJob builds the common job shape: Configure assembles the machine,
 // the executor drives it, and Measure labels the resulting cycle count.
@@ -60,7 +78,7 @@ func mixedWorkload(nprocs int, seed int64) []*isa.Program {
 // technique on the mixed workload. The paper's §5 claim is that with both
 // techniques the models' performance converges ("the performance of
 // different consistency models is equalized").
-func EqualizationJobs(nprocs int, seed int64) []runner.Job {
+func EqualizationJobs(nprocs int, seed int64, proto coherence.Protocol) []runner.Job {
 	var jobs []runner.Job
 	for _, m := range core.AllModels {
 		for _, t := range []core.Technique{TechConv, TechPf, TechSpec, TechBoth} {
@@ -68,7 +86,7 @@ func EqualizationJobs(nprocs int, seed int64) []runner.Job {
 				fmt.Sprintf("equalization/%v/%v", m, t),
 				map[string]string{"model": m.String(), "tech": t.String()},
 				func() *sim.System {
-					cfg := sim.RealisticConfig()
+					cfg := realisticConfig(proto)
 					cfg.Procs = nprocs
 					cfg.Model = m
 					cfg.Tech = t
@@ -81,14 +99,14 @@ func EqualizationJobs(nprocs int, seed int64) []runner.Job {
 
 // Equalization executes E1 and returns its rows.
 func Equalization(nprocs int, seed int64) ([]Row, error) {
-	return runner.Execute(EqualizationJobs(nprocs, seed), 0)
+	return runner.Execute(EqualizationJobs(nprocs, seed, coherence.ProtoInvalidate), 0)
 }
 
 // LatencySweepJobs enumerates E2: miss latency varied, SC and RC measured
 // with and without the techniques on the mixed workload — the gap between
 // models grows with latency conventionally and stays narrow with the
 // techniques.
-func LatencySweepJobs(nprocs int, seed int64, latencies []uint64) []runner.Job {
+func LatencySweepJobs(nprocs int, seed int64, latencies []uint64, proto coherence.Protocol) []runner.Job {
 	var jobs []runner.Job
 	for _, lat := range latencies {
 		for _, m := range []core.Model{core.SC, core.RC} {
@@ -99,7 +117,7 @@ func LatencySweepJobs(nprocs int, seed int64, latencies []uint64) []runner.Job {
 						"miss": fmt.Sprint(lat), "model": m.String(), "tech": t.String(),
 					},
 					func() *sim.System {
-						cfg := sim.RealisticConfig().WithMissLatency(lat)
+						cfg := realisticConfig(proto).WithMissLatency(lat)
 						cfg.Procs = nprocs
 						cfg.Model = m
 						cfg.Tech = t
@@ -113,7 +131,7 @@ func LatencySweepJobs(nprocs int, seed int64, latencies []uint64) []runner.Job {
 
 // LatencySweep executes E2 and returns its rows.
 func LatencySweep(nprocs int, seed int64, latencies []uint64) ([]Row, error) {
-	return runner.Execute(LatencySweepJobs(nprocs, seed, latencies), 0)
+	return runner.Execute(LatencySweepJobs(nprocs, seed, latencies, coherence.ProtoInvalidate), 0)
 }
 
 // specStats sums the speculative-load counters across load/store units.
@@ -130,14 +148,14 @@ func specStats(s *sim.System) (entries, squashes, reissues uint64) {
 // measuring the speculative-load squash rate and its cost under SC. §5
 // argues invalidated speculations are rare in well-behaved programs; this
 // shows where that stops being true.
-func ContentionSweepJobs(nprocs int, seed int64, shareFracs []float64) []runner.Job {
+func ContentionSweepJobs(nprocs int, seed int64, shareFracs []float64, proto coherence.Protocol) []runner.Job {
 	var jobs []runner.Job
 	for _, frac := range shareFracs {
 		jobs = append(jobs, simJob(
 			fmt.Sprintf("contention/%.2f", frac),
 			map[string]string{"share": fmt.Sprintf("%.2f", frac)},
 			func() *sim.System {
-				cfg := sim.RealisticConfig()
+				cfg := realisticConfig(proto)
 				cfg.Procs = nprocs
 				cfg.Model = core.SC
 				cfg.Tech = TechBoth
@@ -164,13 +182,13 @@ func ContentionSweepJobs(nprocs int, seed int64, shareFracs []float64) []runner.
 
 // ContentionSweep executes E3 and returns its rows.
 func ContentionSweep(nprocs int, seed int64, shareFracs []float64) ([]Row, error) {
-	return runner.Execute(ContentionSweepJobs(nprocs, seed, shareFracs), 0)
+	return runner.Execute(ContentionSweepJobs(nprocs, seed, shareFracs, coherence.ProtoInvalidate), 0)
 }
 
 // LookaheadSweepJobs enumerates E4: the reorder-buffer size varied under
 // SC. §3.2 notes that hardware prefetching is limited by the instruction
 // lookahead window, so small windows should blunt the techniques.
-func LookaheadSweepJobs(robSizes []int) []runner.Job {
+func LookaheadSweepJobs(robSizes []int, proto coherence.Protocol) []runner.Job {
 	var jobs []runner.Job
 	const n = 64
 	for _, size := range robSizes {
@@ -179,7 +197,7 @@ func LookaheadSweepJobs(robSizes []int) []runner.Job {
 				fmt.Sprintf("lookahead/%d/%v", size, t),
 				map[string]string{"rob": fmt.Sprint(size), "tech": t.String()},
 				func() *sim.System {
-					cfg := sim.PaperConfig()
+					cfg := paperConfig(proto)
 					cfg.CPU.ROBSize = size
 					cfg.Model = core.SC
 					cfg.Tech = t
@@ -192,7 +210,7 @@ func LookaheadSweepJobs(robSizes []int) []runner.Job {
 
 // LookaheadSweep executes E4 and returns its rows.
 func LookaheadSweep(robSizes []int) ([]Row, error) {
-	return runner.Execute(LookaheadSweepJobs(robSizes), 0)
+	return runner.Execute(LookaheadSweepJobs(robSizes, coherence.ProtoInvalidate), 0)
 }
 
 // ProtocolComparisonJobs enumerates E5: invalidation versus update
@@ -272,7 +290,7 @@ func sharedWriterMain(n int) []*isa.Program {
 // warmup is a pure load stream whose final machine state (cache lines,
 // sharing vectors, versions, memory) does not depend on the measured
 // variant's store-side technique.
-func AdveHillComparisonJobs(nStores int) []runner.Job {
+func AdveHillComparisonJobs(nStores int, proto coherence.Protocol) []runner.Job {
 	variants := []struct {
 		name string
 		tech core.Technique
@@ -281,7 +299,7 @@ func AdveHillComparisonJobs(nStores int) []runner.Job {
 		{"advehill", core.Technique{AdveHill: true}},
 		{"pf+spec", TechBoth},
 	}
-	warmCfg := sim.PaperConfig()
+	warmCfg := paperConfig(proto)
 	warmCfg.Procs = 2
 	warmCfg.Model = core.SC
 	warmCfg.Tech = TechConv
@@ -315,7 +333,7 @@ func AdveHillComparisonJobs(nStores int) []runner.Job {
 
 // AdveHillComparison executes E6 and returns its rows.
 func AdveHillComparison(nStores int) ([]Row, error) {
-	return runner.Execute(AdveHillComparisonJobs(nStores), 0)
+	return runner.Execute(AdveHillComparisonJobs(nStores, coherence.ProtoInvalidate), 0)
 }
 
 // warmedGridLines is the warmed-array footprint of experiment E15: large
@@ -375,7 +393,7 @@ func warmedGridMain(n int) []*isa.Program {
 // load-stream warmup's final state is model- and technique-independent.
 // The sweep is also the suite's showcase for the warmup-snapshot cache:
 // one simulated warmup serves ten measured points.
-func WarmedEqualizationJobs() []runner.Job {
+func WarmedEqualizationJobs(proto coherence.Protocol) []runner.Job {
 	techs := []struct {
 		name string
 		tech core.Technique
@@ -383,7 +401,7 @@ func WarmedEqualizationJobs() []runner.Job {
 		{"conv", TechConv},
 		{"pf+spec", TechBoth},
 	}
-	warmCfg := sim.PaperConfig()
+	warmCfg := paperConfig(proto)
 	warmCfg.Procs = 2
 	warmCfg.Model = core.SC
 	warmCfg.Tech = TechConv
@@ -421,7 +439,7 @@ func WarmedEqualizationJobs() []runner.Job {
 
 // WarmedEqualization executes E15 and returns its rows.
 func WarmedEqualization() ([]Row, error) {
-	return runner.Execute(WarmedEqualizationJobs(), 0)
+	return runner.Execute(WarmedEqualizationJobs(coherence.ProtoInvalidate), 0)
 }
 
 // StenstromComparisonJobs enumerates E7: cached SC — conventional and with
@@ -429,7 +447,7 @@ func WarmedEqualization() ([]Row, error) {
 // with reuse. §6 argues disallowing caches "can severely hinder
 // performance" — every re-reference pays a full memory round trip, while
 // cached runs hit after the first pass.
-func StenstromComparisonJobs(n int) []runner.Job {
+func StenstromComparisonJobs(n int, proto coherence.Protocol) []runner.Job {
 	// A reuse-heavy single-processor loop: the array is swept four times,
 	// so the cached machine hits on later passes while NST pays full
 	// latency every time.
@@ -461,7 +479,7 @@ func StenstromComparisonJobs(n int) []runner.Job {
 			"nst/"+v.name,
 			map[string]string{"impl": v.name},
 			func() *sim.System {
-				cfg := sim.PaperConfig()
+				cfg := paperConfig(proto)
 				cfg.Model = core.SC
 				cfg.NST = v.nst
 				cfg.Tech = v.tech
@@ -473,7 +491,7 @@ func StenstromComparisonJobs(n int) []runner.Job {
 
 // StenstromComparison executes E7 and returns its rows.
 func StenstromComparison(n int) ([]Row, error) {
-	return runner.Execute(StenstromComparisonJobs(n), 0)
+	return runner.Execute(StenstromComparisonJobs(n, coherence.ProtoInvalidate), 0)
 }
 
 // SoftwarePrefetchComparisonJobs enumerates E9: hardware-controlled
@@ -483,7 +501,7 @@ func StenstromComparison(n int) ([]Row, error) {
 // buffer, while theoretically, software-controlled non-binding prefetching
 // has an arbitrarily large window" — and the two "should ... complement
 // one another".
-func SoftwarePrefetchComparisonJobs(robSizes []int) []runner.Job {
+func SoftwarePrefetchComparisonJobs(robSizes []int, proto coherence.Protocol) []runner.Job {
 	const n, dist = 64, 16
 	variants := []struct {
 		name string
@@ -506,7 +524,7 @@ func SoftwarePrefetchComparisonJobs(robSizes []int) []runner.Job {
 					if v.sw {
 						prog = workload.SoftwarePrefetchSweep(0, n, dist)
 					}
-					cfg := sim.PaperConfig()
+					cfg := paperConfig(proto)
 					cfg.CPU.ROBSize = size
 					cfg.Model = core.SC
 					cfg.Tech = v.tech
@@ -519,7 +537,7 @@ func SoftwarePrefetchComparisonJobs(robSizes []int) []runner.Job {
 
 // SoftwarePrefetchComparison executes E9 and returns its rows.
 func SoftwarePrefetchComparison(robSizes []int) ([]Row, error) {
-	return runner.Execute(SoftwarePrefetchComparisonJobs(robSizes), 0)
+	return runner.Execute(SoftwarePrefetchComparisonJobs(robSizes, coherence.ProtoInvalidate), 0)
 }
 
 // SCDetectionJobs enumerates E10, the §6 extension (the paper's reference
@@ -527,21 +545,19 @@ func SoftwarePrefetchComparison(robSizes []int) ([]Row, error) {
 // data-race-free program certifies as sequentially consistent (zero
 // detections), while a racy program whose RC execution actually violates
 // SC is flagged.
-func SCDetectionJobs() []runner.Job {
+func SCDetectionJobs(proto coherence.Protocol) []runner.Job {
 	detect := core.Technique{DetectSC: true}
+	mp := workload.MessagePassing(false)
 	return []runner.Job{
 		{
 			// Racy case: the ordinary message-passing litmus, which RC
 			// reorders.
 			Name: "scdetect/MP-racy",
 			Configure: func() (*sim.System, error) {
-				return litmusSystem(workload.MessagePassing(false), core.RC, detect, coherence.ProtoInvalidate)
+				return litmusSystem(mp, core.RC, detect, coherence.ProtoInvalidate)
 			},
-			Run: func(s *sim.System) (Row, error) {
-				cell, err := litmusMeasure(workload.MessagePassing(false), core.RC, detect, s)
-				if err != nil {
-					return Row{}, err
-				}
+			Measure: func(s *sim.System, cycles uint64) (Row, error) {
+				cell := litmusCell(mp, core.RC, detect, s, cycles)
 				return Row{
 					Labels: map[string]string{"program": "MP-racy", "relaxed": fmt.Sprint(cell.Relaxed)},
 					Cycles: cell.Cycles,
@@ -553,26 +569,18 @@ func SCDetectionJobs() []runner.Job {
 			// Data-race-free case: producer/consumer with release/acquire.
 			Name: "scdetect/producer-consumer-DRF",
 			Configure: func() (*sim.System, error) {
-				cfg := sim.RealisticConfig()
+				cfg := realisticConfig(proto)
 				cfg.Procs = 2
 				cfg.Model = core.RC
 				cfg.Tech = detect
 				prod, cons := workload.ProducerConsumer(8)
 				return sim.New(cfg, []*isa.Program{prod, cons}), nil
 			},
-			Run: func(s *sim.System) (Row, error) {
-				cycles, err := s.Run()
-				if err != nil {
-					return Row{}, err
-				}
-				var det uint64
-				for _, u := range s.LSUs {
-					det += u.SCViolations()
-				}
+			Measure: func(s *sim.System, cycles uint64) (Row, error) {
 				return Row{
 					Labels: map[string]string{"program": "producer-consumer-DRF", "relaxed": "false"},
 					Cycles: cycles,
-					Extra:  map[string]float64{"detections": float64(det)},
+					Extra:  map[string]float64{"detections": float64(scViolations(s))},
 				}, nil
 			},
 		},
@@ -581,7 +589,7 @@ func SCDetectionJobs() []runner.Job {
 
 // SCDetection executes E10 and returns its rows.
 func SCDetection() ([]Row, error) {
-	return runner.Execute(SCDetectionJobs(), 0)
+	return runner.Execute(SCDetectionJobs(coherence.ProtoInvalidate), 0)
 }
 
 // DetectionPolicyComparisonJobs enumerates E11, ablating the two detection
@@ -592,7 +600,7 @@ func SCDetection() ([]Row, error) {
 // consistency model would have allowed it to proceed and check the return
 // value"). False sharing is where they diverge: the re-read confirms the
 // word and saves the rollback, at the price of a second cache access.
-func DetectionPolicyComparisonJobs(nprocs, writes int) []runner.Job {
+func DetectionPolicyComparisonJobs(nprocs, writes int, proto coherence.Protocol) []runner.Job {
 	// Both workloads hammer one 4-word line. In the false-sharing variant
 	// each processor writes its own word and reads a word nobody writes:
 	// every read is invalidated by a neighbour's write to the same line but
@@ -640,7 +648,7 @@ func DetectionPolicyComparisonJobs(nprocs, writes int) []runner.Job {
 				fmt.Sprintf("detection/%s/%s", wl.name, pol.name),
 				map[string]string{"workload": wl.name, "policy": pol.name},
 				func() *sim.System {
-					cfg := sim.RealisticConfig()
+					cfg := realisticConfig(proto)
 					cfg.Procs = nprocs
 					cfg.Model = core.SC
 					cfg.Tech = pol.tech
@@ -665,7 +673,7 @@ func DetectionPolicyComparisonJobs(nprocs, writes int) []runner.Job {
 
 // DetectionPolicyComparison executes E11 and returns its rows.
 func DetectionPolicyComparison(nprocs, writes int) ([]Row, error) {
-	return runner.Execute(DetectionPolicyComparisonJobs(nprocs, writes), 0)
+	return runner.Execute(DetectionPolicyComparisonJobs(nprocs, writes, coherence.ProtoInvalidate), 0)
 }
 
 // BandwidthComparisonJobs enumerates E12, measuring memory-module
@@ -675,7 +683,7 @@ func DetectionPolicyComparison(nprocs, writes int) ([]Row, error) {
 // dimension of the DASH-style distributed memory the paper's host machine
 // has (and the reason Stenstrom's centralized NST table "is not
 // scalable", §6).
-func BandwidthComparisonJobs(nprocs int) []runner.Job {
+func BandwidthComparisonJobs(nprocs int, proto coherence.Protocol) []runner.Job {
 	const lines = 64
 	buildProgs := func() []*isa.Program {
 		progs := make([]*isa.Program, nprocs)
@@ -701,7 +709,7 @@ func BandwidthComparisonJobs(nprocs int) []runner.Job {
 				fmt.Sprintf("bandwidth/m%d/bw%s", modules, bwLabel),
 				map[string]string{"modules": fmt.Sprint(modules), "bw": bwLabel},
 				func() *sim.System {
-					cfg := sim.PaperConfig()
+					cfg := paperConfig(proto)
 					cfg.Procs = nprocs
 					cfg.LineWords = 4
 					cfg.Model = core.SC
@@ -717,7 +725,7 @@ func BandwidthComparisonJobs(nprocs int) []runner.Job {
 
 // BandwidthComparison executes E12 and returns its rows.
 func BandwidthComparison(nprocs int) ([]Row, error) {
-	return runner.Execute(BandwidthComparisonJobs(nprocs), 0)
+	return runner.Execute(BandwidthComparisonJobs(nprocs, coherence.ProtoInvalidate), 0)
 }
 
 // MSHRSweepJobs enumerates E13: the number of lockup-free-cache MSHRs
@@ -725,7 +733,7 @@ func BandwidthComparison(nprocs int) ([]Row, error) {
 // high-bandwidth pipelined memory system, including lockup-free caches, to
 // sustain several outstanding requests" — with a single MSHR the
 // techniques collapse to nearly conventional performance.
-func MSHRSweepJobs(mshrs []int) []runner.Job {
+func MSHRSweepJobs(mshrs []int, proto coherence.Protocol) []runner.Job {
 	const n = 64
 	var jobs []runner.Job
 	for _, m := range mshrs {
@@ -734,7 +742,7 @@ func MSHRSweepJobs(mshrs []int) []runner.Job {
 				fmt.Sprintf("mshr/%d/%v", m, t),
 				map[string]string{"mshrs": fmt.Sprint(m), "tech": t.String()},
 				func() *sim.System {
-					cfg := sim.PaperConfig()
+					cfg := paperConfig(proto)
 					cfg.Cache.MaxMSHRs = m
 					cfg.Model = core.SC
 					cfg.Tech = t
@@ -747,7 +755,7 @@ func MSHRSweepJobs(mshrs []int) []runner.Job {
 
 // MSHRSweep executes E13 and returns its rows.
 func MSHRSweep(mshrs []int) ([]Row, error) {
-	return runner.Execute(MSHRSweepJobs(mshrs), 0)
+	return runner.Execute(MSHRSweepJobs(mshrs, coherence.ProtoInvalidate), 0)
 }
 
 // ReissueAblationJobs enumerates E14, isolating §4.2's second-case
@@ -756,7 +764,7 @@ func MSHRSweep(mshrs []int) ([]Row, error) {
 // reissued, since the instructions following it have not yet used an
 // incorrect value". Without the optimization every match flushes the
 // pipeline conservatively.
-func ReissueAblationJobs(nprocs int, seed int64) []runner.Job {
+func ReissueAblationJobs(nprocs int, seed int64, proto coherence.Protocol) []runner.Job {
 	buildProgs := func() []*isa.Program {
 		mix := workload.DefaultMix(seed)
 		mix.ShareFrac = 0.5
@@ -780,7 +788,7 @@ func ReissueAblationJobs(nprocs int, seed int64) []runner.Job {
 			"reissue/"+v.name,
 			map[string]string{"policy": v.name},
 			func() *sim.System {
-				cfg := sim.RealisticConfig()
+				cfg := realisticConfig(proto)
 				cfg.Procs = nprocs
 				cfg.Model = core.SC
 				cfg.Tech = v.tech
@@ -796,5 +804,5 @@ func ReissueAblationJobs(nprocs int, seed int64) []runner.Job {
 
 // ReissueAblation executes E14 and returns its rows.
 func ReissueAblation(nprocs int, seed int64) ([]Row, error) {
-	return runner.Execute(ReissueAblationJobs(nprocs, seed), 0)
+	return runner.Execute(ReissueAblationJobs(nprocs, seed, coherence.ProtoInvalidate), 0)
 }

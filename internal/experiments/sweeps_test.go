@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
+	"mcmsim/internal/runner"
 	"mcmsim/internal/workload"
 )
 
@@ -312,6 +314,49 @@ func TestMSHRSweep(t *testing.T) {
 	}
 }
 
+// TestSuiteProtocol pins Params.Protocol as a result-changing input. Under
+// MESI the store after each of E13's read misses is a silent E-state
+// upgrade instead of a second transaction, so every conventional row drops
+// from 12800 to 6464 cycles and pf+spec at 16 MSHRs from 815 to 464. E5
+// compares protocols itself, so its rows must not move.
+func TestSuiteProtocol(t *testing.T) {
+	t.Parallel()
+	rows := func(name string, proto coherence.Protocol) []Row {
+		t.Helper()
+		sw, ok := SweepByName(name)
+		if !ok {
+			t.Fatalf("no sweep %q", name)
+		}
+		p := DefaultParams()
+		p.Protocol = proto
+		rows, err := runner.Execute(sw.Jobs(p), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	for _, want := range []struct {
+		proto        coherence.Protocol
+		conv, both16 uint64
+	}{
+		{coherence.ProtoInvalidate, 12800, 815},
+		{coherence.ProtoMESI, 6464, 464},
+	} {
+		c := rowsByLabel(rows("mshr", want.proto), "mshrs", "tech")
+		for _, m := range []int{1, 2, 4, 8, 16} {
+			if got := c[fmt.Sprintf("%d/conv/", m)]; got != want.conv {
+				t.Errorf("%v: E13 conv at %d MSHRs = %d cycles, want %d", want.proto, m, got, want.conv)
+			}
+		}
+		if got := c["16/pf+spec/"]; got != want.both16 {
+			t.Errorf("%v: E13 pf+spec at 16 MSHRs = %d cycles, want %d", want.proto, got, want.both16)
+		}
+	}
+	if msi, mesi := rows("protocol", coherence.ProtoInvalidate), rows("protocol", coherence.ProtoMESI); !reflect.DeepEqual(msi, mesi) {
+		t.Errorf("E5 sets its own protocols, yet its rows moved with Params.Protocol:\nmsi:  %v\nmesi: %v", msi, mesi)
+	}
+}
+
 // TestUpdateProtocolPreservesModels runs the litmus battery under the
 // write-update protocol with both techniques on SC: the detection
 // mechanism must also work off update messages (§4.1 monitors
@@ -376,7 +421,7 @@ func TestWarmedEqualization(t *testing.T) {
 		t.Errorf("with both techniques SC (%d) should exactly match RC (%d) on warmed caches", scBoth, rcBoth)
 	}
 	keys := map[string]bool{}
-	for _, j := range WarmedEqualizationJobs() {
+	for _, j := range WarmedEqualizationJobs(coherence.ProtoInvalidate) {
 		if j.Warmup == nil {
 			t.Fatalf("job %s declares no warmup", j.Name)
 		}

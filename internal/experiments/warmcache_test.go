@@ -5,33 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/runner"
 )
-
-// renderSuiteCache renders the full suite through the same layers as
-// cmd/sweep, with an explicit worker count and optional warmup-snapshot
-// cache — the configuration matrix behind `sweep -j N -snapshot-cache=B`.
-func renderSuiteCache(t *testing.T, format string, workers int, cache bool) []byte {
-	t.Helper()
-	p := DefaultParams()
-	opts := runner.Options{Workers: workers}
-	if cache {
-		opts.WarmupCache = runner.NewWarmupCache()
-	}
-	var tables []runner.Table
-	for _, s := range Suite() {
-		rows, err := runner.Rows(runner.Run(s.Jobs(p), opts))
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		tables = append(tables, runner.Table{Name: s.Name, Rows: rows})
-	}
-	var buf bytes.Buffer
-	if err := runner.WriteReport(&buf, format, tables); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestWarmupCacheSuiteByteIdentical is the end-to-end differential gate for
 // the warmup-snapshot cache: the complete experiment suite must render
@@ -47,16 +23,16 @@ func TestWarmupCacheSuiteByteIdentical(t *testing.T) {
 		t.Skip("full-suite differential run; skipped in -short mode")
 	}
 	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
-		cold := renderSuiteCache(t, format, 1, false)
-		warm := renderSuiteCache(t, format, 1, true)
+		cold := renderSuite(t, format, runner.Options{Workers: 1})
+		warm := renderSuite(t, format, runner.Options{Workers: 1, WarmupCache: runner.NewWarmupCache()})
 		if !bytes.Equal(cold, warm) {
 			t.Errorf("%s reports differ between cold warmups and the snapshot cache:\n--- cold ---\n%s--- cached ---\n%s", format, cold, warm)
 		}
 	}
 	// Concurrency changes which job populates each cache entry (the
 	// singleflight race) but must not change a byte of output.
-	cold := renderSuiteCache(t, runner.FormatCSV, 4, false)
-	warm := renderSuiteCache(t, runner.FormatCSV, 4, true)
+	cold := renderSuite(t, runner.FormatCSV, runner.Options{Workers: 4})
+	warm := renderSuite(t, runner.FormatCSV, runner.Options{Workers: 4, WarmupCache: runner.NewWarmupCache()})
 	if !bytes.Equal(cold, warm) {
 		t.Errorf("csv report differs with the snapshot cache on 4 workers")
 	}
@@ -67,12 +43,12 @@ func TestWarmupCacheSuiteByteIdentical(t *testing.T) {
 // warmup once and serves the other two jobs from the snapshot — with rows
 // identical to the uncached run's.
 func TestWarmupCacheDedup(t *testing.T) {
-	cold, err := runner.Rows(runner.Run(AdveHillComparisonJobs(16), runner.Options{Workers: 1}))
+	cold, err := runner.Rows(runner.Run(AdveHillComparisonJobs(16, coherence.ProtoInvalidate), runner.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := runner.NewWarmupCache()
-	warm, err := runner.Rows(runner.Run(AdveHillComparisonJobs(16), runner.Options{Workers: 1, WarmupCache: cache}))
+	warm, err := runner.Rows(runner.Run(AdveHillComparisonJobs(16, coherence.ProtoInvalidate), runner.Options{Workers: 1, WarmupCache: cache}))
 	if err != nil {
 		t.Fatal(err)
 	}

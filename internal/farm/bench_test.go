@@ -19,14 +19,11 @@ var benchSpec = JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3,
 func BenchmarkFarmLocalVsInProcess(b *testing.B) {
 	b.Run("inproc-j2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := ApplyGlobals(benchSpec); err != nil {
-				b.Fatal(err)
-			}
 			jobs, err := Enumerate(benchSpec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			results := runner.Run(jobs, runner.Options{Workers: 2, WarmupCache: runner.NewWarmupCache()})
+			results := runner.Run(jobs, runner.Options{Workers: 2, WarmupCache: runner.NewWarmupCache(), Drive: benchSpec.drive()})
 			if _, err := runner.Rows(results); err != nil {
 				b.Fatal(err)
 			}

@@ -94,9 +94,6 @@ const DefaultLeaseTTL = time.Minute
 // leaseTTL <= 0 selects DefaultLeaseTTL; checkpointEvery is the interval
 // (in simulated cycles) workers snapshot Measure jobs at, 0 to disable.
 func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64) (*Coordinator, error) {
-	if err := ApplyGlobals(spec); err != nil {
-		return nil, err
-	}
 	jobs, err := Enumerate(spec)
 	if err != nil {
 		return nil, err

@@ -6,12 +6,23 @@
 // A Coordinator owns one JobSpec — a serializable description from which
 // any fleet member re-enumerates the identical []runner.Job list (the
 // enumeration is deterministic, and the handshake cross-checks a
-// fingerprint of it). Workers dial in over stdlib net/rpc (gob-encoded,
-// one TCP connection per worker) and pull: each Lease hands out one job
-// index under a deadline, the worker executes it through the unchanged
+// fingerprint of it). Workers (cmd/sweepd, or loopback workers in the
+// coordinator's process) dial in over stdlib net/rpc (gob-encoded, one
+// TCP connection per worker) and pull: each Lease hands out one job index
+// under a deadline, the worker executes it through the unchanged
 // runner/sim stack, and Complete streams the runner.Result row back.
 // Because jobs travel as indices into a shared enumeration, no closure
 // ever crosses the wire.
+//
+// The spec is the whole workload, settings included: the base protocol,
+// the shard-worker count and the dense loop travel inside it and reach the
+// jobs as values (experiments.Params, conformance.CheckOptions, the
+// executor's drive), never as process state. Farms on different specs can
+// therefore share one process. cmd/sweep and cmd/conform parse their
+// flags into a JobSpec and run it through Fleet.Run — on the in-process
+// pool, or on a farm when the fleet flags name a daemon or a listen
+// address. Enumerate validates a spec before building anything, so a bad
+// spec from a command line or over the wire is an error, not a panic.
 //
 // # Why farm output is byte-identical to local -j N
 //

@@ -134,7 +134,7 @@ type AttachReply struct {
 	Workers int
 }
 
-// Daemon is the invited-worker service behind `sweepd -worker -listen`:
+// Daemon is the invited-worker service behind `sweepd -listen`:
 // it waits for Attach calls and runs a batch of worker loops against each
 // coordinator that invites it.
 type Daemon struct {

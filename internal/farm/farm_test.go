@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"net/rpc"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,18 +13,16 @@ import (
 )
 
 // renderLocal runs the spec on the classic in-process pool (with the
-// snapshot cache, like cmd/sweep's default) and renders it in the given
-// format — the byte-reference every farm test compares against.
+// snapshot cache, like cmd/sweep's default) through a fleet with no remote
+// entry — the path cmd/sweep and cmd/conform take without -workers — and
+// renders it in the given format: the byte-reference every farm test
+// compares against.
 func renderLocal(t *testing.T, spec JobSpec, workers int, format string) []byte {
 	t.Helper()
-	if err := ApplyGlobals(spec); err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := Enumerate(spec)
+	results, _, err := (&Fleet{}).Run(spec, runner.Options{Workers: workers, WarmupCache: runner.NewWarmupCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := runner.Run(jobs, runner.Options{Workers: workers, WarmupCache: runner.NewWarmupCache()})
 	return render(t, results, format)
 }
 
@@ -44,6 +43,7 @@ func render(t *testing.T, results []runner.Result, format string) []byte {
 // loopback workers — checkpointing enabled, warmups shipped over the wire
 // — renders the exact bytes of a local -j 2 run, in every output format.
 func TestFarmSuiteByteIdentical(t *testing.T) {
+	t.Parallel()
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization", "warmequal"}, Procs: 3, Seed: 7}
 	results, stats, err := Run(spec, Options{LocalWorkers: 2, CheckpointEvery: 5000})
 	if err != nil {
@@ -66,10 +66,8 @@ func TestFarmSuiteByteIdentical(t *testing.T) {
 // the warmequal sweep's 8 jobs share one key, and with two workers racing
 // for it the coordinator must still grant a single build.
 func TestFarmWarmupDedup(t *testing.T) {
+	t.Parallel()
 	spec := JobSpec{Kind: "sweep", Exps: []string{"warmequal"}, Procs: 3, Seed: 7}
-	if err := ApplyGlobals(spec); err != nil {
-		t.Fatal(err)
-	}
 	jobs, err := Enumerate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +104,8 @@ func TestFarmWarmupDedup(t *testing.T) {
 // asserts the reassembled report renders byte-identically to the local
 // CheckBatch path (wall time omitted — the one nondeterministic field).
 func TestFarmConformParity(t *testing.T) {
-	spec := JobSpec{Kind: "conform", CSeed: 1, N: 4, Quick: true}
+	t.Parallel()
+	spec := JobSpec{Kind: "conform", Seed: 1, N: 4, Quick: true}
 	params, opts, err := ConformOptions(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +115,13 @@ func TestFarmConformParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	farmRep := conformance.BatchReport(spec.CSeed, spec.N, params, results)
+	farmRep := conformance.BatchReport(spec.Seed, spec.N, params, results)
 	var farmOut bytes.Buffer
-	farmOK := conformance.Summarize(&farmOut, farmRep, spec.CSeed, spec.N, opts, -1)
+	farmOK := conformance.Summarize(&farmOut, farmRep, spec.Seed, spec.N, opts, -1)
 
-	localRep := conformance.CheckBatch(spec.CSeed, spec.N, params, 2, opts, nil)
+	localRep := conformance.CheckBatch(spec.Seed, spec.N, params, 2, opts, nil)
 	var localOut bytes.Buffer
-	localOK := conformance.Summarize(&localOut, localRep, spec.CSeed, spec.N, opts, -1)
+	localOK := conformance.Summarize(&localOut, localRep, spec.Seed, spec.N, opts, -1)
 
 	if farmOK != localOK {
 		t.Errorf("farm verdict %v, local verdict %v", farmOK, localOK)
@@ -132,6 +131,44 @@ func TestFarmConformParity(t *testing.T) {
 	}
 	if !localOK {
 		t.Errorf("conformance batch unexpectedly dirty:\n%s", localOut.Bytes())
+	}
+}
+
+// TestFarmConcurrentSpecs runs two farms at once in one process, on specs
+// that differ only in Protocol. Every setting reaches the jobs inside its
+// own spec, so neither farm can see the other's: each must render exactly
+// like its spec run alone on the in-process pool.
+func TestFarmConcurrentSpecs(t *testing.T) {
+	t.Parallel()
+	specs := []JobSpec{
+		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "msi"},
+		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "mesi"},
+	}
+	want := make([][]byte, len(specs))
+	for i, spec := range specs {
+		want[i] = renderLocal(t, spec, 1, runner.FormatCSV)
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the msi and mesi specs render identically; the test cannot tell them apart")
+	}
+	results := make([][]runner.Result, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], _, errs[i] = Run(spec, Options{LocalWorkers: 2})
+		}()
+	}
+	wg.Wait()
+	for i, spec := range specs {
+		if errs[i] != nil {
+			t.Fatalf("%s farm: %v", spec.Protocol, errs[i])
+		}
+		if got := render(t, results[i], runner.FormatCSV); !bytes.Equal(got, want[i]) {
+			t.Errorf("%s farm run concurrently with another spec rendered:\n%s--- want (run alone) ---\n%s", spec.Protocol, got, want[i])
+		}
 	}
 }
 
@@ -198,8 +235,28 @@ func TestFarmHandshakeVersionMismatch(t *testing.T) {
 }
 
 // TestFarmFingerprintMismatch asserts a worker whose enumeration diverges
-// from the coordinator's is refused work.
+// from the coordinator's is refused work, and that a spec no enumerator
+// can build is an error — never a panic — both for a coordinator and for a
+// worker that receives it over the wire.
 func TestFarmFingerprintMismatch(t *testing.T) {
+	bad := []JobSpec{
+		{Kind: "bogus"},
+		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "moesi"},
+		{Kind: "sweep", Exps: []string{"bogus"}},
+		{Kind: "sweep", Exps: []string{"scale"}, ScaleCPUs: []int{16, 0}},
+		{Kind: "sweep", Exps: []string{"scale"}, Topo: "mesh:bad"},
+		{Kind: "conform", N: 1, Protocol: "moesi"},
+		{Kind: "conform", N: 1, Topo: "ring"},
+	}
+	for _, spec := range bad {
+		if _, err := Enumerate(spec); err == nil {
+			t.Errorf("Enumerate accepted the bad spec %+v", spec)
+		}
+		if _, err := NewCoordinator(spec, 0, 0); err == nil {
+			t.Errorf("NewCoordinator accepted the bad spec %+v", spec)
+		}
+	}
+
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3, Seed: 7}
 	_, client := dialCoord(t, spec, 0, 0)
 	var w Welcome

@@ -4,54 +4,61 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
+	"strings"
 
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/conformance"
 	"mcmsim/internal/experiments"
+	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 )
 
 // JobSpec is the serializable description of a workload: enough for any
-// fleet member to reproduce the coordinator's job list, closure-free. A
-// worker applies the spec's process globals, re-enumerates the jobs, and
+// fleet member to reproduce the coordinator's job list, closure-free. It
+// is also the one parsed form of the sweep and conform command lines: each
+// front end parses its flags into a JobSpec and runs it on the in-process
+// pool or on a farm (Fleet.Run). A worker re-enumerates the spec and
 // cross-checks the Fingerprint before taking any lease — so the indices
 // the coordinator hands out are guaranteed to name the same simulations
-// everywhere.
+// everywhere. Every field reaches the jobs through the spec itself; no
+// fleet member holds a setting outside it.
 type JobSpec struct {
 	// Kind selects the enumerator: "sweep" (the evaluation suite) or
 	// "conform" (a conformance fuzz batch). RegisterKind adds more.
 	Kind string
 
-	// Process globals, applied identically on every fleet member before
-	// enumeration. These steer execution strategy (never results — the
-	// differential gates hold them observation-transparent), but they
-	// fingerprint anyway: a homogeneous fleet is cheaper than reasoning
-	// about which knob could matter.
-	Protocol string // base coherence protocol: "", "msi", "mesi"
-	Par      int    // shard workers per simulation
-	Dense    bool   // disable idle-cycle fast-forward
+	// Seed is the sweep's workload seed, or the first generator seed of a
+	// conformance batch (programs use Seed..Seed+N-1).
+	Seed int64
+	// Procs is the workload experiments' processor count, or each
+	// generated program's (0 = random 2-3).
+	Procs int
+	// Topo is the interconnect: of the E16 scale sweep ("" = mesh), or of
+	// every conformance cell ("" = uniform).
+	Topo string
+	// Protocol changes results. For a sweep it is the base coherence
+	// protocol of every experiment without a protocol axis of its own
+	// ("" or "msi", or "mesi"); for a conformance batch it is the grid's
+	// protocol axis ("" or "both", "msi", or "mesi").
+	Protocol string
+	// Par shards each executor-driven simulation (every conformance cell)
+	// across up to Par goroutines. Results are identical for every value.
+	Par int
 
-	// "sweep" fields (mirror cmd/sweep flags).
+	// Sweep fields.
 	Exps      []string // sweep names in suite order; nil = the whole suite
-	Procs     int
-	Seed      int64
-	ScaleCPUs []int
-	ScaleTopo string
+	ScaleCPUs []int    // E16 machine sizes; nil = experiments.ScaleCPUCounts
+	Dense     bool     // step every cycle of the measured phases; results are identical
 
-	// "conform" fields (mirror cmd/conform flags).
-	CSeed     int64
-	N         int
-	CProcs    int
-	Ops       int
-	Quick     bool
-	PadCPUs   int
-	Topo      string
-	Protocols string // conformance protocol axis: "", "both", "msi", "mesi"
+	// Conform fields.
+	N       int  // programs in the batch
+	Ops     int  // max operations per processor (0 = default)
+	Quick   bool // paper timing only
+	PadCPUs int  // pad every cell's machine to this many processors
 }
 
-// Enumerator reproduces a job list from a spec.
+// Enumerator reproduces a job list from a spec, or rejects the spec.
 type Enumerator func(JobSpec) ([]runner.Job, error)
 
 var kinds = map[string]Enumerator{}
@@ -71,46 +78,12 @@ func init() {
 	RegisterKind("conform", enumerateConform)
 }
 
-// globalsMu serializes ApplyGlobals: every member of an in-process fleet
-// (coordinator plus loopback workers, or a daemon's worker batch) applies
-// the same spec, so after the first application the rest are compare-only
-// no-ops — no global is ever rewritten while a sibling's simulation reads
-// it. Heterogeneous specs in one process are not supported.
-var globalsMu sync.Mutex
-
-// ApplyGlobals installs the spec's process globals, exactly as the
-// corresponding cmd/sweep and cmd/conform flags would. Idempotent and
-// write-on-change, so fleet members sharing a process can each call it.
-func ApplyGlobals(spec JobSpec) error {
-	proto := coherence.ProtoInvalidate
-	switch spec.Protocol {
-	case "", "msi":
-	case "mesi":
-		proto = coherence.ProtoMESI
-	default:
-		return fmt.Errorf("farm: unknown protocol %q in spec", spec.Protocol)
-	}
-	par := spec.Par
-	if par <= 0 {
-		par = 1
-	}
-	globalsMu.Lock()
-	defer globalsMu.Unlock()
-	if sim.BaseProtocol != proto {
-		sim.BaseProtocol = proto
-	}
-	if sim.ForceDense != spec.Dense {
-		sim.ForceDense = spec.Dense
-	}
-	if sim.ParWorkers != par {
-		sim.ParWorkers = par
-	}
-	return nil
-}
-
 // Enumerate reproduces the spec's job list. Deterministic: the same spec
 // yields the same jobs in the same order on every fleet member (the
-// Fingerprint handshake enforces it).
+// Fingerprint handshake enforces it). A spec no enumerator can build — an
+// unknown kind, protocol or experiment, a scale machine size below 1, a
+// topology sim.ValidateTopo rejects — is an error, never a panic, whether
+// it comes from a command line or over the wire.
 func Enumerate(spec JobSpec) ([]runner.Job, error) {
 	e, ok := kinds[spec.Kind]
 	if !ok {
@@ -119,37 +92,67 @@ func Enumerate(spec JobSpec) ([]runner.Job, error) {
 	return e(spec)
 }
 
-// sweepsFor resolves a "sweep" spec's experiment selection.
-func sweepsFor(spec JobSpec) ([]experiments.Sweep, error) {
+// drive is the spec's executor drive for Measure jobs: the shard engine on
+// Par workers, on the dense loop when Dense is set. Warmups simulated
+// inside Configure or WarmupSpec.Build keep the sequential loop.
+func (spec JobSpec) drive() func(*sim.System) (uint64, error) {
+	return func(s *sim.System) (uint64, error) {
+		s.Cfg.DenseLoop = s.Cfg.DenseLoop || spec.Dense
+		return parsim.Drive(s, spec.Par)
+	}
+}
+
+// sweepPlan validates a "sweep" spec and resolves its experiment
+// selection and suite parameters.
+func sweepPlan(spec JobSpec) ([]experiments.Sweep, experiments.Params, error) {
+	params := experiments.Params{
+		Procs:     spec.Procs,
+		Seed:      spec.Seed,
+		ScaleCPUs: spec.ScaleCPUs,
+		ScaleTopo: spec.Topo,
+	}
+	switch spec.Protocol {
+	case "", "msi":
+	case "mesi":
+		params.Protocol = coherence.ProtoMESI
+	default:
+		return nil, params, fmt.Errorf("unknown sweep protocol %q (want msi or mesi)", spec.Protocol)
+	}
+	cpus, topo := spec.ScaleCPUs, spec.Topo
+	if len(cpus) == 0 {
+		cpus = experiments.ScaleCPUCounts
+	}
+	if topo == "" {
+		topo = "mesh"
+	}
+	for _, n := range cpus {
+		if n < 1 {
+			return nil, params, fmt.Errorf("bad scale machine size %d (want a positive CPU count)", n)
+		}
+		if err := sim.ValidateTopo(topo, n); err != nil {
+			return nil, params, err
+		}
+	}
 	sweeps := experiments.Suite()
 	if len(spec.Exps) > 0 {
 		sweeps = sweeps[:0:0]
 		for _, name := range spec.Exps {
 			s, ok := experiments.SweepByName(name)
 			if !ok {
-				return nil, fmt.Errorf("farm: unknown experiment %q in spec", name)
+				return nil, params, fmt.Errorf("unknown experiment %q (want one of %s, or all)",
+					name, strings.Join(experiments.SuiteNames(), ", "))
 			}
 			sweeps = append(sweeps, s)
 		}
 	}
-	return sweeps, nil
-}
-
-func sweepParams(spec JobSpec) experiments.Params {
-	return experiments.Params{
-		Procs:     spec.Procs,
-		Seed:      spec.Seed,
-		ScaleCPUs: spec.ScaleCPUs,
-		ScaleTopo: spec.ScaleTopo,
-	}
+	return sweeps, params, nil
 }
 
 func enumerateSweep(spec JobSpec) ([]runner.Job, error) {
-	sweeps, err := sweepsFor(spec)
+	sweeps, params, err := sweepPlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	params := sweepParams(spec)
 	var jobs []runner.Job
 	for _, s := range sweeps {
 		jobs = append(jobs, s.Jobs(params)...)
@@ -158,18 +161,16 @@ func enumerateSweep(spec JobSpec) ([]runner.Job, error) {
 }
 
 // SweepTables partitions a "sweep" spec's result rows (in enumeration
-// order) back into per-sweep tables, exactly as cmd/sweep's local path
-// slices its concatenated job list — so a farm report renders to the
-// same bytes.
+// order) back into per-sweep tables, so every executor's report renders
+// to the same bytes.
 func SweepTables(spec JobSpec, rows []runner.Row) ([]runner.Table, error) {
 	if spec.Kind != "sweep" {
 		return nil, fmt.Errorf("farm: SweepTables on a %q spec", spec.Kind)
 	}
-	sweeps, err := sweepsFor(spec)
+	sweeps, params, err := sweepPlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	params := sweepParams(spec)
 	tables := make([]runner.Table, len(sweeps))
 	off := 0
 	for i, s := range sweeps {
@@ -186,10 +187,11 @@ func SweepTables(spec JobSpec, rows []runner.Row) ([]runner.Table, error) {
 	return tables, nil
 }
 
-// ConformOptions translates a "conform" spec into the checker's options.
+// ConformOptions validates a "conform" spec and translates it into the
+// checker's options.
 func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions, error) {
 	var protocols []coherence.Protocol
-	switch spec.Protocols {
+	switch spec.Protocol {
 	case "", "both":
 	case "msi":
 		protocols = []coherence.Protocol{coherence.ProtoInvalidate}
@@ -197,10 +199,16 @@ func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions,
 		protocols = []coherence.Protocol{coherence.ProtoMESI}
 	default:
 		return conformance.Params{}, conformance.CheckOptions{},
-			fmt.Errorf("farm: unknown conformance protocol axis %q in spec", spec.Protocols)
+			fmt.Errorf("unknown conformance protocol axis %q (want both, msi, or mesi)", spec.Protocol)
 	}
-	params := conformance.Params{Procs: spec.CProcs, ProcOps: spec.Ops}
-	opts := conformance.CheckOptions{Quick: spec.Quick, CPUs: spec.PadCPUs, Topo: spec.Topo, Protocols: protocols}
+	// The smallest generated program has 2 processors.
+	if err := sim.ValidateTopo(spec.Topo, max(spec.PadCPUs, 2)); err != nil {
+		return conformance.Params{}, conformance.CheckOptions{}, err
+	}
+	params := conformance.Params{Procs: spec.Procs, ProcOps: spec.Ops}
+	opts := conformance.CheckOptions{
+		Quick: spec.Quick, CPUs: spec.PadCPUs, Topo: spec.Topo, Protocols: protocols, Par: spec.Par,
+	}
 	return params, opts, nil
 }
 
@@ -209,7 +217,7 @@ func enumerateConform(spec JobSpec) ([]runner.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return conformance.BatchJobs(spec.CSeed, spec.N, params, opts), nil
+	return conformance.BatchJobs(spec.Seed, spec.N, params, opts), nil
 }
 
 // Fingerprint hashes a spec and its enumeration. Two fleet members agree

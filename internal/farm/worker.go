@@ -61,9 +61,6 @@ func (w *Worker) run(client *rpc.Client) error {
 	if err := compatible(welcome.Protocol, welcome.Snapshot, welcome.Build, hello.Build); err != nil {
 		return fmt.Errorf("farm: worker %s: coordinator rejected: %w", w.Name, err)
 	}
-	if err := ApplyGlobals(welcome.Spec); err != nil {
-		return err
-	}
 	jobs, err := Enumerate(welcome.Spec)
 	if err != nil {
 		return err
@@ -129,10 +126,14 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 		hb.Wait()
 	}()
 
-	opts := runner.JobOptions{Warmups: warm}
+	spec := welcome.Spec
+	opts := runner.JobOptions{Warmups: warm, Drive: spec.drive()}
 	var hookErr error
 	if welcome.CheckpointEvery > 0 && job.Measure != nil {
+		// Checkpointed drives slice the sequential loop: they trade the
+		// shard engine for an interruptible clock.
 		opts.Drive = func(s *sim.System) (uint64, error) {
+			s.Cfg.DenseLoop = s.Cfg.DenseLoop || spec.Dense
 			return s.RunCheckpointed(welcome.CheckpointEvery, func(s *sim.System) error {
 				if lost.Load() {
 					return errAbandoned

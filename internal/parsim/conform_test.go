@@ -13,8 +13,8 @@ import (
 
 // TestParallelEngineConformParity runs a conformance batch — generated
 // litmus programs checked across the model × technique × timing grid
-// against the exhaustive SC oracle — with the simulations routed through
-// the parallel engine, and requires the verdict to be identical to the
+// against the exhaustive SC oracle — with every cell driven through the
+// parallel engine (CheckOptions.Par), and requires the verdict to be identical to the
 // sequential batch down to every counter and violation. This is the
 // `conform` leg of the -par differential: the harness observes outcomes,
 // cycle counts and detector verdicts, so any engine divergence surfaces as
@@ -23,11 +23,9 @@ func TestParallelEngineConformParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance batch; skipped in -short mode")
 	}
+	t.Parallel()
 	run := func(par int) conformance.Report {
-		prev := sim.ParWorkers
-		sim.ParWorkers = par
-		defer func() { sim.ParWorkers = prev }()
-		return conformance.CheckBatch(1, 8, conformance.Params{}, 1, conformance.CheckOptions{}, nil)
+		return conformance.CheckBatch(1, 8, conformance.Params{}, 1, conformance.CheckOptions{Par: par}, nil)
 	}
 	seq := run(0)
 	if seq.Stats.Cells == 0 {

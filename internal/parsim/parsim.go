@@ -42,8 +42,6 @@ import (
 	"mcmsim/internal/sim"
 )
 
-func init() { sim.RegisterParallelRunner(Run) }
-
 // Worker budget: a process-wide pool of *extra* goroutines (beyond the
 // goroutine calling Run) shared by every concurrently running engine, so
 // cmd/sweep's job workers and per-simulation shard workers draw from one
@@ -168,10 +166,24 @@ func DeclineReason(s *sim.System, par int) string {
 	return ""
 }
 
+// Drive advances s to completion with up to par shard goroutines, falling
+// back to the sequential loop (s.Run) wherever Run declines. At par ≤ 1 it
+// calls s.Run directly, without consulting DeclineReason: per-cell callers
+// such as the conformance grid then pay nothing for the option.
+func Drive(s *sim.System, par int) (uint64, error) {
+	if par > 1 {
+		if halt, handled, err := Run(s, par); handled {
+			return halt, err
+		}
+	}
+	return s.Run()
+}
+
 // Run advances s to completion with up to par shard goroutines. It reports
 // handled=false when DeclineReason is non-empty (the caller then falls
-// back to the sequential loop); otherwise its results — halt cycle, error,
-// every observable stat — are identical to the sequential loop's.
+// back to the sequential loop, as Drive does); otherwise its results —
+// halt cycle, error, every observable stat — are identical to the
+// sequential loop's.
 // Deliveries already in flight (a machine restored from a mid-flight
 // snapshot) are fine: the exchange absorbs them into the shard inboxes.
 //
@@ -199,7 +211,7 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 		eps:     make([]*network.Endpoint, len(shards)),
 		x:       network.NewExchange(s.Net),
 		st:      make([]shardStats, len(shards)),
-		dense:   s.Cfg.DenseLoop || sim.ForceDense,
+		dense:   s.Cfg.DenseLoop,
 		tasks:   make(chan int, len(shards)),
 		horizon: max(4*w, minHorizon),
 	}

@@ -11,14 +11,15 @@ import (
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/parsim"
+	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 	"mcmsim/internal/workload"
 )
 
-// The tests drive parsim.Run directly (not via sim.ParWorkers) so they
-// never leak process-global state into other packages' tests; the budget is
-// raised explicitly because the differential guarantee must hold — and be
-// exercised — regardless of how many CPUs the host happens to have.
+// The tests drive parsim.Run directly, or through parsim.Drive handed to
+// runner.Run as the pool's drive; the budget is raised explicitly because
+// the differential guarantee must hold — and be exercised — regardless of
+// how many CPUs the host happens to have.
 //
 // Every differential case runs on its machine, whose lookahead is 8 cycles
 // or more (conservative windows only), and on that machine's
@@ -470,10 +471,33 @@ func TestParallelEngineDeclines(t *testing.T) { declines(t, false) }
 
 func TestParallelEngineOptimisticDeclines(t *testing.T) { declines(t, true) }
 
-// TestParallelEngineViaRunKnob exercises the production entry point: the
-// process-wide sim.ParWorkers knob routing System.Run through the
-// registered engine, including the fallback path staying invisible.
+// runViaPool runs cfg as a one-job runner.Run pool whose Options.Drive
+// shards it on par workers — the production entry cmd/sweep -par builds —
+// and returns the driven machine with its halt cycle.
+func runViaPool(t *testing.T, cfg sim.Config, progs []*isa.Program, par int) (*sim.System, uint64) {
+	t.Helper()
+	var s *sim.System
+	job := runner.Job{
+		Name: "via-pool",
+		Configure: func() (*sim.System, error) {
+			s = sim.New(cfg, progs)
+			return s, nil
+		},
+		Measure: func(_ *sim.System, cycles uint64) (runner.Row, error) { return runner.Row{Cycles: cycles}, nil },
+	}
+	drive := func(s *sim.System) (uint64, error) { return parsim.Drive(s, par) }
+	res := runner.Run([]runner.Job{job}, runner.Options{Workers: 1, Drive: drive})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return s, res.Row.Cycles
+}
+
+// TestParallelEngineViaRunKnob exercises the production entry point: a
+// runner pool whose Options.Drive is parsim.Drive, including the fallback
+// path staying invisible.
 func TestParallelEngineViaRunKnob(t *testing.T) {
+	t.Parallel()
 	cfg := sim.RealisticConfig()
 	cfg.Procs = 3
 	cfg.Model = core.PC
@@ -481,14 +505,8 @@ func TestParallelEngineViaRunKnob(t *testing.T) {
 	progs := mixProgs(3, 7)
 	seq := runSeq(t, cfg, progs)
 
-	sim.ParWorkers = 4
-	defer func() { sim.ParWorkers = 0 }()
-	s := sim.New(cfg, progs)
-	cycles, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffResults(t, "ParWorkers=4", seq, parResult(t, s, cycles))
+	s, cycles := runViaPool(t, cfg, progs, 4)
+	diffResults(t, "Drive par=4", seq, parResult(t, s, cycles))
 	if s.ParReport == "" {
 		t.Error("parallel run left ParReport empty")
 	}
@@ -497,27 +515,22 @@ func TestParallelEngineViaRunKnob(t *testing.T) {
 	}
 }
 
-// TestParallelEngineOptimisticViaRunKnob routes System.Run through the
-// ParWorkers knob on the 1-cycle-hop barrier machine, whose quiet compute
-// phases the window policy speculates across: the scheduler report must
-// carry the speculation counters, and stragglers must prove the rollback
-// path is the one being differenced.
+// TestParallelEngineOptimisticViaRunKnob routes the pool's sharded drive
+// onto the 1-cycle-hop barrier machine, whose quiet compute phases the
+// window policy speculates across: the scheduler report must carry the
+// speculation counters, and stragglers must prove the rollback path is
+// the one being differenced.
 func TestParallelEngineOptimisticViaRunKnob(t *testing.T) {
+	t.Parallel()
 	cfg := meshConfig(core.RC, core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true})
 	cfg.Procs = 4
 	cfg.HopLatency = 1
 	progs := barrierProgs(4, 2, 64)
 	seq := runSeq(t, cfg, progs)
 
-	sim.ParWorkers = 4
-	defer func() { sim.ParWorkers = 0 }()
-	s := sim.New(cfg, progs)
-	cycles, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, cycles := runViaPool(t, cfg, progs, 4)
 	r := parResult(t, s, cycles)
-	diffResults(t, "ParWorkers=4", seq, r)
+	diffResults(t, "Drive par=4", seq, r)
 	for _, want := range []string{"engine=optimistic", "checkpoints=", "rollbacks=", "replayed_cycles=", "max_optimism="} {
 		if !strings.Contains(s.ParReport, want) {
 			t.Errorf("ParReport missing %q:\n%s", want, s.ParReport)

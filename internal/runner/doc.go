@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	jobs := experiments.EqualizationJobs(3, 7)
+//	jobs := experiments.EqualizationJobs(3, 7, coherence.ProtoInvalidate)
 //	rows, err := runner.Execute(jobs, 8) // 8 workers
 //
 // Progress (jobs done / total, per-job wall time and simulated cycles) is

@@ -91,6 +91,12 @@ type Options struct {
 	// this); nil simply re-simulates each job's warmup.
 	WarmupCache *WarmupCache
 
+	// Drive, if non-nil, is handed to every job as JobOptions.Drive: it
+	// replaces s.Run() for the executor-driven measured phase of Measure
+	// jobs (cmd/sweep builds it from -par and -dense). Warmups simulated
+	// inside Configure or WarmupSpec.Build keep the sequential loop.
+	Drive func(s *sim.System) (uint64, error)
+
 	// OnWorkerIdle, if non-nil, is called once by each worker goroutine
 	// when it finds the job queue closed and drained — the hook cmd/sweep
 	// uses to release the idle worker's CPU share into the shard engines'
@@ -101,8 +107,9 @@ type Options struct {
 
 // Run executes the jobs on a bounded worker pool and returns one Result
 // per job, in job order regardless of completion order. Each simulation
-// stays single-goroutine: parallelism is across jobs only. A panic inside
-// a job is recovered into that job's Err; it never takes down the pool.
+// runs on its worker's goroutine unless Options.Drive shards it. A panic
+// inside a job is recovered into that job's Err; it never takes down the
+// pool.
 func Run(jobs []Job, opts Options) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -125,7 +132,7 @@ func Run(jobs []Job, opts Options) []Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range jobCh {
-				results[i] = RunJob(jobs[i], JobOptions{Warmups: src})
+				results[i] = RunJob(jobs[i], JobOptions{Warmups: src, Drive: opts.Drive})
 				doneCh <- i
 			}
 			if opts.OnWorkerIdle != nil {
@@ -164,10 +171,10 @@ type JobOptions struct {
 	Warmups WarmupSource
 
 	// Drive, if non-nil, replaces the executor's s.Run() call for Measure
-	// jobs — the farm worker substitutes a RunCheckpointed drive here. It
-	// must leave the machine in the exact state s.Run() would (interval
-	// checkpointing qualifies; anything observable does not). Opaque Run
-	// jobs ignore it.
+	// jobs — a sharded or dense drive, or the farm worker's RunCheckpointed
+	// drive. It must leave the machine in the exact state s.Run() would
+	// (sharding, dense stepping and interval checkpointing qualify;
+	// anything observable does not). Opaque Run jobs ignore it.
 	Drive func(s *sim.System) (uint64, error)
 
 	// Start, if non-nil, is an already-configured machine — typically

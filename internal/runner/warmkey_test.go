@@ -29,27 +29,6 @@ func baseWarmCfg() sim.Config {
 	return cfg
 }
 
-// TestWarmupKeyIgnoresProcessGlobals pins the property the farm's fleet-
-// wide dedup depends on: the key is a pure function of (config, programs,
-// preload). Execution-strategy knobs that live outside sim.Config — the
-// worker-pool width, the shard worker count, the forced
-// dense loop, profiling — cannot reach it, so a key computed on any fleet
-// member names the same warmed machine on every other, whatever flags
-// each process runs under.
-func TestWarmupKeyIgnoresProcessGlobals(t *testing.T) {
-	cfg, progs := baseWarmCfg(), warmProgs()
-	pre := map[uint64]int64{16: 3}
-	before := WarmupKey(cfg, progs, pre)
-
-	savedPar, savedDense := sim.ParWorkers, sim.ForceDense
-	defer func() { sim.ParWorkers, sim.ForceDense = savedPar, savedDense }()
-	sim.ParWorkers = 8
-	sim.ForceDense = !savedDense
-	if after := WarmupKey(cfg, progs, pre); after != before {
-		t.Errorf("key depends on process globals:\nbefore: %q\nafter:  %q", before, after)
-	}
-}
-
 // TestWarmupKeySplitsArchitecturalFields asserts every machine-shaping
 // config field splits the key: sharing a warmed snapshot across any of
 // these would hand a job a machine it did not describe.

@@ -89,38 +89,6 @@ type Config struct {
 	DenseLoop bool
 }
 
-// ForceDense disables fast-forward for every Run in the process, regardless
-// of per-config DenseLoop — the CLI (-dense) and differential-test knob. It
-// must only be toggled while no simulations are running.
-var ForceDense bool
-
-// ParWorkers is the shard-parallelism degree applied to every Run in the
-// process (the -par flag): 0 or 1 selects the sequential loop, N ≥ 2 asks
-// the registered parallel engine (internal/parsim) to advance up to N node
-// shards concurrently. Like ForceDense it must only change while no
-// simulations are running; concurrent Runs (cmd/sweep -j) all observe the
-// same value.
-var ParWorkers int
-
-// parallelRunner is installed by internal/parsim (an init-time hook keeps
-// sim free of an import cycle: parsim imports sim). It returns handled=false
-// when the engine declines the configuration (parsim.DeclineReason says
-// why), in which case Run falls back to the sequential loop below.
-var parallelRunner func(s *System, workers int) (halt uint64, handled bool, err error)
-
-// RegisterParallelRunner installs the parallel engine Run consults when
-// ParWorkers ≥ 2.
-func RegisterParallelRunner(f func(s *System, workers int) (uint64, bool, error)) {
-	parallelRunner = f
-}
-
-// BaseProtocol is the invalidation-family protocol PaperConfig installs:
-// coherence.ProtoInvalidate (MSI, the seed default) or coherence.ProtoMESI.
-// cmd/sweep -protocol rebinds it so every sweep runs on the chosen
-// protocol; experiments that set Config.Protocol explicitly (the
-// update-vs-invalidation comparison) are unaffected.
-var BaseProtocol = coherence.ProtoInvalidate
-
 // PaperConfig reproduces the abstract machine of the paper's examples:
 // 1-cycle cache hits, 100-cycle misses (45+10+45), one access accepted per
 // cycle, free instruction supply, single-word lines so the examples never
@@ -129,7 +97,7 @@ func PaperConfig() Config {
 	return Config{
 		Procs:      1,
 		Model:      core.SC,
-		Protocol:   BaseProtocol,
+		Protocol:   coherence.ProtoInvalidate,
 		LineWords:  1,
 		NetLatency: 45,
 		MemLatency: 10,
@@ -418,9 +386,10 @@ func (s *System) Done() bool {
 
 // Run steps the machine until Done or the cycle budget is exhausted; it
 // returns the cycle at which the last processor halted, relative to the
-// most recent program load.
+// most recent program load. Run is the sequential loop: sharded runs go
+// through parsim.Drive instead.
 //
-// Unless Config.DenseLoop or ForceDense is set, Run fast-forwards over
+// Unless Config.DenseLoop is set, Run fast-forwards over
 // provably idle stretches: when no component can change state at the
 // current cycle, the clock jumps straight to the event horizon — the
 // earliest cycle at which anything (a network delivery, a scheduled write,
@@ -428,12 +397,7 @@ func (s *System) Done() bool {
 // cycles where Step would have been a pure no-op, halt cycles, statistics,
 // memory images and traces are identical to the dense loop's.
 func (s *System) Run() (uint64, error) {
-	if w := ParWorkers; w > 1 && parallelRunner != nil {
-		if halt, handled, err := parallelRunner(s, w); handled {
-			return halt, err
-		}
-	}
-	dense := s.Cfg.DenseLoop || ForceDense
+	dense := s.Cfg.DenseLoop
 	for !s.Done() {
 		if s.Cycle-s.baseCycle > s.Cfg.MaxCycles {
 			return 0, fmt.Errorf("sim: no convergence after %d cycles\n%s", s.Cfg.MaxCycles, s.Dump())
@@ -461,7 +425,7 @@ func (s *System) Run() (uint64, error) {
 // RunUntil always drives the sequential loop; checkpointed runs trade the
 // parallel engines for an interruptible clock.
 func (s *System) RunUntil(target uint64) (bool, error) {
-	dense := s.Cfg.DenseLoop || ForceDense
+	dense := s.Cfg.DenseLoop
 	for !s.Done() {
 		if s.Cycle >= target {
 			return false, nil

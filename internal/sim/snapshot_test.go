@@ -12,11 +12,9 @@ import (
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/parsim"
 	"mcmsim/internal/sim"
 	"mcmsim/internal/snapshot"
-
-	// Registers the parallel engine so the par variants actually shard.
-	_ "mcmsim/internal/parsim"
 )
 
 // snapTechniques extends the fast-forward grid with the Adve-Hill
@@ -62,22 +60,20 @@ var snapEngines = []struct {
 //     memory images (restore loses nothing the snapshot doesn't capture
 //     either — transient state is provably empty at quiescence).
 func TestSnapshotRoundTrip(t *testing.T) {
-	defer func(d bool, p int) { sim.ForceDense, sim.ParWorkers = d, p }(sim.ForceDense, sim.ParWorkers)
+	t.Parallel()
 	for _, eng := range snapEngines {
 		for _, m := range core.AllModels {
 			for _, tc := range snapTechniques {
 				t.Run(fmt.Sprintf("%s/%v/%s", eng.name, m, tc.name), func(t *testing.T) {
-					sim.ForceDense = eng.dense
-					sim.ParWorkers = eng.par
-
 					cfg := sim.RealisticConfig()
 					cfg.Procs = 3
 					cfg.Model = m
 					cfg.Tech = tc.tech
+					cfg.DenseLoop = eng.dense
 
 					phase1, phase2 := mixProgs(3, 7), mixProgs(3, 11)
 					s1 := sim.New(cfg, phase1)
-					if _, err := s1.Run(); err != nil {
+					if _, err := parsim.Drive(s1, eng.par); err != nil {
 						t.Fatalf("phase 1: %v", err)
 					}
 					snap, err := s1.Snapshot()
@@ -119,7 +115,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 					run2 := func(s *sim.System) (uint64, string, map[uint64]int64) {
 						s.LoadPrograms(phase2)
-						cycles, err := s.Run()
+						cycles, err := parsim.Drive(s, eng.par)
 						if err != nil {
 							t.Fatalf("phase 2: %v", err)
 						}
