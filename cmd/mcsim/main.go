@@ -62,9 +62,9 @@ func main() {
 		seed      = flag.Int64("seed", 7, "seed for randomized workloads")
 		showStats = flag.Bool("stats", false, "print component statistics after the run")
 		disasm    = flag.Bool("disasm", false, "print the program(s) before running")
-		dense     = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler (step every cycle)")
+		dense     = flag.Bool("dense", false, "disable the wake schedule (tick every node every cycle)")
 		par       = flag.Int("par", 1, "shard the simulation across up to N goroutines (results are byte-identical for every N)")
-		schedWant = flag.Bool("schedstats", false, "print the parallel scheduler's per-shard counters after the run (requires -par > 1)")
+		schedWant = flag.Bool("schedstats", false, "print the scheduler's counters for the measured phase: the shard engine's per-shard counters when it ran, else why the run was sequential and the sequential loop's stepped/skipped cycles and node ticks")
 		saveState = flag.String("save-state", "", "write a machine snapshot to this file (after warmup if the workload has one, else after the run)")
 		loadState = flag.String("load-state", "", "restore the machine from this snapshot instead of simulating the warmup; a mid-flight checkpoint resumes in place")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "with -save-state: overwrite the snapshot file with a mid-flight checkpoint every N cycles of the measured phase (drives the sequential loop)")
@@ -187,6 +187,7 @@ func main() {
 	// a parallel warmup's report must not stand in for it.
 	s.ParReport = ""
 	seqReason := parsim.DeclineReason(s, *par)
+	startCycle, startSkipped, startTicks := s.Cycle, s.FastForwarded, s.NodeTicks
 	if *ckptEvery > 0 || *stopAt > 0 {
 		seqReason = "-checkpoint-every and -stop-at drive the sequential loop"
 		if *ckptEvery > 0 && *saveState == "" {
@@ -260,6 +261,14 @@ func main() {
 		fmt.Println()
 		if s.ParReport == "" {
 			fmt.Printf("parsim: sequential run (%s)\n", seqReason)
+			skipped := s.FastForwarded - startSkipped
+			stepped := s.Cycle - startCycle - skipped
+			ticks := s.NodeTicks - startTicks
+			ratio := 0.0
+			if nodes := uint64(len(s.Procs) + len(s.Dirs)); stepped > 0 {
+				ratio = float64(ticks) / float64(stepped*nodes)
+			}
+			fmt.Printf("sim: stepped=%d skipped=%d node_ticks=%d busy_node_ratio=%.4f\n", stepped, skipped, ticks, ratio)
 		} else {
 			fmt.Print(s.ParReport)
 		}

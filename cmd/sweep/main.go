@@ -39,8 +39,8 @@
 //	-out FILE         write the report to FILE instead of stdout
 //	-quiet            suppress the per-job progress log on stderr
 //	-par N            shard each measured phase across up to N goroutines
-//	-dense            step every cycle of each measured phase (disable
-//	                  idle-cycle fast-forward). -par and -dense reach the
+//	-dense            tick every node every cycle of each measured phase
+//	                  (disable the wake schedule). -par and -dense reach the
 //	                  phase the executor drives, not warmups built inside
 //	                  a job; output is byte-identical either way
 //	-snapshot-cache   dedupe identical warmup phases via machine snapshots
@@ -82,7 +82,7 @@ func main() {
 		format  = flag.String("format", "table", "output format: table, json, csv")
 		out     = flag.String("out", "", "write the report to this file instead of stdout")
 		quiet   = flag.Bool("quiet", false, "suppress per-job progress on stderr")
-		dense   = flag.Bool("dense", false, "disable the idle-cycle fast-forward scheduler in each measured phase (step every cycle)")
+		dense   = flag.Bool("dense", false, "disable the wake schedule in each measured phase (tick every node every cycle)")
 		par     = flag.Int("par", 1, "shard each measured phase across up to N goroutines (output stays byte-identical for every N)")
 		snapC   = flag.Bool("snapshot-cache", true, "simulate each distinct warmup phase once and clone it via machine snapshots (output stays byte-identical either way)")
 		proto   = flag.String("protocol", "msi", "base coherence protocol for experiments that do not set their own: msi or mesi")

@@ -1,7 +1,7 @@
 package core
 
-// NextWake is the LSU's quiescence probe for the simulator's idle-cycle
-// fast-forward scheduler. It answers, without mutating anything: can
+// NextWake is the LSU's quiescence probe for the simulator's wake
+// schedule and the shard engine. It answers, without mutating anything: can
 // TickComplete or TickIssue change state at cycle `now`, and if not, at
 // which future cycle could they on their own? The checks mirror TickIssue's
 // phases via the read-only candidate selectors; any existing candidate

@@ -3,7 +3,7 @@ package cpu
 import "mcmsim/internal/isa"
 
 // This file is the processor's quiescence interface for the simulator's
-// idle-cycle fast-forward scheduler (sim.System). NextWake must answer,
+// wake schedule (sim.System) and the shard engine. NextWake must answer,
 // without mutating any pipeline state: would TickFrontend, TickExecute or
 // TickRetire change anything at cycle `now`, and if not, at which future
 // cycle could they? Every condition below mirrors the corresponding tick's

@@ -253,14 +253,25 @@ func (n *Network) SendAt(m *Message, deliver uint64) {
 
 // Deliver hands every message due at or before now to its destination
 // handler, in deterministic order. Handlers may send new messages during
-// delivery; those are delivered in a later cycle because latency >= 1.
-func (n *Network) Deliver(now uint64) {
+// delivery; one due at or before now (a zero-latency send) is delivered by
+// this same call, anything later in a later cycle.
+func (n *Network) Deliver(now uint64) { n.DeliverWaking(now, nil) }
+
+// DeliverWaking is Deliver that also calls woke, when non-nil, with each
+// message's destination just before its handler runs. A caller that ticks
+// only the nodes with work learns from it exactly which nodes this cycle's
+// deliveries woke — a node reached by a zero-latency send that an earlier
+// handler of the same call made included.
+func (n *Network) DeliverWaking(now uint64, woke func(NodeID)) {
 	for n.q.Len() > 0 && n.q[0].deliver <= now {
 		m := heap.Pop(&n.q).(*Message)
 		m.enqueued = false
 		h, ok := n.endpoints[m.Dst]
 		if !ok {
 			panic("network: message to unattached node")
+		}
+		if woke != nil {
+			woke(m.Dst)
 		}
 		h.HandleMessage(m, now)
 		if m.pooled {

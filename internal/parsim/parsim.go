@@ -266,7 +266,7 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 			}
 		} else {
 			// Global fast-forward: jump the clock to the earliest event of
-			// any shard (mirroring the sequential skipIdleCycles, including
+			// any shard (mirroring the sequential loop's horizon, including
 			// its deadlock jump past the cycle budget), and dispatch only
 			// the shards with an event inside this window.
 			horizon, any := e.globalHorizon(t)

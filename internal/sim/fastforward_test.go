@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mcmsim/internal/core"
@@ -32,48 +33,83 @@ func mixProgs(nprocs int, seed int64) []*isa.Program {
 	return progs
 }
 
-// TestFastForwardMatchesDense is the differential gate for the idle-cycle
-// fast-forward scheduler: for every consistency model under every
-// technique, running the mixed workload with fast-forward enabled must
-// produce exactly the same halt cycle, statistics report and coherent
-// memory image as stepping every cycle (Config.DenseLoop). Fast-forward
-// may only skip cycles in which a dense Step would change no state at all
-// — including statistics counters — so any divergence here means a
-// component's NextWake underestimated its own activity.
+// ffMachines are the machines of the dense differential. The unnamed one
+// is the realistic 3-CPU machine; the others drive wake paths the shard
+// engine never sees: a zero-latency network (parsim declines it, so only
+// the sequential loop runs it, with sends delivered in the cycle they are
+// made), a one-message-per-cycle directory whose ingress queue keeps its
+// home node awake, and scheduled writes that land after every program
+// halted, on a machine with no node awake and nothing in flight.
+var ffMachines = []struct {
+	name   string
+	config func(*sim.Config)
+	writes []sim.ScheduledWrite
+}{
+	{"", func(*sim.Config) {}, nil},
+	{"netlat0", func(c *sim.Config) { c.NetLatency = 0 }, nil},
+	{"dirbw1", func(c *sim.Config) { c.DirBandwidth = 1 }, nil},
+	{"idlewrites", func(*sim.Config) {}, []sim.ScheduledWrite{
+		{Cycle: 25_000, Addr: 0x4000, Value: 11},
+		{Cycle: 25_000, Addr: 0x4001, Value: 12},
+		{Cycle: 25_003, Addr: 0x1000, Value: 13},
+		{Cycle: 26_000, Addr: 0x2000, Value: 14},
+	}},
+}
+
+// TestFastForwardMatchesDense is the differential gate for the wake
+// schedule: on every machine of ffMachines, for every consistency model
+// under every technique, running the mixed workload on the default loop
+// must produce exactly the same halt cycle, statistics report, coherent
+// memory image and final clock as stepping every node every cycle
+// (Config.DenseLoop). The schedule may only leave out ticks in which Step
+// would change no state at all — including statistics counters — so any
+// divergence here means a component's NextWake underestimated its own
+// activity, or a delivery failed to wake its node.
 func TestFastForwardMatchesDense(t *testing.T) {
 	var skippedTotal uint64
-	for _, m := range core.AllModels {
-		for _, tc := range ffTechniques {
-			t.Run(fmt.Sprintf("%v/%s", m, tc.name), func(t *testing.T) {
-				run := func(dense bool) (uint64, string, map[uint64]int64, uint64) {
-					cfg := sim.RealisticConfig()
-					cfg.Procs = 3
-					cfg.Model = m
-					cfg.Tech = tc.tech
-					cfg.DenseLoop = dense
-					s := sim.New(cfg, mixProgs(3, 7))
-					cycles, err := s.Run()
-					if err != nil {
-						t.Fatalf("dense=%v: %v", dense, err)
+	for _, mc := range ffMachines {
+		for _, m := range core.AllModels {
+			for _, tc := range ffTechniques {
+				name := fmt.Sprintf("%v/%s", m, tc.name)
+				if mc.name != "" {
+					name = mc.name + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					run := func(dense bool) (uint64, *sim.System) {
+						cfg := sim.RealisticConfig()
+						cfg.Procs = 3
+						cfg.Model = m
+						cfg.Tech = tc.tech
+						cfg.DenseLoop = dense
+						mc.config(&cfg)
+						s := sim.New(cfg, mixProgs(3, 7))
+						s.ScheduleWrites(mc.writes)
+						cycles, err := s.Run()
+						if err != nil {
+							t.Fatalf("dense=%v: %v", dense, err)
+						}
+						return cycles, s
 					}
-					return cycles, s.StatsReport(), s.CoherentSnapshot(), s.FastForwarded
-				}
-				dCycles, dStats, dMem, dSkipped := run(true)
-				fCycles, fStats, fMem, fSkipped := run(false)
-				if dSkipped != 0 {
-					t.Errorf("dense run fast-forwarded %d cycles, want 0", dSkipped)
-				}
-				if dCycles != fCycles {
-					t.Errorf("halt cycle: dense=%d fast-forward=%d", dCycles, fCycles)
-				}
-				if dStats != fStats {
-					t.Errorf("stats reports differ:\n--- dense ---\n%s--- fast-forward ---\n%s", dStats, fStats)
-				}
-				if !reflect.DeepEqual(dMem, fMem) {
-					t.Errorf("coherent memory images differ: dense=%v fast-forward=%v", dMem, fMem)
-				}
-				skippedTotal += fSkipped
-			})
+					dCycles, d := run(true)
+					fCycles, f := run(false)
+					if d.FastForwarded != 0 {
+						t.Errorf("dense run fast-forwarded %d cycles, want 0", d.FastForwarded)
+					}
+					if dCycles != fCycles || d.Cycle != f.Cycle {
+						t.Errorf("halt/clock: dense=(%d,%d) fast-forward=(%d,%d)", dCycles, d.Cycle, fCycles, f.Cycle)
+					}
+					if len(mc.writes) > 0 && f.Cycle <= mc.writes[len(mc.writes)-1].Cycle {
+						t.Errorf("run ended at cycle %d, before its last scheduled write", f.Cycle)
+					}
+					if ds, fs := d.StatsReport(), f.StatsReport(); ds != fs {
+						t.Errorf("stats reports differ:\n--- dense ---\n%s--- fast-forward ---\n%s", ds, fs)
+					}
+					if dm, fm := d.CoherentSnapshot(), f.CoherentSnapshot(); !reflect.DeepEqual(dm, fm) {
+						t.Errorf("coherent memory images differ: dense=%v fast-forward=%v", dm, fm)
+					}
+					skippedTotal += f.FastForwarded
+				})
+			}
 		}
 	}
 	// The grid includes long-latency misses under the conventional
@@ -126,6 +162,38 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, s.Step); allocs != 0 {
 		t.Errorf("steady-state Step() allocates %.1f objects/cycle, want 0", allocs)
+	}
+	// The wake-scheduled loop on the same machine: every RunUntil entry
+	// recomputes every node's wake and jumps to the target, without
+	// allocating.
+	s.Cfg.DenseLoop = false
+	runOne := func() {
+		if _, err := s.RunUntil(s.Cycle + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, runOne); allocs != 0 {
+		t.Errorf("steady-state RunUntil(Cycle+1) allocates %.1f objects/call, want 0", allocs)
+	}
+	// Past the miss, instructions flow again and the components allocate
+	// (ROB and LSU entries), but the loop itself must add nothing: running
+	// the rest of the program allocates exactly what Step does on a dense
+	// twin at the same cycle.
+	twin := sim.New(cfg, []*isa.Program{workload.Example1()})
+	for twin.Cycle < s.Cycle {
+		twin.Step()
+	}
+	mallocs := func(run func() (uint64, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if dense, wake := mallocs(twin.Run), mallocs(s.Run); wake != dense {
+		t.Errorf("finishing the run allocates %d objects on the wake schedule, %d under Step", wake, dense)
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 	"mcmsim/internal/network"
 )
 
-// This file partitions a System into node shards for the parallel shard
-// engine (internal/parsim). A shard is a set of components that
-// share no mutable state with any other shard — they interact only through
-// network messages, whose one-way latency bounds how far a shard can run
-// ahead privately. Three shard kinds cover the whole machine:
+// This file partitions a System into node shards: the units the
+// sequential loop's wake schedule ticks (wake.go) and the parallel shard
+// engine (internal/parsim) runs on separate goroutines. A shard is a set
+// of components that share no mutable state with any other shard — they
+// interact only through network messages, whose one-way latency bounds
+// how far a shard can run ahead privately. Three shard kinds cover the
+// whole machine:
 //
 //   - one per processor: the CPU pipeline, its load/store unit and its
 //     private cache (network node i);
@@ -47,21 +49,31 @@ type NodeShard struct {
 	dir   *coherence.Directory
 }
 
-// Shards partitions the system's current components. Call it after any
-// LoadPrograms: shards capture the live component pointers.
+// Shards returns the machine's node partition, in network-node order:
+// processors, then home modules, then the agent. The shards are the ones
+// the sequential loop schedules (System.nodes), so they always hold the
+// live components, LoadPrograms included.
 func (s *System) Shards() []*NodeShard {
-	out := make([]*NodeShard, 0, len(s.Procs)+len(s.Dirs)+1)
+	out := make([]*NodeShard, len(s.nodes))
+	for i := range s.nodes {
+		out[i] = &s.nodes[i]
+	}
+	return out
+}
+
+// partition builds the node partition of a freshly assembled machine.
+func (s *System) partition() {
+	s.nodes = make([]NodeShard, 0, len(s.Procs)+len(s.Dirs)+1)
 	for i := range s.Procs {
-		out = append(out, &NodeShard{
+		s.nodes = append(s.nodes, NodeShard{
 			kind: shardProc, idx: i, sys: s,
 			proc: s.Procs[i], lsu: s.LSUs[i], cache: s.Caches[i],
 		})
 	}
 	for j := range s.Dirs {
-		out = append(out, &NodeShard{kind: shardDir, idx: j, sys: s, dir: s.Dirs[j]})
+		s.nodes = append(s.nodes, NodeShard{kind: shardDir, idx: j, sys: s, dir: s.Dirs[j]})
 	}
-	out = append(out, &NodeShard{kind: shardAgent, sys: s})
-	return out
+	s.nodes = append(s.nodes, NodeShard{kind: shardAgent, sys: s})
 }
 
 // IsHome reports whether the shard is a home module — the only kind that
@@ -164,27 +176,51 @@ func (sh *NodeShard) StepCycle(now uint64, ep *network.Endpoint) {
 	}
 }
 
-// NextEvent reports the earliest cycle ≥ some pending work for the shard: a
-// component self-wake, a scheduled write, or an inbox delivery. A result at
-// or before now means the shard is busy this cycle. ok=false means the
-// shard cannot change state again until new messages arrive at a barrier.
-// The same per-component NextWake contract the sequential fast-forward
-// relies on (a skipped cycle is provably a no-op, stats included) makes the
-// shard-local skip exact.
-func (sh *NodeShard) NextEvent(now uint64, ep *network.Endpoint) (uint64, bool) {
-	best, ok := ep.NextDelivery()
-	fold := func(c uint64, o bool) {
-		if o && (!ok || c < best) {
-			best, ok = c, true
-		}
-	}
+// wake reports the earliest cycle ≥ now at which one of the node's own
+// components can act without a new delivery; ok=false means only a
+// delivery can wake it (the agent always: its scheduled writes are
+// deliveries or, in the sequential loop, their own horizon term). A
+// result at now means the node is due. It is the one definition of "node
+// is due" that the sequential loop and the shard engine share. It stops at
+// the first component due now, asking the processor first: a frontend
+// that can decode answers at once.
+func (sh *NodeShard) wake(now uint64) (uint64, bool) {
 	switch sh.kind {
 	case shardDir:
-		fold(sh.dir.NextWake(now))
+		return sh.dir.NextWake(now)
 	case shardProc:
-		fold(sh.cache.NextWake(now))
-		fold(sh.lsu.NextWake(now))
-		fold(sh.proc.NextWake(now))
+		wake, ok := sh.proc.NextWake(now)
+		if ok && wake <= now {
+			return wake, true
+		}
+		if w, o := sh.cache.NextWake(now); o && (!ok || w < wake) {
+			if w <= now {
+				return w, true
+			}
+			wake, ok = w, true
+		}
+		if w, o := sh.lsu.NextWake(now); o && (!ok || w < wake) {
+			wake, ok = w, true
+		}
+		return wake, ok
+	}
+	return 0, false
+}
+
+// NextEvent reports the earliest cycle ≥ some pending work for the shard:
+// a component self-wake or an inbox delivery. A result at or before now
+// means the shard is busy this cycle. ok=false means the shard cannot
+// change state again until new messages arrive at a barrier. The same
+// per-component NextWake contract the sequential loop relies on (a
+// skipped tick is provably a no-op, stats included) makes the shard-local
+// skip exact.
+func (sh *NodeShard) NextEvent(now uint64, ep *network.Endpoint) (uint64, bool) {
+	best, ok := ep.NextDelivery()
+	if ok && best <= now {
+		return best, true
+	}
+	if w, o := sh.wake(now); o && (!ok || w < best) {
+		return w, true
 	}
 	return best, ok
 }

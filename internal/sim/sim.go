@@ -82,10 +82,10 @@ type Config struct {
 	// MaxCycles aborts a run that fails to converge (deadlock guard).
 	MaxCycles uint64
 
-	// DenseLoop disables the idle-cycle fast-forward scheduler: Run steps
-	// every cycle even when all components are provably inert. The
-	// escape hatch for debugging and for the differential tests that prove
-	// fast-forward changes nothing.
+	// DenseLoop disables the wake schedule: Run calls Step, which ticks
+	// every node on every cycle even when all of them are provably inert.
+	// The reference for debugging and for the differential tests that
+	// prove the schedule changes nothing.
 	DenseLoop bool
 }
 
@@ -169,6 +169,17 @@ type System struct {
 	// scheduler (diagnostics only; deliberately absent from StatsReport so
 	// dense and fast-forward reports stay byte-identical).
 	FastForwarded uint64
+	// NodeTicks counts node ticks: each stepped cycle adds the processor
+	// and home nodes it ticked (all of them under Step, the awake ones
+	// under the wake schedule). Diagnostics only, absent from StatsReport
+	// like FastForwarded.
+	NodeTicks uint64
+
+	// The wake schedule (wake.go) over the node partition (shards.go).
+	nodes  []NodeShard
+	wake   []uint64 // per processor and home node: its next self-wake, or never
+	awake  []uint64 // bitset over the wake nodes ticked this cycle
+	ticked []int    // this cycle's awake nodes, ascending
 
 	// ParReport is the parallel engine's scheduler summary for the most
 	// recent Run (per-shard cycles, windows, skips, exchanged messages).
@@ -247,6 +258,11 @@ func New(cfg Config, progs []*isa.Program) *System {
 		s.LSUs = append(s.LSUs, lsu)
 		s.Procs = append(s.Procs, p)
 	}
+	s.partition()
+	n := len(s.Procs) + len(s.Dirs)
+	s.wake = make([]uint64, n)
+	s.awake = make([]uint64, (n+63)/64)
+	s.ticked = make([]int, 0, n)
 	return s
 }
 
@@ -319,14 +335,16 @@ func (s *System) LoadPrograms(progs []*isa.Program) {
 		lsu.BindCache(s.Caches[i])
 		s.Procs[i] = cpu.New(i, s.Cfg.CPU, progs[i], lsu)
 		s.LSUs[i] = lsu
+		s.nodes[i].proc, s.nodes[i].lsu = s.Procs[i], lsu
 	}
 	s.baseCycle = s.Cycle
 }
 
-// Step advances the machine one cycle. Phase order (documented in
-// DESIGN.md) is what gives the paper's exact cycle counts: fetch/decode at
-// cycle start, then message delivery and completions, then execution and
-// retirement, then the load/store issue stage.
+// Step advances the machine one cycle, ticking every node. Phase order
+// (documented in DESIGN.md) is what gives the paper's exact cycle counts:
+// fetch/decode at cycle start, then message delivery and completions, then
+// execution and retirement, then the load/store issue stage. Step is the
+// dense reference that the wake-scheduled loop (stepAwake) must match.
 func (s *System) Step() {
 	now := s.Cycle
 	for s.nextWrite < len(s.writes) && s.writes[s.nextWrite].Cycle <= now {
@@ -358,6 +376,7 @@ func (s *System) Step() {
 	for _, h := range s.TraceHooks {
 		h(s, now)
 	}
+	s.NodeTicks += uint64(len(s.Procs) + len(s.Dirs))
 	s.Cycle++
 }
 
@@ -389,43 +408,34 @@ func (s *System) Done() bool {
 // most recent program load. Run is the sequential loop: sharded runs go
 // through parsim.Drive instead.
 //
-// Unless Config.DenseLoop is set, Run fast-forwards over
-// provably idle stretches: when no component can change state at the
-// current cycle, the clock jumps straight to the event horizon — the
-// earliest cycle at which anything (a network delivery, a scheduled write,
-// a component's own timer) can happen. Because skipIdleCycles only skips
-// cycles where Step would have been a pure no-op, halt cycles, statistics,
-// memory images and traces are identical to the dense loop's.
+// Unless Config.DenseLoop is set, Run follows the node wake schedule
+// (wake.go): each stepped cycle ticks only the nodes that are due or that
+// a delivery woke, and when nothing at all can happen at the current
+// cycle the clock jumps straight to the event horizon — the earliest
+// cycle at which anything (a network delivery, a scheduled write, a
+// node's own timer) can. Every tick it leaves out is one Step would have
+// made as a pure no-op, so halt cycles, statistics, memory images and
+// traces are identical to the dense loop's.
 func (s *System) Run() (uint64, error) {
-	dense := s.Cfg.DenseLoop
-	for !s.Done() {
-		if s.Cycle-s.baseCycle > s.Cfg.MaxCycles {
-			return 0, fmt.Errorf("sim: no convergence after %d cycles\n%s", s.Cfg.MaxCycles, s.Dump())
-		}
-		if !dense && s.skipIdleCycles(^uint64(0)) {
-			continue
-		}
-		s.Step()
+	if _, err := s.RunUntil(never); err != nil {
+		return 0, err
 	}
-	var last uint64
-	for _, p := range s.Procs {
-		if hc := p.HaltCycle; hc > last {
-			last = hc
-		}
-	}
-	return last - s.baseCycle, nil
+	return s.HaltCycle() - s.baseCycle, nil
 }
 
 // RunUntil advances the machine until it is Done or the clock reaches the
 // absolute cycle target, whichever comes first, and reports whether the
-// machine finished. Fast-forward jumps are clamped to the target, so the
+// machine finished. Horizon jumps are clamped to the target, so the
 // machine stops at exactly that cycle regardless of the loop flavor — the
-// state there is identical either way (only provably idle cycles are
-// skipped) — which makes it the place to take a mid-flight Snapshot.
+// state there is identical either way (only provable no-ops are left out)
+// — which makes it the place to take a mid-flight Snapshot.
 // RunUntil always drives the sequential loop; checkpointed runs trade the
 // parallel engines for an interruptible clock.
 func (s *System) RunUntil(target uint64) (bool, error) {
 	dense := s.Cfg.DenseLoop
+	if !dense {
+		s.wakeAll()
+	}
 	for !s.Done() {
 		if s.Cycle >= target {
 			return false, nil
@@ -433,77 +443,13 @@ func (s *System) RunUntil(target uint64) (bool, error) {
 		if s.Cycle-s.baseCycle > s.Cfg.MaxCycles {
 			return false, fmt.Errorf("sim: no convergence after %d cycles\n%s", s.Cfg.MaxCycles, s.Dump())
 		}
-		if !dense && s.skipIdleCycles(target) {
-			continue
+		if dense {
+			s.Step()
+		} else {
+			s.advance(target)
 		}
-		s.Step()
 	}
 	return true, nil
-}
-
-// skipIdleCycles advances the clock past cycles in which no component can
-// make progress (never past limit), reporting whether it moved. The horizon
-// is the earliest of every self-scheduled event in the machine: the next
-// scheduled external write, the next network delivery, and each component's
-// NextWake. A component that can act at the current cycle vetoes the skip
-// entirely. No component may ever schedule work earlier than its reported
-// wake, so every skipped cycle is one the dense loop would have stepped
-// through without any state change — including statistics.
-func (s *System) skipIdleCycles(limit uint64) bool {
-	now := s.Cycle
-	// A machine with no wake candidates at all (yet not Done) is
-	// deadlocked: jump straight past the cycle budget so Run reports the
-	// same no-convergence error, at the same cycle, that dense would.
-	horizon := s.baseCycle + s.Cfg.MaxCycles + 1
-	// earlier folds one wake candidate into the horizon; a candidate at or
-	// before now means the machine is busy and nothing can be skipped.
-	earlier := func(c uint64, ok bool) (busy bool) {
-		if !ok {
-			return false
-		}
-		if c <= now {
-			return true
-		}
-		if c < horizon {
-			horizon = c
-		}
-		return false
-	}
-	if s.nextWrite < len(s.writes) && earlier(s.writes[s.nextWrite].Cycle, true) {
-		return false
-	}
-	if earlier(s.Net.NextDelivery()) {
-		return false
-	}
-	for _, d := range s.Dirs {
-		if earlier(d.NextWake(now)) {
-			return false
-		}
-	}
-	for _, c := range s.Caches {
-		if earlier(c.NextWake(now)) {
-			return false
-		}
-	}
-	for _, u := range s.LSUs {
-		if earlier(u.NextWake(now)) {
-			return false
-		}
-	}
-	for _, p := range s.Procs {
-		if earlier(p.NextWake(now)) {
-			return false
-		}
-	}
-	if horizon > limit {
-		horizon = limit
-	}
-	if horizon <= now {
-		return false
-	}
-	s.FastForwarded += horizon - now
-	s.Cycle = horizon
-	return true
 }
 
 // RunCheckpointed drives the machine to completion through RunUntil slices

@@ -183,8 +183,10 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // TestSnapshotMidFlight is the mid-flight property test: interrupting a
 // run at an arbitrary (pseudo-randomly chosen, non-quiescent) cycle,
 // snapshotting, and restoring into a fresh machine must be invisible — the
-// resumed run's halt cycle, statistics report and coherent memory image
-// must equal the uninterrupted run's, across network shape x coherence
+// resumed run's halt cycle, final clock, statistics report and coherent
+// memory image must equal the uninterrupted run's (itself equal to the
+// dense loop's), whether the resumed machine runs to the end with Run or
+// in RunCheckpointed slices, across network shape x coherence
 // protocol, and the snapshot bytes themselves must be identical whether
 // the interrupted run stepped every cycle or fast-forwarded (the scheduler
 // clamps its idle jumps to the interruption target, so both stop in the
@@ -218,10 +220,33 @@ func TestSnapshotMidFlight(t *testing.T) {
 				cfg.Protocol = proto.p
 
 				ref := sim.New(cfg, sh.progs())
-				if _, err := ref.Run(); err != nil {
+				refHalt, err := ref.Run()
+				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
 				refStats, refMem, refEnd := ref.StatsReport(), ref.CoherentSnapshot(), ref.Cycle
+				// sameEnd checks a resumed machine against the
+				// uninterrupted run.
+				sameEnd := func(how string, cut uint64, s *sim.System, halt uint64) {
+					t.Helper()
+					if halt != refHalt || s.Cycle != refEnd {
+						t.Errorf("cut=%d %s: halt/clock resumed=(%d,%d) uninterrupted=(%d,%d)", cut, how, halt, s.Cycle, refHalt, refEnd)
+					}
+					if got := s.StatsReport(); got != refStats {
+						t.Errorf("cut=%d %s: stats reports differ:\n--- resumed ---\n%s--- uninterrupted ---\n%s", cut, how, got, refStats)
+					}
+					if !reflect.DeepEqual(s.CoherentSnapshot(), refMem) {
+						t.Errorf("cut=%d %s: coherent memory images differ", cut, how)
+					}
+				}
+				dense := cfg
+				dense.DenseLoop = true
+				uncut := sim.New(dense, sh.progs())
+				halt, err := uncut.Run()
+				if err != nil {
+					t.Fatalf("dense reference run: %v", err)
+				}
+				sameEnd("dense", 0, uncut, halt)
 
 				for trial := 0; trial < 3; trial++ {
 					span := refEnd - ref.BaseCycle()
@@ -280,18 +305,32 @@ func TestSnapshotMidFlight(t *testing.T) {
 						t.Fatalf("cut=%d: restored machine snapshots differently than the original", cut)
 					}
 
-					if _, err := restored.Run(); err != nil {
+					halt, err := restored.Run()
+					if err != nil {
 						t.Fatalf("cut=%d: resumed run: %v", cut, err)
 					}
-					if restored.Cycle != refEnd {
-						t.Errorf("cut=%d: final clock resumed=%d uninterrupted=%d", cut, restored.Cycle, refEnd)
+					sameEnd("Run", cut, restored, halt)
+
+					// A second copy resumes through checkpoint slices, as a
+					// farm job does after its lease moves: each slice's
+					// RunUntil re-derives the wake schedule from the state
+					// the previous slice (or Restore) left.
+					sliced, err := sim.Restore(decoded)
+					if err != nil {
+						t.Fatalf("cut=%d: restore: %v", cut, err)
 					}
-					if got := restored.StatsReport(); got != refStats {
-						t.Errorf("cut=%d: stats reports differ:\n--- resumed ---\n%s--- uninterrupted ---\n%s", cut, got, refStats)
+					saves := 0
+					halt, err = sliced.RunCheckpointed(max((refEnd-cut)/4, 1), func(*sim.System) error {
+						saves++
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("cut=%d: checkpointed resume: %v", cut, err)
 					}
-					if !reflect.DeepEqual(restored.CoherentSnapshot(), refMem) {
-						t.Errorf("cut=%d: coherent memory images differ", cut)
+					if saves == 0 {
+						t.Errorf("cut=%d: checkpointed resume took no checkpoint", cut)
 					}
+					sameEnd("RunCheckpointed", cut, sliced, halt)
 				}
 			})
 		}
