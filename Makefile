@@ -33,23 +33,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The differential tier: the idle-cycle fast-forward scheduler, the
-# parallel shard engine (conservative and speculative rollback windows),
-# machine snapshot/restore, and the warmup-snapshot cache must all be
+# The differential tier: the node wake schedule, the parallel shard
+# engine (conservative and speculative rollback windows), machine
+# snapshot/restore, and the warmup-snapshot cache must all be
 # observationally identical to the plain sequential cold-start run —
 # across the model x technique grid, every execution engine, shard-worker
 # counts {2,4,8}, the full experiment suite in every output format with
-# the cache on and off, a conformance batch, generated programs on a
-# low-lookahead mesh (TestParallelEngineGeneratedPrograms), and the
-# Figure 5 cycle-level trace. The second leg re-checks a conformance
-# batch with every simulation sharded: verdicts must be identical to the
-# sequential run. The farm tier holds the distributed coordinator to the
-# same bar: a farmed suite and conformance batch must be byte-identical
-# to the local pool, through worker deaths, lease expiries, checkpoint
-# resumes, and two farms on different specs sharing one process.
+# the cache on and off, generated programs on a low-lookahead mesh
+# (TestParallelEngineGeneratedPrograms), and the Figure 5 cycle-level
+# trace. TestParallelEngineConformParity re-checks conformance batches
+# with every cell sharded — the full grid, 128 quick programs, and 64
+# quick programs padded to a 16-CPU mesh: reports must be identical to
+# the sequential run. The farm tier holds the distributed coordinator to
+# the same bar: a farmed suite and conformance batch must be
+# byte-identical to the local pool, through worker deaths, lease expiries,
+# checkpoint resumes, and two farms on different specs sharing one
+# process.
 differential:
 	$(GO) test -run 'TestFastForward|TestParallelEngine|TestSnapshot|TestWarmupCache|TestFarm' ./internal/sim ./internal/experiments ./internal/parsim ./internal/runner ./internal/farm
-	$(GO) run ./cmd/conform -seed 1 -n 32 -quick -par 4 -quiet
 
 # The conformance tier: a smoke batch of generated litmus programs checked
 # against the exact per-model oracles across the model x technique x

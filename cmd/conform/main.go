@@ -21,7 +21,6 @@
 //	          the oracle stays on the program's own processors)
 //	-topo T   interconnect: uniform (default), mesh, or mesh:WxH
 //	-j N      worker-pool size (<=0 means all CPUs)
-//	-par N    shard every cell's simulation across up to N goroutines
 //	-quick    paper timing only (the fuzz target's reduced grid)
 //	-protocol coherence-protocol axis: both (default), msi, or mesi
 //	-quiet    suppress the progress line on stderr
@@ -37,7 +36,10 @@
 //
 // Any violation is minimized to a 1-minimal reproducer and printed with
 // the failing cell, the observed outcome, and the oracle's allowed set;
-// the exit status is 1. Output is deterministic for every -j value.
+// the exit status is 1. Output is deterministic for every -j value. Every
+// cell runs on the sequential wake-scheduled loop; the sharded engine's
+// parity with it is a Go test (internal/parsim,
+// TestParallelEngineConformParity).
 package main
 
 import (
@@ -49,7 +51,6 @@ import (
 
 	"mcmsim/internal/conformance"
 	"mcmsim/internal/farm"
-	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 )
 
@@ -60,7 +61,6 @@ func main() {
 		procs  = flag.Int("procs", 0, "processors per program (0 = random 2-3)")
 		ops    = flag.Int("ops", 0, "max operations per processor (0 = default)")
 		jobs   = flag.Int("j", runtime.NumCPU(), "worker-pool size (<=0 means all CPUs)")
-		par    = flag.Int("par", 1, "shard each simulation across up to N goroutines (verdicts are identical for every N)")
 		quick  = flag.Bool("quick", false, "paper timing only instead of the full timing axis")
 		cpus   = flag.Int("cpus", 0, "pad the machine to this many processors (extra CPUs halt immediately; 0 = program size)")
 		topo   = flag.String("topo", "", "interconnect for every cell: uniform (default), mesh, or mesh:WxH")
@@ -73,24 +73,13 @@ func main() {
 	flag.Parse()
 	spec := farm.JobSpec{
 		Kind: "conform", Seed: *seed, N: *n, Procs: *procs, Ops: *ops,
-		Quick: *quick, PadCPUs: *cpus, Topo: *topo, Protocol: *proto, Par: *par,
+		Quick: *quick, PadCPUs: *cpus, Topo: *topo, Protocol: *proto,
 	}
 	params, opts, err := farm.ConformOptions(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "conform:", err)
 		os.Exit(2)
 	}
-	if *par > 1 {
-		// Batch workers and shard workers share the machine; the shard pool
-		// gets whatever the batch pool leaves free (conformance programs are
-		// tiny, so -par mainly exists for the differential gate).
-		extra := runtime.NumCPU() - *jobs
-		if *jobs <= 0 || *jobs > runtime.NumCPU() {
-			extra = 0
-		}
-		parsim.SetWorkerBudget(extra)
-	}
-
 	pool := runner.Options{Workers: *jobs}
 	if !*quiet {
 		pool.OnProgress = func(p runner.Progress) {

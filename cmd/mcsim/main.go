@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
@@ -62,7 +61,6 @@ func main() {
 		seed      = flag.Int64("seed", 7, "seed for randomized workloads")
 		showStats = flag.Bool("stats", false, "print component statistics after the run")
 		disasm    = flag.Bool("disasm", false, "print the program(s) before running")
-		dense     = flag.Bool("dense", false, "disable the wake schedule (tick every node every cycle)")
 		par       = flag.Int("par", 1, "shard the simulation across up to N goroutines (results are byte-identical for every N)")
 		schedWant = flag.Bool("schedstats", false, "print the scheduler's counters for the measured phase: the shard engine's per-shard counters when it ran, else why the run was sequential and the sequential loop's stepped/skipped cycles and node ticks")
 		saveState = flag.String("save-state", "", "write a machine snapshot to this file (after warmup if the workload has one, else after the run)")
@@ -75,15 +73,6 @@ func main() {
 	flag.IntVar(procs, "cpus", 0, "alias for -procs")
 	flag.Parse()
 
-	if *par > 1 {
-		// The engine's worker pool takes the caller's goroutine plus extras
-		// from this budget; honor an explicit -par above the core count.
-		n := runtime.NumCPU()
-		if *par > n {
-			n = *par
-		}
-		parsim.SetWorkerBudget(n - 1)
-	}
 	m, err := core.ParseModel(*model)
 	if err != nil {
 		fatal(err)
@@ -105,7 +94,6 @@ func main() {
 	cfg.HopLatency = *hoplat
 	cfg.LinkGap = *linkgap
 	cfg.DirPointers = *dirptrs
-	cfg.DenseLoop = *dense
 	if *update {
 		cfg.Protocol = coherence.ProtoUpdate
 	}
@@ -138,7 +126,6 @@ func main() {
 	switch {
 	case *loadState != "":
 		s = restoreState(*loadState, cfg, len(progs))
-		s.Cfg.DenseLoop = *dense
 		if s.Done() {
 			s.Cfg.Model = cfg.Model
 			s.Cfg.Tech = cfg.Tech

@@ -2,7 +2,9 @@
 // and prints their result tables. Each experiment is a list of independent
 // deterministic simulations; sweep fans them out across a bounded worker
 // pool (internal/runner) and reassembles the rows in enumeration order, so
-// the output is byte-identical for every -j value.
+// the output is byte-identical for every -j value. Every simulation runs
+// on the sequential wake-scheduled loop, and identical warmup phases are
+// simulated once and cloned through machine snapshots.
 //
 //	sweep -exp equalization   model x technique grid (the §5 claim)
 //	sweep -exp latency        miss-latency sweep, SC vs RC
@@ -38,13 +40,6 @@
 //	-format table|json|csv
 //	-out FILE         write the report to FILE instead of stdout
 //	-quiet            suppress the per-job progress log on stderr
-//	-par N            shard each measured phase across up to N goroutines
-//	-dense            tick every node every cycle of each measured phase
-//	                  (disable the wake schedule). -par and -dense reach the
-//	                  phase the executor drives, not warmups built inside
-//	                  a job; output is byte-identical either way
-//	-snapshot-cache   dedupe identical warmup phases via machine snapshots
-//	                  (default true; output is byte-identical either way)
 //	-protocol P       base coherence protocol, msi (default) or mesi;
 //	                  changes results. Experiments with their own protocol
 //	                  axis (E5) and E10's litmus job are unaffected
@@ -67,7 +62,6 @@ import (
 
 	"mcmsim/internal/experiments"
 	"mcmsim/internal/farm"
-	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 )
 
@@ -82,16 +76,13 @@ func main() {
 		format  = flag.String("format", "table", "output format: table, json, csv")
 		out     = flag.String("out", "", "write the report to this file instead of stdout")
 		quiet   = flag.Bool("quiet", false, "suppress per-job progress on stderr")
-		dense   = flag.Bool("dense", false, "disable the wake schedule in each measured phase (tick every node every cycle)")
-		par     = flag.Int("par", 1, "shard each measured phase across up to N goroutines (output stays byte-identical for every N)")
-		snapC   = flag.Bool("snapshot-cache", true, "simulate each distinct warmup phase once and clone it via machine snapshots (output stays byte-identical either way)")
 		proto   = flag.String("protocol", "msi", "base coherence protocol for experiments that do not set their own: msi or mesi")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	fleet := farm.FleetFlags(flag.CommandLine)
 	flag.Parse()
-	spec := farm.JobSpec{Kind: "sweep", Seed: *seed, Procs: *procs, Topo: *topo, Protocol: *proto, Par: *par, Dense: *dense}
+	spec := farm.JobSpec{Kind: "sweep", Seed: *seed, Procs: *procs, Topo: *topo, Protocol: *proto}
 	if *exp != "all" {
 		for _, name := range strings.Split(*exp, ",") {
 			spec.Exps = append(spec.Exps, strings.TrimSpace(name))
@@ -114,7 +105,7 @@ func main() {
 			return err
 		}
 		defer stopProf()
-		return run(spec, fleet, *jobs, *snapC, *format, *out, *quiet)
+		return run(spec, fleet, *jobs, *format, *out, *quiet)
 	}()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -126,27 +117,8 @@ func main() {
 // when -workers names a daemon or -listen is set — and writes the report.
 // Both executors return rows in enumeration order, so the report is
 // byte-identical either way (`make differential` gates it).
-func run(spec farm.JobSpec, fleet *farm.Fleet, workers int, snapCache bool, format, out string, quiet bool) error {
-	pool := runner.Options{Workers: workers}
-	if snapCache {
-		pool.WarmupCache = runner.NewWarmupCache()
-	}
-	if spec.Par > 1 {
-		// Shard workers and job workers share one machine: give the shard
-		// engines only the cores the job pool is not already claiming, so
-		// `-j 8 -par 8` degrades to per-simulation sequential runs instead
-		// of oversubscribing 64 goroutines. Each running job contributes its
-		// own goroutine on top of this extra-worker budget.
-		busy := workers
-		if busy <= 0 || busy > runtime.NumCPU() {
-			busy = runtime.NumCPU()
-		}
-		parsim.SetWorkerBudget(runtime.NumCPU() - busy)
-		// The static split assumed every job worker stays busy; as the
-		// queue drains, each idling worker hands its CPU share to the
-		// shard engines of the simulations still running.
-		pool.OnWorkerIdle = func() { parsim.AddWorkerBudget(1) }
-	}
+func run(spec farm.JobSpec, fleet *farm.Fleet, workers int, format, out string, quiet bool) error {
+	pool := runner.Options{Workers: workers, WarmupCache: runner.NewWarmupCache()}
 	if !quiet {
 		pool.OnProgress = func(p runner.Progress) {
 			status := fmt.Sprintf("cycles=%d", p.Cycles)

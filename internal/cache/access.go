@@ -244,9 +244,6 @@ func (c *Cache) finishHit(req Request, now uint64) {
 		if _, wbPending := c.wb[lineAddr]; wbPending && c.mshrs[lineAddr] == nil {
 			// The line was evicted out from under the access and its
 			// writeback is in flight; retry after the ack.
-			if DebugRetries {
-				println("cache", int(c.ID), "finishHit wb-retry", int(req.Addr), "@", int(now))
-			}
 			c.pinned[lineAddr]++
 			c.completions = append(c.completions, completion{at: now + 1, req: req})
 			return
@@ -260,9 +257,6 @@ func (c *Cache) finishHit(req Request, now uint64) {
 		}
 		if c.startMiss(req, lineAddr, needsEx, false, now) == Blocked {
 			// No MSHR free: retry next cycle via the completion queue.
-			if DebugRetries {
-				println("cache", int(c.ID), "finishHit blocked-retry", int(req.Addr), "@", int(now))
-			}
 			c.pinned[lineAddr]++
 			c.completions = append(c.completions, completion{at: now + 1, req: req})
 		}
@@ -280,9 +274,6 @@ func (c *Cache) finishHit(req Request, now uint64) {
 		l.state = Modified
 		old := l.data[off]
 		l.data[off] = req.RMW.Apply(old, req.Data)
-		if DebugCacheTrace != nil && lineAddr == DebugCacheTraceLine {
-			DebugCacheTrace(fmt.Sprintf("cache%d@%d: ATOMIC(hit) old=%d id=%d", c.ID, now, old, req.ID))
-		}
 		c.client.AccessComplete(req.ID, old, now)
 	default:
 		panic("cache: prefetch in completion queue")

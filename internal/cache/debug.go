@@ -56,13 +56,3 @@ func (c *Cache) DebugPending() string {
 	}
 	return s
 }
-
-// DebugRetries prints completion-retry loops (diagnostic aid).
-var DebugRetries bool
-
-// DebugCacheTrace and DebugCacheTraceLine trace per-cache message handling
-// for one line (diagnostic aid).
-var (
-	DebugCacheTrace     func(string)
-	DebugCacheTraceLine uint64
-)

@@ -8,14 +8,6 @@ import (
 
 // HandleMessage implements network.Handler for the processor-side cache.
 func (c *Cache) HandleMessage(m *network.Message, now uint64) {
-	if DebugCacheTrace != nil && m.Line == DebugCacheTraceLine {
-		st := "absent"
-		if l := c.lookup(m.Line); l != nil {
-			st = l.state.String()
-		}
-		_, hasWB := c.wb[m.Line]
-		DebugCacheTrace(fmt.Sprintf("cache%d@%d: %v tag=%d | line=%s mshr=%v wb=%v", c.ID, now, m.Type, m.Tag, st, c.mshrs[m.Line] != nil, hasWB))
-	}
 	switch m.Type {
 	case network.MsgData:
 		c.handleData(m, false, now)
@@ -159,10 +151,6 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 		}
 	}
 
-	if DebugCacheTrace != nil && ms.lineAddr == DebugCacheTraceLine {
-		DebugCacheTrace(fmt.Sprintf("cache%d@%d: installFill ex=%v ver=%d data=%v waiters=%d deferred=%d", c.ID, now, ms.exclusive, ms.grantVer, ms.data, len(ms.waiters), len(ms.deferred)))
-	}
-
 	// Deferred events serialized before our grant are superseded for the
 	// line state (the fill data already reflects them) but must still reach
 	// the client before any waiter completes: the speculative-load buffer
@@ -216,9 +204,6 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 			}
 			l.state = Modified
 			l.data[off] = req.Data
-			if DebugCacheTrace != nil && ms.lineAddr == DebugCacheTraceLine {
-				DebugCacheTrace(fmt.Sprintf("cache%d@%d: WRITE(fill) val=%d id=%d", c.ID, now, req.Data, req.ID))
-			}
 			c.client.AccessComplete(req.ID, req.Data, now)
 		case ReqRMW:
 			if !writableState(l.state) {
@@ -228,9 +213,6 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 			l.state = Modified
 			old := l.data[off]
 			l.data[off] = req.RMW.Apply(old, req.Data)
-			if DebugCacheTrace != nil && ms.lineAddr == DebugCacheTraceLine {
-				DebugCacheTrace(fmt.Sprintf("cache%d@%d: ATOMIC(fill) old=%d id=%d", c.ID, now, old, req.ID))
-			}
 			c.client.AccessComplete(req.ID, old, now)
 		}
 	}

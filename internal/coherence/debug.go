@@ -13,10 +13,3 @@ func (d *Directory) DebugBusy() []string {
 	}
 	return out
 }
-
-// DebugTraceLine, when nonzero, prints every message the directory handles
-// for that line (diagnostic aid; off by default).
-var DebugTraceLine uint64
-
-// DebugTraceSink receives the trace lines (defaults to stdout via println).
-var DebugTraceSink = func(s string) { println(s) }

@@ -188,14 +188,6 @@ func (d *Directory) Tick(now uint64) {
 // kept a reference to m (queued on a busy line or held as a recall's
 // pending request); the caller owns m's pool lifetime otherwise.
 func (d *Directory) dispatch(m *network.Message, now uint64) bool {
-	if DebugTraceLine != 0 && m.Line == DebugTraceLine {
-		l := d.line(m.Line)
-		if len(m.Data) > 0 {
-			DebugTraceSink(fmt.Sprintf("dir@  data=%v", m.Data))
-		}
-		DebugTraceSink(fmt.Sprintf("dir@%d: %v from %d tag=%d ack=%d | state=%d owner=%d ver=%d busy=%v rt=%d wq=%d",
-			now, m.Type, m.Src, m.Tag, m.AckCount, l.state, l.owner, l.ver, l.busy, l.recallTag, len(l.waitQ)))
-	}
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgUpdateReq:
 		l := d.line(m.Line)

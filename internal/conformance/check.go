@@ -11,7 +11,6 @@ import (
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
-	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 )
@@ -150,10 +149,11 @@ type CheckOptions struct {
 	// Protocols restricts the protocol axis; nil runs the full
 	// GridProtocols set.
 	Protocols []coherence.Protocol
-	// Par drives every cell through the shard engine on up to Par
-	// workers (parsim.Drive); 0 or 1 runs the sequential loop. Verdicts
-	// are identical for every value.
-	Par int
+	// Drive, if non-nil, replaces s.Run() for every fast-forward cell — the
+	// seam the shard engine's parity test drives cells through. Dense
+	// twins always run the sequential dense loop, so they stay the
+	// reference either way. Verdicts must not depend on it.
+	Drive func(*sim.System) (uint64, error)
 }
 
 // idleProgram is the padding CPUs' program: halt immediately. Programs are
@@ -198,7 +198,11 @@ func runCell(p Program, progs []*isa.Program, m core.Model, tech core.Technique,
 	cfg.Tech.DetectSC = true // the §6 monitor is passive; always watch
 	cfg.DenseLoop = dense
 	s := sim.New(cfg, progs)
-	cycles, err := parsim.Drive(s, opts.Par)
+	drive := (*sim.System).Run
+	if opts.Drive != nil && !dense {
+		drive = opts.Drive
+	}
+	cycles, err := drive(s)
 	if err != nil {
 		return cellResult{}, err
 	}

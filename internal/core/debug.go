@@ -26,6 +26,3 @@ func (u *LSU) DebugState() string {
 	}
 	return s
 }
-
-// DebugFlushes prints flushes of completed writes (diagnostic aid).
-var DebugFlushes bool

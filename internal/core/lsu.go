@@ -408,9 +408,6 @@ func (u *LSU) Flush(rob uint64) {
 			if e.issued && e.IsWrite() && !e.Done {
 				panic(fmt.Sprintf("core: flushing issued store seq=%d", e.Seq))
 			}
-			if DebugFlushes && e.IsWrite() && e.Done {
-				println("lsu", u.Proc, "FLUSHING COMPLETED WRITE seq", int(e.Seq), "class", int(e.Class))
-			}
 			delete(u.ids, e.demandID)
 			delete(u.ids, e.specID)
 		}
@@ -608,9 +605,6 @@ func (u *LSU) CoherenceEvent(line uint64, kind cache.EventKind, now uint64) {
 			continue
 		}
 		u.Stats.Counter("spec_matches").Inc()
-		if DebugFlushes {
-			println("lsu", u.Proc, "specMatch seq", int(s.e.Seq), "class", int(s.e.Class), "isRMW", s.isRMW, "done", s.done(), "issued", s.e.issued, "specIss", s.e.specIssued, "specDone", s.e.specDone)
-		}
 		if s.isRMW && s.e.issued {
 			// Appendix A: match after the atomic issued — discard only the
 			// computation following the RMW; the atomic's own return value

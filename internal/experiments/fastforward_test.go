@@ -30,8 +30,8 @@ func renderSuite(t *testing.T, format string, opts runner.Options) []byte {
 	return buf.Bytes()
 }
 
-// denseDrive advances a machine on the sequential loop with fast-forward
-// disabled: the -dense drive.
+// denseDrive advances a machine on the sequential loop with the wake
+// schedule disabled: the dense reference.
 func denseDrive(s *sim.System) (uint64, error) {
 	s.Cfg.DenseLoop = true
 	return s.Run()

@@ -19,14 +19,11 @@ func shardedDrive(par int) func(*sim.System) (uint64, error) {
 // for the shard engine: the complete experiment suite (`sweep -exp all`)
 // must render byte-identical reports in every output format whether each
 // measured phase runs on the sequential loop or on 2, 4 or 8 shard
-// workers. Together with TestFastForwardSuiteByteIdentical this pins the
-// -dense × -par matrix the CLIs expose.
+// workers.
 func TestParallelEngineSuiteByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run; skipped in -short mode")
 	}
-	// Before t.Parallel: no simulation runs yet.
-	parsim.SetWorkerBudget(8)
 	t.Parallel()
 
 	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {

@@ -23,7 +23,7 @@ func BenchmarkFarmLocalVsInProcess(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			results := runner.Run(jobs, runner.Options{Workers: 2, WarmupCache: runner.NewWarmupCache(), Drive: benchSpec.drive()})
+			results := runner.Run(jobs, runner.Options{Workers: 2, WarmupCache: runner.NewWarmupCache()})
 			if _, err := runner.Rows(results); err != nil {
 				b.Fatal(err)
 			}

@@ -25,7 +25,7 @@ type Stats struct {
 	Checkpoints         int // checkpoint uploads accepted
 	CheckpointsRejected int // refused: corrupt snapshot or stale lease
 
-	WarmKeys    int // distinct warmup keys requested
+	WarmKeys    int // distinct declared warmup keys requested
 	WarmBuilds  int // build grants handed out (== WarmKeys when no builder died)
 	WarmFetches int // warmup snapshot downloads served
 }
@@ -64,6 +64,9 @@ type Coordinator struct {
 	jobs        []runner.Job
 	fingerprint string
 	build       string
+	// declared holds the spec's warmup keys (Job.Warmup.Key); the warmup
+	// store refuses every other key. Read-only after NewCoordinator.
+	declared map[string]bool
 
 	ttl   time.Duration
 	every uint64
@@ -111,11 +114,17 @@ func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64
 		build:       BuildHash(),
 		ttl:         leaseTTL,
 		every:       checkpointEvery,
+		declared:    make(map[string]bool),
 		state:       make([]jobState, len(jobs)),
 		results:     make([]runner.Result, len(jobs)),
 		warm:        make(map[string]*warmState),
 		done:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
+	}
+	for _, j := range jobs {
+		if j.Warmup != nil {
+			c.declared[j.Warmup.Key] = true
+		}
 	}
 	c.stats.Jobs = len(jobs)
 	go c.janitor()
@@ -352,8 +361,20 @@ func (c *Coordinator) complete(s *session, a CompleteArgs) bool {
 	return true
 }
 
+// checkDeclared refuses a warmup key the spec's jobs do not declare, so a
+// worker cannot grow the warmup store beyond the spec's own keys.
+func (c *Coordinator) checkDeclared(key string) error {
+	if c.declared[key] {
+		return nil
+	}
+	return fmt.Errorf("farm: warmup key %s is not declared by the spec", short(key))
+}
+
 // warmup runs one poll round of the warmup-fetch protocol for s.
-func (c *Coordinator) warmup(s *session, key string) WarmupReply {
+func (c *Coordinator) warmup(s *session, key string) (WarmupReply, error) {
+	if err := c.checkDeclared(key); err != nil {
+		return WarmupReply{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.warm[key]
@@ -367,21 +388,24 @@ func (c *Coordinator) warmup(s *session, key string) WarmupReply {
 			// The build failed deterministically on the builder; propagate
 			// the same error to every asker, exactly like the in-process
 			// cache propagates its builder's error to every waiter.
-			return WarmupReply{Error: w.err}
+			return WarmupReply{Error: w.err}, nil
 		}
 		c.stats.WarmFetches++
-		return WarmupReply{Snapshot: w.snap}
+		return WarmupReply{Snapshot: w.snap}, nil
 	}
 	if w.builder == nil {
 		w.builder = s
 		c.stats.WarmBuilds++
-		return WarmupReply{Build: true}
+		return WarmupReply{Build: true}, nil
 	}
-	return WarmupReply{} // someone is building; poll again
+	return WarmupReply{}, nil // someone is building; poll again
 }
 
 // putWarmup stores a built warmup snapshot (validated like checkpoints).
 func (c *Coordinator) putWarmup(s *session, a PutWarmupArgs) error {
+	if err := c.checkDeclared(a.Key); err != nil {
+		return err
+	}
 	if a.Error == "" {
 		if _, err := decodeMachine(a.Snapshot); err != nil {
 			return fmt.Errorf("farm: warmup snapshot for key %s rejected: %w", short(a.Key), err)

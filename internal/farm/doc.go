@@ -14,10 +14,11 @@
 // Because jobs travel as indices into a shared enumeration, no closure
 // ever crosses the wire.
 //
-// The spec is the whole workload, settings included: the base protocol,
-// the shard-worker count and the dense loop travel inside it and reach the
-// jobs as values (experiments.Params, conformance.CheckOptions, the
-// executor's drive), never as process state. Farms on different specs can
+// The spec is the whole workload, settings included: the base protocol
+// and the workload parameters travel inside it and reach the jobs as
+// values (experiments.Params, conformance.CheckOptions), never as process
+// state. It holds only settings that change a result; every fleet member
+// drives its jobs on the sequential loop. Farms on different specs can
 // therefore share one process. cmd/sweep and cmd/conform parse their
 // flags into a JobSpec and run it through Fleet.Run — on the in-process
 // pool, or on a farm when the fleet flags name a daemon or a listen
@@ -44,7 +45,9 @@
 // first asker is granted the build — it simulates the warmup once,
 // uploads the snapshot, and every later asker (on any host) downloads it
 // instead of re-simulating. N workers x M grid points therefore cost K
-// warmup simulations, where K is the number of distinct keys.
+// warmup simulations, where K is the number of distinct keys. The
+// coordinator serves only the keys its spec's jobs declare, so a worker
+// cannot grow the warmup table.
 //
 // # Fault tolerance
 //

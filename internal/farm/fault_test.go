@@ -3,7 +3,9 @@ package farm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/rpc"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,20 +248,75 @@ func TestFarmDeadWarmupBuilderPromoted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Stop()
+	key := declaredKey(t, coord)
 
+	ask := func(s *session) WarmupReply {
+		t.Helper()
+		r, err := coord.warmup(s, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	dead := &session{coord: coord, held: map[int]bool{}}
-	if r := coord.warmup(dead, "key"); !r.Build {
+	if r := ask(dead); !r.Build {
 		t.Fatal("first asker was not granted the build")
 	}
 	other := &session{coord: coord, held: map[int]bool{}}
-	if r := coord.warmup(other, "key"); r.Build || r.Snapshot != nil || r.Error != "" {
+	if r := ask(other); r.Build || r.Snapshot != nil || r.Error != "" {
 		t.Fatalf("second asker should wait while the builder lives, got %+v", r)
 	}
 	dead.close() // builder dies before uploading
-	if r := coord.warmup(other, "key"); !r.Build {
+	if r := ask(other); !r.Build {
 		t.Fatal("waiting asker was not promoted after the builder died")
 	}
 	if st := coord.Stats(); st.WarmBuilds != 2 || st.WarmKeys != 1 {
 		t.Errorf("WarmBuilds/WarmKeys = %d/%d, want 2/1 (one re-grant)", st.WarmBuilds, st.WarmKeys)
+	}
+}
+
+// declaredKey returns the warmup key of the coordinator's first job that
+// declares one.
+func declaredKey(t *testing.T, c *Coordinator) string {
+	t.Helper()
+	for _, j := range c.jobs {
+		if j.Warmup != nil {
+			return j.Warmup.Key
+		}
+	}
+	t.Fatal("spec declares no warmup")
+	return ""
+}
+
+// TestFarmWarmupRefusesUndeclaredKeys asserts a worker cannot grow the
+// coordinator's warmup store: asking for, or uploading, a key no job of
+// the spec declares is an error that creates no entry, while the spec's
+// own key is still served.
+func TestFarmWarmupRefusesUndeclaredKeys(t *testing.T) {
+	spec := JobSpec{Kind: "sweep", Exps: []string{"warmequal"}, Procs: 3, Seed: 7}
+	coord, client := dialCoord(t, spec, 0, 0)
+	var w Welcome
+	if err := client.Call("Farm.Hello", Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Worker: "greedy"}, &w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("undeclared-%d", i)
+		var r WarmupReply
+		if err := client.Call("Farm.Warmup", WarmupArgs{Key: key}, &r); err == nil || !strings.Contains(err.Error(), "not declared") {
+			t.Errorf("Warmup(%q) = %+v, %v; want a not-declared error", key, r, err)
+		}
+		if err := client.Call("Farm.PutWarmup", PutWarmupArgs{Key: key, Error: "x"}, &struct{}{}); err == nil || !strings.Contains(err.Error(), "not declared") {
+			t.Errorf("PutWarmup(%q) = %v; want a not-declared error", key, err)
+		}
+	}
+	if st := coord.Stats(); st.WarmKeys != 0 || st.WarmBuilds != 0 {
+		t.Errorf("undeclared keys reached the store: WarmKeys/WarmBuilds = %d/%d, want 0/0", st.WarmKeys, st.WarmBuilds)
+	}
+	var r WarmupReply
+	if err := client.Call("Farm.Warmup", WarmupArgs{Key: declaredKey(t, coord)}, &r); err != nil || !r.Build {
+		t.Errorf("declared key: reply %+v, err %v; want a build grant", r, err)
+	}
+	if st := coord.Stats(); st.WarmKeys != 1 {
+		t.Errorf("WarmKeys = %d after one declared request, want 1", st.WarmKeys)
 	}
 }

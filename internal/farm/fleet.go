@@ -40,9 +40,9 @@ func FleetFlags(fs *flag.FlagSet) *Fleet {
 // order, plus a one-line description of the executor for a progress log.
 // A fleet with no daemon entry and no -listen address is this process: the
 // jobs run on the in-process pool described by pool, at the width of
-// -workers' local:N entries if given, driven by the spec's Par and Dense.
-// Otherwise a farm coordinator leases them to the local:N loopback workers
-// and the invited daemons. Either way the rows render to the same bytes.
+// -workers' local:N entries if given. Otherwise a farm coordinator leases
+// them to the local:N loopback workers and the invited daemons. Either way
+// the rows render to the same bytes.
 func (f *Fleet) Run(spec JobSpec, pool runner.Options) (results []runner.Result, summary string, err error) {
 	local, invites, err := parseWorkers(f.workers)
 	if err != nil {
@@ -59,7 +59,6 @@ func (f *Fleet) Run(spec JobSpec, pool runner.Options) (results []runner.Result,
 		if pool.Workers <= 0 {
 			pool.Workers = runtime.NumCPU()
 		}
-		pool.Drive = spec.drive()
 		return runner.Run(jobs, pool), fmt.Sprintf("%d workers", min(pool.Workers, len(jobs))), nil
 	}
 	results, st, err := Run(spec, Options{

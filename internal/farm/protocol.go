@@ -77,7 +77,8 @@ type RenewReply struct {
 }
 
 // WarmupArgs asks for the warmup snapshot with the given content key
-// (runner.WarmupKey of the job's warmup spec).
+// (runner.WarmupKey of the job's warmup spec). The coordinator refuses a
+// key no job of its spec declares, for Warmup and PutWarmup alike.
 type WarmupArgs struct {
 	Key string
 }

@@ -127,7 +127,11 @@ func (s *session) Warmup(a WarmupArgs, reply *WarmupReply) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
-	*reply = s.coord.warmup(s, a.Key)
+	r, err := s.coord.warmup(s, a.Key)
+	if err != nil {
+		return err
+	}
+	*reply = r
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/conformance"
 	"mcmsim/internal/experiments"
-	"mcmsim/internal/parsim"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 )
@@ -25,7 +24,7 @@ import (
 // fleet member holds a setting outside it.
 type JobSpec struct {
 	// Kind selects the enumerator: "sweep" (the evaluation suite) or
-	// "conform" (a conformance fuzz batch). RegisterKind adds more.
+	// "conform" (a conformance fuzz batch).
 	Kind string
 
 	// Seed is the sweep's workload seed, or the first generator seed of a
@@ -42,40 +41,16 @@ type JobSpec struct {
 	// ("" or "msi", or "mesi"); for a conformance batch it is the grid's
 	// protocol axis ("" or "both", "msi", or "mesi").
 	Protocol string
-	// Par shards each executor-driven simulation (every conformance cell)
-	// across up to Par goroutines. Results are identical for every value.
-	Par int
 
 	// Sweep fields.
 	Exps      []string // sweep names in suite order; nil = the whole suite
 	ScaleCPUs []int    // E16 machine sizes; nil = experiments.ScaleCPUCounts
-	Dense     bool     // step every cycle of the measured phases; results are identical
 
 	// Conform fields.
 	N       int  // programs in the batch
 	Ops     int  // max operations per processor (0 = default)
 	Quick   bool // paper timing only
 	PadCPUs int  // pad every cell's machine to this many processors
-}
-
-// Enumerator reproduces a job list from a spec, or rejects the spec.
-type Enumerator func(JobSpec) ([]runner.Job, error)
-
-var kinds = map[string]Enumerator{}
-
-// RegisterKind installs an enumerator for a spec kind. The "sweep" and
-// "conform" kinds are built in; experiments outside this module can add
-// their own, provided every fleet member's binary registers it.
-func RegisterKind(name string, e Enumerator) {
-	if _, dup := kinds[name]; dup {
-		panic(fmt.Sprintf("farm: duplicate spec kind %q", name))
-	}
-	kinds[name] = e
-}
-
-func init() {
-	RegisterKind("sweep", enumerateSweep)
-	RegisterKind("conform", enumerateConform)
 }
 
 // Enumerate reproduces the spec's job list. Deterministic: the same spec
@@ -85,21 +60,13 @@ func init() {
 // topology sim.ValidateTopo rejects — is an error, never a panic, whether
 // it comes from a command line or over the wire.
 func Enumerate(spec JobSpec) ([]runner.Job, error) {
-	e, ok := kinds[spec.Kind]
-	if !ok {
-		return nil, fmt.Errorf("farm: unknown spec kind %q", spec.Kind)
+	switch spec.Kind {
+	case "sweep":
+		return enumerateSweep(spec)
+	case "conform":
+		return enumerateConform(spec)
 	}
-	return e(spec)
-}
-
-// drive is the spec's executor drive for Measure jobs: the shard engine on
-// Par workers, on the dense loop when Dense is set. Warmups simulated
-// inside Configure or WarmupSpec.Build keep the sequential loop.
-func (spec JobSpec) drive() func(*sim.System) (uint64, error) {
-	return func(s *sim.System) (uint64, error) {
-		s.Cfg.DenseLoop = s.Cfg.DenseLoop || spec.Dense
-		return parsim.Drive(s, spec.Par)
-	}
+	return nil, fmt.Errorf("farm: unknown spec kind %q", spec.Kind)
 }
 
 // sweepPlan validates a "sweep" spec and resolves its experiment
@@ -207,7 +174,7 @@ func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions,
 	}
 	params := conformance.Params{Procs: spec.Procs, ProcOps: spec.Ops}
 	opts := conformance.CheckOptions{
-		Quick: spec.Quick, CPUs: spec.PadCPUs, Topo: spec.Topo, Protocols: protocols, Par: spec.Par,
+		Quick: spec.Quick, CPUs: spec.PadCPUs, Topo: spec.Topo, Protocols: protocols,
 	}
 	return params, opts, nil
 }

@@ -126,14 +126,12 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 		hb.Wait()
 	}()
 
-	spec := welcome.Spec
-	opts := runner.JobOptions{Warmups: warm, Drive: spec.drive()}
+	opts := runner.JobOptions{Warmups: warm}
 	var hookErr error
 	if welcome.CheckpointEvery > 0 && job.Measure != nil {
-		// Checkpointed drives slice the sequential loop: they trade the
-		// shard engine for an interruptible clock.
+		// Checkpointed drives slice the sequential loop into an
+		// interruptible clock.
 		opts.Drive = func(s *sim.System) (uint64, error) {
-			s.Cfg.DenseLoop = s.Cfg.DenseLoop || spec.Dense
 			return s.RunCheckpointed(welcome.CheckpointEvery, func(s *sim.System) error {
 				if lost.Load() {
 					return errAbandoned

@@ -8,34 +8,50 @@ import (
 	"mcmsim/internal/conformance"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/parsim"
 	"mcmsim/internal/sim"
 )
 
-// TestParallelEngineConformParity runs a conformance batch — generated
-// litmus programs checked across the model × technique × timing grid
-// against the exhaustive SC oracle — with every cell driven through the
-// parallel engine (CheckOptions.Par), and requires the verdict to be identical to the
-// sequential batch down to every counter and violation. This is the
-// `conform` leg of the -par differential: the harness observes outcomes,
-// cycle counts and detector verdicts, so any engine divergence surfaces as
-// a report mismatch (and a real consistency-model bug would too).
+// TestParallelEngineConformParity runs conformance batches — generated
+// litmus programs checked across the model × technique × timing ×
+// protocol grid against the exact per-model oracles — with every
+// fast-forward cell driven through the shard engine (CheckOptions.Drive),
+// and requires each report to equal the sequential batch's down to every
+// counter and violation. The harness observes outcomes, cycle counts and
+// detector verdicts, so any engine divergence surfaces as a report
+// mismatch. The batches are the full grid on 8 programs, and 128 quick
+// programs on the uniform network and 64 padded to a 16-CPU mesh. The mesh
+// batch carries known simulator violations on both sides, so the test
+// asserts parity, not a clean verdict.
 func TestParallelEngineConformParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("conformance batch; skipped in -short mode")
+		t.Skip("conformance batches; skipped in -short mode")
 	}
 	t.Parallel()
-	run := func(par int) conformance.Report {
-		return conformance.CheckBatch(1, 8, conformance.Params{}, 1, conformance.CheckOptions{Par: par}, nil)
-	}
-	seq := run(0)
-	if seq.Stats.Cells == 0 {
-		t.Fatal("sequential batch ran no cells")
-	}
-	for _, par := range []int{2, 4} {
-		got := run(par)
-		if !reflect.DeepEqual(seq, got) {
-			t.Errorf("conformance report differs between -par 1 and -par %d:\nseq: %+v\npar: %+v", par, seq, got)
-		}
+	for _, c := range []struct {
+		name string
+		n    int
+		opts conformance.CheckOptions
+		pars []int
+	}{
+		{"full", 8, conformance.CheckOptions{}, []int{2, 4}},
+		{"quick", 128, conformance.CheckOptions{Quick: true}, []int{4}},
+		{"quick-mesh16", 64, conformance.CheckOptions{Quick: true, CPUs: 16, Topo: "mesh"}, []int{4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seq := conformance.CheckBatch(1, c.n, conformance.Params{}, 0, c.opts, nil)
+			if seq.Stats.Cells == 0 {
+				t.Fatal("sequential batch ran no cells")
+			}
+			for _, par := range c.pars {
+				opts := c.opts
+				opts.Drive = func(s *sim.System) (uint64, error) { return parsim.Drive(s, par) }
+				got := conformance.CheckBatch(1, c.n, conformance.Params{}, 0, opts, nil)
+				if !reflect.DeepEqual(seq, got) {
+					t.Errorf("conformance report differs between the sequential loop and par=%d:\nseq: %+v\npar: %+v", par, seq, got)
+				}
+			}
+		})
 	}
 }
 

@@ -27,74 +27,24 @@
 // The engine composes with the fast-forward scheduler at two levels:
 // inside a window each shard skips straight between its own event cycles,
 // and between windows the engine jumps the global clock over stretches
-// where no shard has any event. DeclineReason names the configurations the
-// engine leaves to the sequential loop.
+// where no shard has any event. It ignores Config.DenseLoop: the dense
+// loop is System.Run's reference mode, not an engine mode. DeclineReason
+// names the configurations the engine leaves to the sequential loop.
+//
+// Run starts min(par, shards)-1 goroutines besides its caller; there is no
+// process-wide cap, so callers size par to the host. The batch front ends
+// (sweep, conform, the farm) never shard: they run many small simulations
+// at once, where the job pool already fills the host.
 package parsim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
-	"mcmsim/internal/coherence"
 	"mcmsim/internal/network"
 	"mcmsim/internal/sim"
 )
-
-// Worker budget: a process-wide pool of *extra* goroutines (beyond the
-// goroutine calling Run) shared by every concurrently running engine, so
-// cmd/sweep's job workers and per-simulation shard workers draw from one
-// cap instead of multiplying (-j 8 × -par 8 ≠ 64 goroutines).
-var budget = struct {
-	mu   sync.Mutex
-	free int
-}{free: max(runtime.NumCPU()-1, 0)}
-
-// SetWorkerBudget sets the number of extra worker goroutines the engines in
-// this process may use in total (the calling goroutine of each Run is
-// always available on top). Call it only while no simulations are running.
-// The default is NumCPU-1.
-func SetWorkerBudget(n int) {
-	budget.mu.Lock()
-	budget.free = max(n, 0)
-	budget.mu.Unlock()
-}
-
-// AddWorkerBudget releases n extra worker goroutines into (or, negative,
-// withdraws them from) the shared budget. Unlike SetWorkerBudget it is
-// safe while simulations run: cmd/sweep's job workers call it as the job
-// queue drains, so the tail of a sweep hands its idle CPU share to the
-// shard engines of the simulations still running. Engines already past
-// their acquire keep their current workers; the released share benefits
-// engines that start (or would have acquired less) afterwards.
-func AddWorkerBudget(n int) {
-	budget.mu.Lock()
-	budget.free = max(budget.free+n, 0)
-	budget.mu.Unlock()
-}
-
-func acquireExtra(want int) int {
-	if want <= 0 {
-		return 0
-	}
-	budget.mu.Lock()
-	if want > budget.free {
-		want = budget.free
-	}
-	budget.free -= want
-	budget.mu.Unlock()
-	return want
-}
-
-func releaseExtra(n int) {
-	if n <= 0 {
-		return
-	}
-	budget.mu.Lock()
-	budget.free += n
-	budget.mu.Unlock()
-}
 
 // shardStats is one shard's scheduler-observability record (the -schedstats
 // report). Each entry is written only by the goroutine running that shard
@@ -117,7 +67,6 @@ type engine struct {
 	x      *network.Exchange
 	st     []shardStats
 
-	dense    bool
 	from, to uint64 // current dispatch range [from, to)
 
 	tasks   chan int
@@ -146,9 +95,8 @@ type engine struct {
 //   - zero minimum network delay: the sequential loop delivers a
 //     zero-latency send mid-phase of the cycle it is made in, which no
 //     window barrier can reproduce;
-//   - trace hooks or coherence line tracing: both observe whole-machine
-//     state every cycle, undefined while shards sit at different local
-//     times.
+//   - trace hooks: they observe whole-machine state every cycle,
+//     undefined while shards sit at different local times.
 //
 // Every machine has at least two shards (a home module and the external
 // write agent), so there is always something to overlap.
@@ -160,21 +108,15 @@ func DeclineReason(s *sim.System, par int) string {
 		return "zero network lookahead: a zero-latency send lands mid-cycle"
 	case len(s.TraceHooks) > 0:
 		return "trace hooks observe the whole machine every cycle"
-	case coherence.DebugTraceLine != 0:
-		return "coherence line tracing observes the whole machine every cycle"
 	}
 	return ""
 }
 
 // Drive advances s to completion with up to par shard goroutines, falling
-// back to the sequential loop (s.Run) wherever Run declines. At par ≤ 1 it
-// calls s.Run directly, without consulting DeclineReason: per-cell callers
-// such as the conformance grid then pay nothing for the option.
+// back to the sequential loop (s.Run) wherever Run declines.
 func Drive(s *sim.System, par int) (uint64, error) {
-	if par > 1 {
-		if halt, handled, err := Run(s, par); handled {
-			return halt, err
-		}
+	if halt, handled, err := Run(s, par); handled {
+		return halt, err
 	}
 	return s.Run()
 }
@@ -211,7 +153,6 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 		eps:     make([]*network.Endpoint, len(shards)),
 		x:       network.NewExchange(s.Net),
 		st:      make([]shardStats, len(shards)),
-		dense:   s.Cfg.DenseLoop,
 		tasks:   make(chan int, len(shards)),
 		horizon: max(4*w, minHorizon),
 	}
@@ -223,9 +164,8 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	// agent shard: its window loop is then pure delivery, with no
 	// special-case peek at the write queue.
 	s.InjectScheduledWrites(e.x)
-	extra := acquireExtra(min(par, len(shards)) - 1)
-	e.workers = 1 + extra
-	for k := 0; k < extra; k++ {
+	e.workers = min(par, len(shards))
+	for k := 1; k < e.workers; k++ {
 		go func() {
 			for i := range e.tasks {
 				e.runShard(i)
@@ -235,7 +175,6 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	}
 	teardown := func() {
 		close(e.tasks)
-		releaseExtra(extra)
 		for _, sh := range e.shards {
 			sh.BindPort(s.Net)
 		}
@@ -259,31 +198,25 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 			end = t + e.horizon
 		}
 		end = min(end, limit+1)
+		// Global fast-forward: jump the clock to the earliest event of any
+		// shard (mirroring the sequential loop's horizon, including its
+		// deadlock jump past the cycle budget), and dispatch only the
+		// shards with an event inside this window.
+		horizon, any := e.globalHorizon(t)
+		if !any {
+			horizon = limit + 1
+		}
+		if horizon > t {
+			horizon = min(horizon, limit+1)
+			s.FastForwarded += horizon - t
+			s.Cycle = horizon
+			e.globalJumps++
+			continue
+		}
 		work = work[:0]
-		if e.dense {
-			for i := range e.shards {
+		for i, sh := range e.shards {
+			if c, ok := sh.NextEvent(t, e.eps[i]); ok && c < end {
 				work = append(work, i)
-			}
-		} else {
-			// Global fast-forward: jump the clock to the earliest event of
-			// any shard (mirroring the sequential loop's horizon, including
-			// its deadlock jump past the cycle budget), and dispatch only
-			// the shards with an event inside this window.
-			horizon, any := e.globalHorizon(t)
-			if !any {
-				horizon = limit + 1
-			}
-			if horizon > t {
-				horizon = min(horizon, limit+1)
-				s.FastForwarded += horizon - t
-				s.Cycle = horizon
-				e.globalJumps++
-				continue
-			}
-			for i, sh := range e.shards {
-				if c, ok := sh.NextEvent(t, e.eps[i]); ok && c < end {
-					work = append(work, i)
-				}
 			}
 		}
 		e.windows++
@@ -330,17 +263,13 @@ func (e *engine) dispatch(work []int) {
 }
 
 // runShard advances one shard through the current dispatch range, stepping
-// only the cycles where the shard provably has work (unless dense mode
-// insists on stepping them all — the step is a no-op then, by the NextWake
-// contract).
+// only the cycles where the shard provably has work.
 func (e *engine) runShard(i int) {
 	sh, ep, st := e.shards[i], e.eps[i], &e.st[i]
 	for now := e.from; now < e.to; {
 		c, ok := sh.NextEvent(now, ep)
-		if active := ok && c <= now; active || e.dense {
-			if active {
-				st.activeUntil = now + 1
-			}
+		if ok && c <= now {
+			st.activeUntil = now + 1
 			sh.StepCycle(now, ep)
 			st.steps++
 			now++

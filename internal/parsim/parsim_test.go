@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/parsim"
@@ -17,16 +16,15 @@ import (
 )
 
 // The tests drive parsim.Run directly, or through parsim.Drive handed to
-// runner.Run as the pool's drive; the budget is raised explicitly because
-// the differential guarantee must hold — and be exercised — regardless of
-// how many CPUs the host happens to have.
+// runner.Run as the pool's drive. Run starts one goroutine per worker up
+// to the shard count, whatever the host's CPU count, so every worker
+// count below is exercised as written.
 //
 // Every differential case runs on its machine, whose lookahead is 8 cycles
 // or more (conservative windows only), and on that machine's
 // low-lookahead twin (lowLookahead), where the window policy speculates
 // and rolls back. Where a case has two tests, the
 // TestParallelEngineOptimistic* one is the twin.
-func init() { parsim.SetWorkerBudget(8) }
 
 var techniques = []struct {
 	name string
@@ -139,11 +137,12 @@ func diffResults(t *testing.T, label string, seq, par runResult) {
 	}
 }
 
-// gridDiff is the differential gate across the model × technique grid, in
-// both dense and fast-forward mode: the sharded run must reproduce the
-// sequential run exactly — halt cycle, final clock value, every stats
-// counter, and the coherent memory image — for every worker count. It
-// returns the rollbacks summed over the grid.
+// gridDiff is the differential gate across the model × technique grid:
+// the sharded run must reproduce the sequential run exactly — halt cycle,
+// final clock value, every stats counter, and the coherent memory image —
+// for every worker count. The shard engine ignores Config.DenseLoop, so
+// the dense rows hold it to the dense sequential reference. It returns
+// the rollbacks summed over the grid.
 func gridDiff(t *testing.T, twin bool) (rollbacks uint64) {
 	for _, m := range core.AllModels {
 		for _, tc := range techniques {
@@ -436,21 +435,17 @@ func declines(t *testing.T, twin bool) {
 	traced := sim.New(cfg, progs)
 	traced.TraceHooks = append(traced.TraceHooks, func(*sim.System, uint64) {})
 
-	defer func(line uint64) { coherence.DebugTraceLine = line }(coherence.DebugTraceLine)
 	for _, c := range []struct {
 		name string
 		s    *sim.System
 		par  int
-		line uint64 // coherence.DebugTraceLine during the case
 		want string
 	}{
-		{"one worker", sim.New(cfg, progs), 1, 0, "at least 2 workers"},
-		{"zero lookahead", sim.New(zero, progs), 4, 0, "zero network lookahead"},
-		{"trace hooks", traced, 4, 0, "trace hooks"},
-		{"line tracing", sim.New(cfg, progs), 4, 64, "coherence line tracing"},
-		{"accepted", sim.New(cfg, progs), 4, 0, ""},
+		{"one worker", sim.New(cfg, progs), 1, "at least 2 workers"},
+		{"zero lookahead", sim.New(zero, progs), 4, "zero network lookahead"},
+		{"trace hooks", traced, 4, "trace hooks"},
+		{"accepted", sim.New(cfg, progs), 4, ""},
 	} {
-		coherence.DebugTraceLine = c.line
 		got := parsim.DeclineReason(c.s, c.par)
 		if (got == "") != (c.want == "") || !strings.Contains(got, c.want) {
 			t.Errorf("%s: DeclineReason = %q, want it to mention %q", c.name, got, c.want)
@@ -472,8 +467,8 @@ func TestParallelEngineDeclines(t *testing.T) { declines(t, false) }
 func TestParallelEngineOptimisticDeclines(t *testing.T) { declines(t, true) }
 
 // runViaPool runs cfg as a one-job runner.Run pool whose Options.Drive
-// shards it on par workers — the production entry cmd/sweep -par builds —
-// and returns the driven machine with its halt cycle.
+// shards it on par workers — the seam the suite differentials drive
+// through — and returns the driven machine with its halt cycle.
 func runViaPool(t *testing.T, cfg sim.Config, progs []*isa.Program, par int) (*sim.System, uint64) {
 	t.Helper()
 	var s *sim.System
@@ -493,9 +488,9 @@ func runViaPool(t *testing.T, cfg sim.Config, progs []*isa.Program, par int) (*s
 	return s, res.Row.Cycles
 }
 
-// TestParallelEngineViaRunKnob exercises the production entry point: a
-// runner pool whose Options.Drive is parsim.Drive, including the fallback
-// path staying invisible.
+// TestParallelEngineViaRunKnob exercises the pool entry point: a runner
+// pool whose Options.Drive is parsim.Drive, including the fallback path
+// staying invisible.
 func TestParallelEngineViaRunKnob(t *testing.T) {
 	t.Parallel()
 	cfg := sim.RealisticConfig()

@@ -88,21 +88,16 @@ type Options struct {
 	// across the run's jobs: each distinct key is simulated once and every
 	// job restores a private machine from its snapshot. Results are
 	// byte-identical with and without a cache (`make differential` gates
-	// this); nil simply re-simulates each job's warmup.
+	// this); nil simply re-simulates each job's warmup — the cold
+	// reference that gate compares against. cmd/sweep always installs one.
 	WarmupCache *WarmupCache
 
 	// Drive, if non-nil, is handed to every job as JobOptions.Drive: it
 	// replaces s.Run() for the executor-driven measured phase of Measure
-	// jobs (cmd/sweep builds it from -par and -dense). Warmups simulated
-	// inside Configure or WarmupSpec.Build keep the sequential loop.
+	// jobs. It is a seam for the differential tests (dense and sharded
+	// drives); the front ends leave it nil. Warmups simulated inside
+	// Configure or WarmupSpec.Build keep the sequential loop.
 	Drive func(s *sim.System) (uint64, error)
-
-	// OnWorkerIdle, if non-nil, is called once by each worker goroutine
-	// when it finds the job queue closed and drained — the hook cmd/sweep
-	// uses to release the idle worker's CPU share into the shard engines'
-	// goroutine budget (parsim.AddWorkerBudget) for the simulations still
-	// running at the sweep's tail.
-	OnWorkerIdle func()
 }
 
 // Run executes the jobs on a bounded worker pool and returns one Result
@@ -134,9 +129,6 @@ func Run(jobs []Job, opts Options) []Result {
 			for i := range jobCh {
 				results[i] = RunJob(jobs[i], JobOptions{Warmups: src, Drive: opts.Drive})
 				doneCh <- i
-			}
-			if opts.OnWorkerIdle != nil {
-				opts.OnWorkerIdle()
 			}
 		}()
 	}

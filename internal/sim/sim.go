@@ -85,7 +85,7 @@ type Config struct {
 	// DenseLoop disables the wake schedule: Run calls Step, which ticks
 	// every node on every cycle even when all of them are provably inert.
 	// The reference for debugging and for the differential tests that
-	// prove the schedule changes nothing.
+	// prove the schedule changes nothing. The shard engine ignores it.
 	DenseLoop bool
 }
 
