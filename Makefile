@@ -70,10 +70,13 @@ oracle-diff:
 cover:
 	$(GO) test -cover ./internal/...
 
-# The native fuzz target: arbitrary byte strings decode to litmus programs
-# that are checked against the oracle on the reduced (paper-timing) grid.
+# The native fuzz targets: arbitrary byte strings decode to litmus programs
+# that are checked against the oracle on the reduced (paper-timing) grid,
+# and arbitrary byte strings fed to snapshot.Read and sim.Restore must come
+# back as a machine or as a snapshot.ErrInvalid error, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConformance -fuzztime 30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 30s -fuzzminimizetime 3s ./internal/sim
 
 # Regenerate every figure/experiment headline via the benchmark harness,
 # archiving the results (ns/op, allocs/op, simulated cycles/sec) as

@@ -21,7 +21,7 @@ func (c *Cache) Access(req Request, now uint64) Result {
 		// A victim writeback for this line is still in flight; re-requesting
 		// now would race the directory's view of ownership. Stall until the
 		// writeback is acknowledged.
-		c.Stats.Counter("wb_stalls").Inc()
+		c.wbStalls.Inc()
 		if req.Kind == ReqPrefetch || req.Kind == ReqPrefetchEx {
 			return PrefetchDropped
 		}
@@ -36,12 +36,12 @@ func (c *Cache) Access(req Request, now uint64) Result {
 			l.lastUse = c.useClock
 			c.useClock++
 			c.schedule(req, now)
-			c.Stats.Counter("read_hits").Inc()
+			c.readHits.Inc()
 			return Hit
 		}
 		if m != nil {
 			m.waiters = append(m.waiters, waiter{req: req})
-			c.Stats.Counter("read_merges").Inc()
+			c.readMerges.Inc()
 			return Merged
 		}
 		return c.startMiss(req, lineAddr, false, false, now)
@@ -56,7 +56,7 @@ func (c *Cache) Access(req Request, now uint64) Result {
 			l.lastUse = c.useClock
 			c.useClock++
 			c.schedule(req, now)
-			c.Stats.Counter("write_hits").Inc()
+			c.writeHits.Inc()
 			return Hit
 		}
 		if m != nil {
@@ -67,7 +67,7 @@ func (c *Cache) Access(req Request, now uint64) Result {
 				m.escalate = true
 			}
 			m.waiters = append(m.waiters, waiter{req: req})
-			c.Stats.Counter("write_merges").Inc()
+			c.writeMerges.Inc()
 			return Merged
 		}
 		// A Shared copy is insufficient for a write: request exclusivity.
@@ -87,7 +87,7 @@ func (c *Cache) accessPrefetch(req Request, lineAddr uint64, l *line, m *mshr, n
 	if c.proto == ProtoUpdate && req.Kind == ReqPrefetchEx {
 		// Read-exclusive prefetch is not possible under an update protocol
 		// (paper §3.1); treat as dropped so the issuer wastes no request.
-		c.Stats.Counter("prefetch_dropped").Inc()
+		c.prefetchDropped.Inc()
 		return PrefetchDropped
 	}
 	wantEx := req.Kind == ReqPrefetchEx
@@ -100,13 +100,13 @@ func (c *Cache) accessPrefetch(req Request, lineAddr uint64, l *line, m *mshr, n
 		if wantEx && !m.exclusive {
 			m.escalate = true
 		}
-		c.Stats.Counter("prefetch_dropped").Inc()
+		c.prefetchDropped.Inc()
 		return PrefetchDropped
 	}
 	if l != nil {
 		sufficient := !wantEx || writableState(l.state)
 		if sufficient {
-			c.Stats.Counter("prefetch_dropped").Inc()
+			c.prefetchDropped.Inc()
 			return PrefetchDropped
 		}
 		// Shared copy but an exclusive prefetch: upgrade via GetX.
@@ -134,7 +134,7 @@ func (c *Cache) accessWriteUpdate(req Request, lineAddr uint64, l *line, m *mshr
 	}
 	if m != nil {
 		m.waiters = append(m.waiters, waiter{req: req})
-		c.Stats.Counter("write_merges").Inc()
+		c.writeMerges.Inc()
 		return Merged
 	}
 	// Write-allocate: fill shared first; the fill completion path sends the
@@ -158,7 +158,7 @@ func (c *Cache) sendUpdateReq(req Request, now uint64) {
 // startMiss allocates an MSHR and sends the fill request to the directory.
 func (c *Cache) startMiss(req Request, lineAddr uint64, exclusive, prefetch bool, now uint64) Result {
 	if len(c.mshrs) >= c.cfg.MaxMSHRs {
-		c.Stats.Counter("mshr_blocked").Inc()
+		c.mshrBlocked.Inc()
 		return Blocked
 	}
 	if _, dup := c.mshrs[lineAddr]; dup {
@@ -177,9 +177,9 @@ func (c *Cache) startMiss(req Request, lineAddr uint64, exclusive, prefetch bool
 		Type: typ, Src: c.ID, Dst: c.homeFor(lineAddr), Line: lineAddr,
 	}, now)
 	if prefetch {
-		c.Stats.Counter("prefetches_issued").Inc()
+		c.prefetchesIssued.Inc()
 	} else {
-		c.Stats.Counter("misses").Inc()
+		c.misses.Inc()
 	}
 	return Miss
 }

@@ -256,7 +256,11 @@ type Cache struct {
 	proto  Protocol
 	client Client
 
-	sets        [][]*line
+	// setOf maps a set index to 1 + the set's position in setTab, or 0 for
+	// a set no line was ever installed in; setTab grows as sets are first
+	// filled. A cache thus costs 4 bytes per set plus the sets in use.
+	setOf       []int32
+	setTab      [][]*line
 	mshrs       map[uint64]*mshr // by line address
 	wb          map[uint64]*wbEntry
 	completions []completion
@@ -283,6 +287,9 @@ type Cache struct {
 	nstOutstanding int
 
 	Stats *stats.Set
+	// Counters bumped per access, resolved once.
+	readHits, writeHits, readMerges, writeMerges, misses     stats.CounterRef
+	prefetchesIssued, prefetchDropped, mshrBlocked, wbStalls stats.CounterRef
 }
 
 // Protocol mirrors coherence.Protocol; redeclared to keep the cache free of
@@ -313,13 +320,22 @@ func New(id, dirID network.NodeID, net *network.Network, geom memsys.Geometry, c
 	}
 	c := &Cache{
 		ID: id, DirID: dirID, net: net, geom: geom, cfg: cfg, proto: proto, client: client,
-		sets:    make([][]*line, cfg.Sets),
+		setOf:   make([]int32, cfg.Sets),
 		mshrs:   make(map[uint64]*mshr),
 		wb:      make(map[uint64]*wbEntry),
 		ackPool: make(map[ackKey]int),
 		pinned:  make(map[uint64]int),
 		Stats:   stats.NewSet(fmt.Sprintf("cache%d", id)),
 	}
+	c.readHits = c.Stats.Ref("read_hits")
+	c.writeHits = c.Stats.Ref("write_hits")
+	c.readMerges = c.Stats.Ref("read_merges")
+	c.writeMerges = c.Stats.Ref("write_merges")
+	c.misses = c.Stats.Ref("misses")
+	c.prefetchesIssued = c.Stats.Ref("prefetches_issued")
+	c.prefetchDropped = c.Stats.Ref("prefetch_dropped")
+	c.mshrBlocked = c.Stats.Ref("mshr_blocked")
+	c.wbStalls = c.Stats.Ref("wb_stalls")
 	net.Attach(id, c)
 	return c
 }
@@ -328,9 +344,18 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int((lineAddr / c.geom.LineWords) % uint64(c.cfg.Sets))
 }
 
+// set returns the ways of set idx, or nil if no line was ever installed
+// there.
+func (c *Cache) set(idx int) []*line {
+	if k := c.setOf[idx]; k > 0 {
+		return c.setTab[k-1]
+	}
+	return nil
+}
+
 // lookup returns the resident line, or nil.
 func (c *Cache) lookup(lineAddr uint64) *line {
-	for _, l := range c.sets[c.setIndex(lineAddr)] {
+	for _, l := range c.set(c.setIndex(lineAddr)) {
 		if l.addr == lineAddr && l.state != Invalid {
 			return l
 		}

@@ -26,7 +26,7 @@ func (c *Cache) DebugLine(lineAddr uint64) string {
 // overlays these on main memory to produce the coherent memory view.
 func (c *Cache) DirtyLines() map[uint64][]int64 {
 	out := make(map[uint64][]int64)
-	for _, set := range c.sets {
+	for _, set := range c.setTab {
 		for _, l := range set {
 			if l != nil && l.state == Modified {
 				out[l.addr] = append([]int64(nil), l.data...)

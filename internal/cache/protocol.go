@@ -137,7 +137,7 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 		delete(c.mshrs, ms.lineAddr)
 		l = &line{addr: ms.lineAddr, state: state, data: ms.data, grantVer: ms.grantVer, lastUse: c.useClock}
 		c.useClock++
-		set := c.sets[c.setIndex(ms.lineAddr)]
+		set := c.set(c.setIndex(ms.lineAddr))
 		placed := false
 		for i, existing := range set {
 			if existing.state == Invalid {
@@ -296,13 +296,15 @@ func (c *Cache) applyDeferred(ms *mshr, now uint64) {
 // (§4.1).
 func (c *Cache) victimize(lineAddr uint64, now uint64) bool {
 	idx := c.setIndex(lineAddr)
-	set := c.sets[idx]
+	set := c.set(idx)
 	if set == nil {
 		set = make([]*line, c.cfg.Ways)
+		ways := make([]line, c.cfg.Ways) // Invalid is the zero state
 		for i := range set {
-			set[i] = &line{state: Invalid}
+			set[i] = &ways[i]
 		}
-		c.sets[idx] = set
+		c.setTab = append(c.setTab, set)
+		c.setOf[idx] = int32(len(c.setTab))
 	}
 	for _, l := range set {
 		if l.state == Invalid {

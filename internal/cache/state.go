@@ -134,11 +134,12 @@ func (c *Cache) ExportState() (SavedState, error) {
 func (c *Cache) ExportStateInto(st *SavedState) error {
 	c.Stats.ExportStateInto(&st.Stats)
 	st.UseClock = c.useClock
-	if cap(st.Sets) < len(c.sets) {
-		st.Sets = make([][]LineState, len(c.sets))
+	if cap(st.Sets) < c.cfg.Sets {
+		st.Sets = make([][]LineState, c.cfg.Sets)
 	}
-	st.Sets = st.Sets[:len(c.sets)]
-	for i, set := range c.sets {
+	st.Sets = st.Sets[:c.cfg.Sets]
+	for i := range st.Sets {
+		set := c.set(i)
 		prev := st.Sets[i]
 		ways := prev[:0]
 		for w, l := range set {
@@ -240,27 +241,33 @@ func (c *Cache) RestoreState(st SavedState) error {
 		return fmt.Errorf("cache %d: snapshot has %d sets, cache has %d", c.ID, len(st.Sets), c.cfg.Sets)
 	}
 	// The rollback path restores as often as it checkpoints, so the discarded
-	// state's allocations — line objects, their data arrays, the transient
-	// maps — are reused in place. Safe because the cache's data arrays are
-	// pairwise disjoint at any step boundary: a fill's MSHR hands its array
-	// to the installed line and is deleted in the same step, and every
-	// message or writeback carries a fresh copy.
-	if c.sets == nil {
-		c.sets = make([][]*line, c.cfg.Sets)
-	}
+	// state's allocations — set tables, line objects, their data arrays, the
+	// transient maps — are reused in place. Safe because the cache's data
+	// arrays are pairwise disjoint at any step boundary: a fill's MSHR hands
+	// its array to the installed line and is deleted in the same step, and
+	// every message or writeback carries a fresh copy. Old sets are reused
+	// in table order: slot k of the shared backing array is read before
+	// append overwrites it.
 	for i, ways := range st.Sets {
-		// A set is either untouched (nil — victimize lazily populates it
-		// with cfg.Ways Invalid lines on first install) or fully populated;
-		// restoring an empty set as a non-nil zero-way slice would defeat
-		// the lazy init and leave installs retrying forever.
-		if len(ways) == 0 {
-			c.sets[i] = nil
-			continue
-		}
-		if len(ways) != c.cfg.Ways {
+		if len(ways) != 0 && len(ways) != c.cfg.Ways {
 			return fmt.Errorf("cache %d: snapshot set %d has %d ways, cache has %d", c.ID, i, len(ways), c.cfg.Ways)
 		}
-		set := c.sets[i]
+	}
+	old := c.setTab
+	c.setTab = c.setTab[:0]
+	clear(c.setOf)
+	for i, ways := range st.Sets {
+		// A set is either untouched (victimize lazily populates it with
+		// cfg.Ways Invalid lines on first install) or fully populated;
+		// restoring an empty set as a zero-way set would defeat the lazy
+		// init and leave installs retrying forever.
+		if len(ways) == 0 {
+			continue
+		}
+		var set []*line
+		if k := len(c.setTab); k < len(old) {
+			set = old[k]
+		}
 		if cap(set) < len(ways) {
 			set = make([]*line, len(ways))
 		}
@@ -274,7 +281,8 @@ func (c *Cache) RestoreState(st SavedState) error {
 			buf := l.data
 			*l = line{addr: ls.Addr, state: State(ls.State), data: copyWordsInto(buf, ls.Data), grantVer: ls.GrantVer, lastUse: ls.LastUse}
 		}
-		c.sets[i] = set
+		c.setTab = append(c.setTab, set)
+		c.setOf[i] = int32(len(c.setTab))
 	}
 	c.useClock = st.UseClock
 	if c.ackPool == nil {
@@ -368,6 +376,5 @@ func (c *Cache) RestoreState(st SavedState) error {
 		c.pinned[p.LineAddr] = p.Count
 	}
 	c.nstOutstanding = st.NSTOutstanding
-	c.Stats.RestoreState(st.Stats)
-	return nil
+	return c.Stats.RestoreState(st.Stats)
 }

@@ -92,6 +92,8 @@ type Directory struct {
 	protocol Protocol
 	lines    map[uint64]*dirLine
 	Stats    *stats.Set
+	// Counters bumped per serviced message or request, resolved once.
+	serviced, gets, getx, invalidations stats.CounterRef
 
 	// linePool is RestoreState scratch: the discarded table's dirLine
 	// objects, collected for in-place reuse on the rollback path.
@@ -123,6 +125,10 @@ func New(id network.NodeID, net *network.Network, mem *memsys.Memory, memLat uin
 		lines:    make(map[uint64]*dirLine),
 		Stats:    stats.NewSet("directory"),
 	}
+	d.serviced = d.Stats.Ref("serviced")
+	d.gets = d.Stats.Ref("gets")
+	d.getx = d.Stats.Ref("getx")
+	d.invalidations = d.Stats.Ref("invalidations")
 	net.Attach(id, d)
 	return d
 }
@@ -180,7 +186,7 @@ func (d *Directory) Tick(now uint64) {
 	}
 	d.batch = batch[:0]
 	if n > 0 {
-		d.Stats.Counter("serviced").Add(uint64(n))
+		d.serviced.Add(uint64(n))
 	}
 }
 
@@ -290,7 +296,7 @@ func (d *Directory) process(l *dirLine, m *network.Message, now uint64) bool {
 }
 
 func (d *Directory) processGetS(l *dirLine, m *network.Message, now uint64) bool {
-	d.Stats.Counter("gets").Inc()
+	d.gets.Inc()
 	switch l.state {
 	case dirUncached, dirShared:
 		if d.protocol == ProtoMESI && l.state == dirUncached {
@@ -346,7 +352,7 @@ func (d *Directory) processGetS(l *dirLine, m *network.Message, now uint64) bool
 }
 
 func (d *Directory) processGetX(l *dirLine, m *network.Message, now uint64) bool {
-	d.Stats.Counter("getx").Inc()
+	d.getx.Inc()
 	switch l.state {
 	case dirUncached, dirShared:
 		l.ver++
@@ -362,7 +368,7 @@ func (d *Directory) processGetX(l *dirLine, m *network.Message, now uint64) bool
 				Type: MsgInv, Src: d.ID, Dst: s,
 				Line: m.Line, Tag: l.ver, Requester: m.Src,
 			}, now)
-			d.Stats.Counter("invalidations").Inc()
+			d.invalidations.Inc()
 		})
 		l.sharers.clear()
 		l.state = dirExclusive

@@ -141,6 +141,5 @@ func (d *Directory) RestoreState(st State) error {
 	for _, ms := range st.Ingress {
 		d.ingress = append(d.ingress, ms.Instantiate())
 	}
-	d.Stats.RestoreState(st.Stats)
-	return nil
+	return d.Stats.RestoreState(st.Stats)
 }

@@ -20,7 +20,7 @@ func (u *LSU) addMonitorEntry(e *Entry) {
 	if !u.olderAccessIncomplete(e) {
 		return
 	}
-	u.monitor = append(u.monitor, &specEntry{e: e, acq: true})
+	u.monitor = append(u.monitor, u.newRow(specEntry{e: e, acq: true}))
 }
 
 // olderAccessIncomplete reports whether any access older than e has not
@@ -45,6 +45,7 @@ func (u *LSU) monitorCoherenceEvent(line uint64) {
 	for _, s := range u.monitor {
 		if u.geom.LineOf(s.e.Addr) == line && !s.e.forwarded {
 			u.Stats.Counter("sc_violations_detected").Inc()
+			u.releaseRow(s)
 			continue
 		}
 		kept = append(kept, s)
@@ -71,6 +72,9 @@ func (u *LSU) retireMonitorEntries() {
 		n++
 	}
 	if n > 0 {
+		for _, s := range u.monitor[:n] {
+			u.releaseRow(s)
+		}
 		u.monitor = u.monitor[:copy(u.monitor, u.monitor[n:])]
 	}
 }
@@ -81,6 +85,8 @@ func (u *LSU) flushMonitor(rob uint64) {
 	for _, s := range u.monitor {
 		if s.e.Seq < rob {
 			kept = append(kept, s)
+		} else {
+			u.releaseRow(s)
 		}
 	}
 	u.monitor = kept

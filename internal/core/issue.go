@@ -190,7 +190,7 @@ func (u *LSU) swPrefetchTick(now uint64) bool {
 		e.Done = true
 		u.swpfQ = u.swpfQ[:copy(u.swpfQ, u.swpfQ[1:])]
 		u.emit(ObsPrefetch, e, 0, now)
-		u.Stats.Counter("sw_prefetches").Inc()
+		u.swPrefetches.Inc()
 		return true // probe or fill, the port was used either way
 	}
 	return false
@@ -309,6 +309,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 		e.issued = true
 		e.forwarded = true
 		e.fwdFrom = fwd
+		fwd.fwdSource = true
 		u.forwards = append(u.forwards, forwardCompletion{at: now + u.cfg.ForwardLatency, id: id, value: fwd.data})
 		u.popLoadQ(e)
 		if u.cfg.Tech.SpecLoad {
@@ -318,7 +319,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 			u.addMonitorEntry(e)
 		}
 		u.emit(ObsForward, e, fwd.data, now)
-		u.Stats.Counter("store_forwards").Inc()
+		u.storeForwards.Inc()
 		return true, false
 	}
 
@@ -345,7 +346,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 	res := u.cache.Access(req, now)
 	switch res {
 	case cache.Blocked:
-		delete(u.ids, req.ID)
+		u.dropID(req.ID)
 		return false, true
 	case cache.Hit, cache.Miss, cache.Merged:
 		if isRMW {
@@ -363,7 +364,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 		if u.cfg.Tech.DetectSC {
 			u.addMonitorEntry(e)
 		}
-		u.Stats.Counter("loads_issued").Inc()
+		u.loadsIssued.Inc()
 		return res != cache.Merged, false
 	default:
 		panic("core: unexpected access result for load")
@@ -401,7 +402,7 @@ func (u *LSU) issueStore(e *Entry, now uint64) (usedPort, blocked bool) {
 	res := u.cache.Access(req, now)
 	switch res {
 	case cache.Blocked:
-		delete(u.ids, req.ID)
+		u.dropID(req.ID)
 		return false, true
 	case cache.Hit, cache.Miss, cache.Merged:
 		e.issued = true
@@ -410,7 +411,7 @@ func (u *LSU) issueStore(e *Entry, now uint64) (usedPort, blocked bool) {
 			u.addMonitorEntry(e)
 		}
 		u.emit(ObsStoreIssued, e, 0, now)
-		u.Stats.Counter("stores_issued").Inc()
+		u.storesIssued.Inc()
 		return res != cache.Merged, false
 	default:
 		panic("core: unexpected access result for store")
@@ -438,11 +439,11 @@ func (u *LSU) addSpecEntry(e *Entry, isRMW bool) {
 			return
 		}
 	}
-	s := &specEntry{
+	s := u.newRow(specEntry{
 		e:     e,
 		acq:   loadIsAcquireInSpecBuffer(u.cfg.Model, e.Class),
 		isRMW: isRMW,
-	}
+	})
 	if isRMW {
 		// Appendix A: the store tag names the RMW's own atomic operation in
 		// the store buffer.
@@ -458,7 +459,7 @@ func (u *LSU) addSpecEntry(e *Entry, isRMW bool) {
 		}
 	}
 	u.spec = append(u.spec, s)
-	u.Stats.Counter("spec_entries").Inc()
+	u.specEntries.Inc()
 }
 
 // prefetchTick issues at most one hardware prefetch for an access that is
@@ -477,7 +478,7 @@ func (u *LSU) prefetchTick(now uint64) {
 		if res == cache.Miss {
 			u.emit(ObsPrefetch, e, 0, now)
 		}
-		u.Stats.Counter("prefetch_attempts").Inc()
+		u.prefetchAttempts.Inc()
 		// Port consumed either way.
 	case cache.Blocked:
 		return

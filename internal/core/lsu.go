@@ -74,7 +74,9 @@ const (
 
 // Entry is one memory access flowing through the load/store unit. Entries
 // are created at dispatch in program order; Seq equals the ROB identifier,
-// which increases monotonically.
+// which increases monotonically. The LSU recycles an entry once nothing
+// can reach it any more (see releaseEntry), so an *Entry is only valid
+// while the access is in the unit.
 type Entry struct {
 	Seq   uint64
 	Class AccessClass
@@ -114,6 +116,15 @@ type Entry struct {
 
 	demandID uint64 // current cache access id (re-assigned on reissue)
 	specID   uint64
+
+	// Reachability bookkeeping for recycling (not serialized; RestoreState
+	// rebuilds it): idRefs counts the live cache-access ids that name the
+	// entry, and fwdSource records that some load forwarded its value from
+	// this store, so a load's fwdFrom may still point here.
+	idRefs    int
+	fwdSource bool
+
+	nextFree *Entry // free-list link while released
 }
 
 // IsWrite reports whether the entry writes memory.
@@ -134,6 +145,8 @@ type specEntry struct {
 	suspect     bool // a coherence event matched; value must be re-checked
 	revalIssued bool // the repeat access is in flight
 	revalOK     bool // the repeat access confirmed the speculated value
+
+	nextFree *specEntry // free-list link while released
 }
 
 func (s *specEntry) done() bool {
@@ -170,6 +183,12 @@ type LSU struct {
 	nextID     uint64
 	revalBySeq map[uint64]*specEntry // pending revalidations by entry Seq
 
+	// Free lists of released entries and buffer rows, reused by Dispatch
+	// and the buffers so the instruction flow does not allocate once they
+	// have grown.
+	freeEntries *Entry
+	freeRows    *specEntry
+
 	// forwards holds store-buffer-forwarded loads completing later;
 	// fireScratch is TickComplete's reusable due-list.
 	forwards    []forwardCompletion
@@ -181,6 +200,9 @@ type LSU struct {
 	// latHist caches the per-class completion-latency histograms so the
 	// completion path does not rebuild "latency_<class>" keys per access.
 	latHist [numAccessClasses]*stats.Histogram
+	// Counters bumped per access, resolved once.
+	dispatched, loadsIssued, storesIssued, storeForwards     stats.CounterRef
+	specEntries, specRetired, prefetchAttempts, swPrefetches stats.CounterRef
 }
 
 // numAccessClasses sizes per-class lookup arrays.
@@ -210,7 +232,7 @@ func NewLSU(proc int, cfg Config, c *cache.Cache, geom memsys.Geometry) *LSU {
 	if cfg.ForwardLatency == 0 {
 		cfg.ForwardLatency = 1
 	}
-	return &LSU{
+	u := &LSU{
 		Proc:       proc,
 		cfg:        cfg,
 		cache:      c,
@@ -219,6 +241,15 @@ func NewLSU(proc int, cfg Config, c *cache.Cache, geom memsys.Geometry) *LSU {
 		revalBySeq: make(map[uint64]*specEntry),
 		Stats:      stats.NewSet(fmt.Sprintf("lsu%d", proc)),
 	}
+	u.dispatched = u.Stats.Ref("dispatched")
+	u.loadsIssued = u.Stats.Ref("loads_issued")
+	u.storesIssued = u.Stats.Ref("stores_issued")
+	u.storeForwards = u.Stats.Ref("store_forwards")
+	u.specEntries = u.Stats.Ref("spec_entries")
+	u.specRetired = u.Stats.Ref("spec_retired")
+	u.prefetchAttempts = u.Stats.Ref("prefetch_attempts")
+	u.swPrefetches = u.Stats.Ref("sw_prefetches")
+	return u
 }
 
 // SetCPU wires the back-pointer to the out-of-order core.
@@ -261,7 +292,8 @@ func classOf(in isa.Instruction) AccessClass {
 // Operands already available are passed via the ready flags; the CPU
 // forwards late operands through SetBaseOperand / SetDataOperand.
 func (u *LSU) Dispatch(rob uint64, in isa.Instruction, baseReady bool, base int64, dataReady bool, data int64) *Entry {
-	e := &Entry{
+	e := u.newEntry()
+	*e = Entry{
 		Seq:       rob,
 		Class:     classOf(in),
 		RMW:       in.RMW,
@@ -276,7 +308,7 @@ func (u *LSU) Dispatch(rob uint64, in isa.Instruction, baseReady bool, base int6
 	}
 	u.entries = append(u.entries, e)
 	u.rs = append(u.rs, e)
-	u.Stats.Counter("dispatched").Inc()
+	u.dispatched.Inc()
 	return e
 }
 
@@ -392,8 +424,24 @@ func (u *LSU) Drained() bool {
 // orphaned; their completions are dropped by the id map (the fill still
 // installs in the cache, acting as a prefetch). Issued stores are never
 // flushed: a store issues only after everything older has retired, so no
-// older instruction remains to cause a flush.
+// older instruction remains to cause a flush. Flushed entries are recycled
+// unless a pending revalidation's id still names one.
 func (u *LSU) Flush(rob uint64) {
+	cut := len(u.entries)
+	for i, e := range u.entries {
+		if e.Seq >= rob {
+			cut = i
+			break
+		}
+	}
+	flushed := u.entries[cut:]
+	for _, e := range flushed {
+		if e.issued && e.IsWrite() && !e.Done {
+			panic(fmt.Sprintf("core: flushing issued store seq=%d", e.Seq))
+		}
+		u.dropID(e.demandID)
+		u.dropID(e.specID)
+	}
 	keep := func(es []*Entry) []*Entry {
 		out := es[:0]
 		for _, e := range es {
@@ -403,16 +451,6 @@ func (u *LSU) Flush(rob uint64) {
 		}
 		return out
 	}
-	for _, e := range u.entries {
-		if e.Seq >= rob {
-			if e.issued && e.IsWrite() && !e.Done {
-				panic(fmt.Sprintf("core: flushing issued store seq=%d", e.Seq))
-			}
-			delete(u.ids, e.demandID)
-			delete(u.ids, e.specID)
-		}
-	}
-	u.entries = keep(u.entries)
 	u.rs = keep(u.rs)
 	u.loadQ = keep(u.loadQ)
 	u.storeBuf = keep(u.storeBuf)
@@ -421,6 +459,8 @@ func (u *LSU) Flush(rob uint64) {
 	for _, s := range u.spec {
 		if s.e.Seq < rob {
 			sp = append(sp, s)
+		} else {
+			u.releaseRow(s)
 		}
 	}
 	u.spec = sp
@@ -437,6 +477,59 @@ func (u *LSU) Flush(rob uint64) {
 		}
 	}
 	u.forwards = fw
+	for _, e := range flushed {
+		if e.idRefs == 0 {
+			u.releaseEntry(e)
+		}
+	}
+	u.entries = u.entries[:cut]
+}
+
+// newEntry takes an entry from the free list, allocating only while the
+// unit's window grows past its largest size so far.
+func (u *LSU) newEntry() *Entry {
+	e := u.freeEntries
+	if e == nil {
+		return new(Entry)
+	}
+	u.freeEntries = e.nextFree
+	return e
+}
+
+// releaseEntry clears an entry nothing can reach any more and puts it on
+// the free list Dispatch draws from. The clearing makes a stale reference
+// (a bug) read a dead entry instead of another access's state.
+func (u *LSU) releaseEntry(e *Entry) {
+	*e = Entry{nextFree: u.freeEntries}
+	u.freeEntries = e
+}
+
+// newRow takes a speculative-load-buffer or monitor row from the free list.
+func (u *LSU) newRow(s specEntry) *specEntry {
+	r := u.freeRows
+	if r == nil {
+		r = new(specEntry)
+	} else {
+		u.freeRows = r.nextFree
+	}
+	*r = s
+	return r
+}
+
+// releaseRow puts a row that left its buffer on the free list. A row is
+// reachable only from its buffer and, while a revalidation is pending,
+// from revalBySeq, which never outlives the row's place in the buffer.
+func (u *LSU) releaseRow(s *specEntry) {
+	*s = specEntry{nextFree: u.freeRows}
+	u.freeRows = s
+}
+
+// dropID forgets a cache-access id, if it is still live.
+func (u *LSU) dropID(id uint64) {
+	if t, ok := u.ids[id]; ok {
+		t.e.idRefs--
+		delete(u.ids, id)
+	}
 }
 
 // newID allocates a cache access id bound to (entry, role).
@@ -444,6 +537,7 @@ func (u *LSU) newID(e *Entry, role entryRole) uint64 {
 	u.nextID++
 	id := u.nextID
 	u.ids[id] = idTarget{e: e, role: role}
+	e.idRefs++
 	if role == roleSpec {
 		e.specID = id
 	} else {
@@ -463,6 +557,7 @@ func (u *LSU) AccessComplete(id uint64, value int64, now uint64) {
 	}
 	delete(u.ids, id)
 	e := t.e
+	e.idRefs--
 	switch t.role {
 	case roleReval:
 		u.completeRevalidation(e, value, now)
@@ -573,8 +668,11 @@ func (u *LSU) retireSpecEntries(now uint64) {
 		n++
 	}
 	if n > 0 {
+		for _, s := range u.spec[:n] {
+			u.releaseRow(s)
+		}
 		u.spec = u.spec[:copy(u.spec, u.spec[n:])]
-		u.Stats.Counter("spec_retired").Add(uint64(n))
+		u.specRetired.Add(uint64(n))
 	}
 	if u.cfg.Tech.DetectSC {
 		u.retireMonitorEntries()
@@ -653,7 +751,7 @@ func (u *LSU) CoherenceEvent(line uint64, kind cache.EventKind, now uint64) {
 // initial versus repeated return values) and the entry goes back to the
 // issue stage.
 func (u *LSU) reissue(e *Entry) {
-	delete(u.ids, e.demandID)
+	u.dropID(e.demandID)
 	e.issued = false
 	e.Done = false
 	e.forwarded = false
@@ -681,18 +779,9 @@ func (u *LSU) PendingWork() bool {
 // Prune discards completed entries from the front of the live-entry list
 // once they can no longer influence predicates or tags. An entry is
 // prunable when it is done and no speculative-load-buffer entry references
-// it as a store tag.
+// it as a store tag. A pruned entry is recycled unless something still
+// reaches it (see reachable).
 func (u *LSU) Prune() {
-	n := 0
-	for _, e := range u.entries {
-		if !e.Done || !e.retired || u.specReferenced(e) {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		u.entries = u.entries[:copy(u.entries, u.entries[n:])]
-	}
 	// Stores retire from the store buffer when they complete (Figure 5).
 	sb := u.storeBuf[:0]
 	for _, e := range u.storeBuf {
@@ -701,6 +790,57 @@ func (u *LSU) Prune() {
 		}
 	}
 	u.storeBuf = sb
+	n := 0
+	for _, e := range u.entries {
+		if !e.Done || !e.retired || u.specReferenced(e) {
+			break
+		}
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	// Youngest first: a forwarding link points from a load to an older
+	// store, so releasing a pruned load first unpins the store it names.
+	for i := n - 1; i >= 0; i-- {
+		if e := u.entries[i]; !u.reachable(e, u.entries[i+1:]) {
+			u.releaseEntry(e)
+		}
+	}
+	u.entries = u.entries[:copy(u.entries, u.entries[n:])]
+}
+
+// reachable reports whether a pruned entry is still named by anything
+// other than the live-entry list: a cache-access id, the load queue (an
+// RMW whose atomic issued first leaves its stale row there), an SC-monitor
+// row (the monitor keeps pruned entries as orphans), or the forwarding
+// link of a younger entry — later, i.e. the live entries and the pruned
+// ones kept — or of a monitor orphan. Prune's own check excludes the
+// speculative-load buffer, and the store buffer holds no completed entry.
+func (u *LSU) reachable(e *Entry, later []*Entry) bool {
+	if e.idRefs > 0 {
+		return true
+	}
+	if e.IsRead() {
+		for _, q := range u.loadQ {
+			if q == e {
+				return true
+			}
+		}
+	}
+	for _, s := range u.monitor {
+		if s.e == e || s.storeTag == e || (e.fwdSource && s.e.fwdFrom == e) {
+			return true
+		}
+	}
+	if e.fwdSource {
+		for _, o := range later {
+			if o.fwdFrom == e {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // specReferenced reports whether a speculative-load-buffer row still names

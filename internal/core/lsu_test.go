@@ -540,3 +540,57 @@ func TestDetectorIgnoresInOrderLoad(t *testing.T) {
 		t.Fatalf("false positive: %d violations for an in-order load", r.lsu.SCViolations())
 	}
 }
+
+// TestEntriesRecycled: retired, pruned entries go back to the pool, so a
+// long stream of accesses reuses a handful of entries.
+func TestEntriesRecycled(t *testing.T) {
+	r := newRig(t, Config{Model: RC, Tech: Technique{SpecLoad: true}})
+	seen := map[*Entry]bool{}
+	for seq := uint64(1); seq <= 200; seq++ {
+		e := r.lsu.Dispatch(seq, ld(int64(0x100+seq%4)), true, 0, true, 0)
+		seen[e] = true
+		r.run(12)
+		r.lsu.MarkRetired(seq)
+		r.run(2)
+	}
+	if len(r.lsu.entries) != 0 {
+		t.Fatalf("%d entries still live", len(r.lsu.entries))
+	}
+	if len(seen) > 4 {
+		t.Errorf("200 sequential loads used %d distinct entries; pruned entries are not reused", len(seen))
+	}
+}
+
+// TestForwardingSourceNotRecycled: a pruned store that a live load
+// forwarded from stays reachable through the load's link (it is exported
+// with the load), so it must not be reused until the load is gone.
+func TestForwardingSourceNotRecycled(t *testing.T) {
+	r := newRig(t, Config{Model: RC})
+	store := r.lsu.Dispatch(1, st(0x100), true, 0, true, 42)
+	r.lsu.StoreAtHead(1)
+	r.lsu.Dispatch(2, ld(0x100), true, 0, true, 0)
+	r.run(2)
+	if v, ok := r.cpu.loads[2]; !ok || v != 42 {
+		t.Fatalf("load = %d,%v, want 42 forwarded from the store", v, ok)
+	}
+	r.lsu.MarkRetired(1)
+	r.run(20) // the store performs and is pruned; the load is not retired
+	if r.lsu.find(1) != nil {
+		t.Fatal("store still live; the test needs it pruned")
+	}
+	if load := r.lsu.find(2); load == nil || load.fwdFrom != store || store.Seq != 1 {
+		t.Fatal("pruned forwarding source was cleared or reused while the load links to it")
+	}
+	for seq := uint64(3); seq < 10; seq++ {
+		if e := r.lsu.Dispatch(seq, ld(0x200), true, 0, true, 0); e == store {
+			t.Fatal("Dispatch reused a store a live load still forwards from")
+		}
+	}
+	st, err := r.lsu.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.MonitorOrphans) != 1 || st.MonitorOrphans[0].Seq != 1 {
+		t.Errorf("export orphans = %+v, want the pruned store", st.MonitorOrphans)
+	}
+}

@@ -40,7 +40,7 @@ func (u *LSU) issueRevalidation(s *specEntry, now uint64) bool {
 	id := u.newRevalID(s)
 	res := u.cache.Access(cache.Request{Kind: cache.ReqRead, ID: id, Addr: s.e.Addr}, now)
 	if res == cache.Blocked {
-		delete(u.ids, id)
+		u.dropID(id)
 		return false
 	}
 	s.revalIssued = true
@@ -54,6 +54,7 @@ func (u *LSU) newRevalID(s *specEntry) uint64 {
 	u.nextID++
 	id := u.nextID
 	u.ids[id] = idTarget{e: s.e, role: roleReval}
+	s.e.idRefs++
 	u.revalBySeq[s.e.Seq] = s
 	return id
 }

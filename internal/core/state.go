@@ -267,25 +267,27 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 // RestoreState replaces the LSU's entire state — entries, queues, buffers,
 // ids and statistics — with the exported one. Any in-progress state is
 // discarded (the shard engine's rollback path). The cached histogram
-// pointers are dropped: Stats.RestoreState recreates the histogram objects,
-// so stale pointers would record into orphaned metrics.
+// pointers are dropped: Stats.RestoreState drops histograms absent from the
+// state, so stale pointers would record into orphaned metrics.
 func (u *LSU) RestoreState(st LSUState) error {
-	// Reuse the discarded entries' allocations: *Entry pointers never escape
-	// the package (cross-component references are by cache-access id), so the
-	// old entries can be overwritten in place. Each loop iteration reads
-	// old[i] before append writes slot i of the shared backing array, and the
-	// orphan loop only consumes slots past len(st.Entries), which the appends
-	// never touched.
-	old := u.entries
-	nextOld := 0
-	alloc := func(es EntryState) *Entry {
-		var e *Entry
-		if nextOld < len(old) {
-			e = old[nextOld]
-			nextOld++
-		} else {
-			e = new(Entry)
+	if err := u.validateState(&st); err != nil {
+		return err
+	}
+	// The discarded entries and rows go back to the pools and are refilled
+	// in place: *Entry pointers never escape the package (cross-component
+	// references are by cache-access id), and every structure that could
+	// name an old entry or row is rebuilt below. Entries reachable only
+	// from the old monitor or id map are left to the garbage collector.
+	for _, e := range u.entries {
+		u.releaseEntry(e)
+	}
+	for _, rs := range [][]*specEntry{u.spec, u.monitor} {
+		for _, s := range rs {
+			u.releaseRow(s)
 		}
+	}
+	alloc := func(es EntryState) *Entry {
+		e := u.newEntry()
 		fillEntry(e, es)
 		return e
 	}
@@ -309,6 +311,7 @@ func (u *LSU) RestoreState(st LSUState) error {
 				return fmt.Errorf("core: lsu%d snapshot forwards seq %d from unknown seq %d", u.Proc, s.Seq, s.FwdFromSeq)
 			}
 			bySeq[s.Seq].fwdFrom = src
+			src.fwdSource = true
 		}
 		return nil
 	}
@@ -343,22 +346,13 @@ func (u *LSU) RestoreState(st LSUState) error {
 		return err
 	}
 	rows := func(what string, dst []*specEntry, rs []SpecRowState) ([]*specEntry, error) {
-		oldRows := dst
-		nextRow := 0
 		dst = dst[:0]
 		for _, r := range rs {
 			e, ok := bySeq[r.Seq]
 			if !ok {
 				return nil, fmt.Errorf("core: lsu%d snapshot %s row references unknown seq %d", u.Proc, what, r.Seq)
 			}
-			var s *specEntry
-			if nextRow < len(oldRows) {
-				s = oldRows[nextRow] // read before append writes this slot
-				nextRow++
-			} else {
-				s = new(specEntry)
-			}
-			*s = specEntry{e: e, acq: r.Acq, isRMW: r.IsRMW, suspect: r.Suspect, revalIssued: r.RevalIssued, revalOK: r.RevalOK}
+			s := u.newRow(specEntry{e: e, acq: r.Acq, isRMW: r.IsRMW, suspect: r.Suspect, revalIssued: r.RevalIssued, revalOK: r.RevalOK})
 			if r.HasStoreTag {
 				tag, ok := bySeq[r.StoreTagSeq]
 				if !ok {
@@ -387,6 +381,7 @@ func (u *LSU) RestoreState(st LSUState) error {
 			return fmt.Errorf("core: lsu%d snapshot id %d references unknown seq %d", u.Proc, is.ID, is.Seq)
 		}
 		u.ids[is.ID] = idTarget{e: e, role: entryRole(is.Role)}
+		e.idRefs++
 	}
 	u.nextID = st.NextID
 	if u.revalBySeq == nil {
@@ -412,6 +407,40 @@ func (u *LSU) RestoreState(st LSUState) error {
 		u.forwards = append(u.forwards, forwardCompletion{at: f.At, id: f.ID, value: f.Value})
 	}
 	u.latHist = [numAccessClasses]*stats.Histogram{}
-	u.Stats.RestoreState(st.Stats)
+	return u.Stats.RestoreState(st.Stats)
+}
+
+// validateState checks the invariants restore and the live unit rely on,
+// since a snapshot may arrive from the network: entries and monitor
+// orphans each strictly ascend by Seq and never share one, every access
+// class and id role is known, and live ids strictly ascend up to NextID.
+func (u *LSU) validateState(st *LSUState) error {
+	inEntries := func(seq uint64) bool {
+		i := sort.Search(len(st.Entries), func(i int) bool { return st.Entries[i].Seq >= seq })
+		return i < len(st.Entries) && st.Entries[i].Seq == seq
+	}
+	for _, es := range [][]EntryState{st.Entries, st.MonitorOrphans} {
+		for i, e := range es {
+			if i > 0 && e.Seq <= es[i-1].Seq {
+				return fmt.Errorf("core: lsu%d snapshot entries not in ascending order at seq %d", u.Proc, e.Seq)
+			}
+			if int(e.Class) >= numAccessClasses {
+				return fmt.Errorf("core: lsu%d snapshot seq %d has unknown access class %d", u.Proc, e.Seq, e.Class)
+			}
+		}
+	}
+	for _, e := range st.MonitorOrphans {
+		if inEntries(e.Seq) {
+			return fmt.Errorf("core: lsu%d snapshot orphan seq %d is also live", u.Proc, e.Seq)
+		}
+	}
+	for i, is := range st.IDs {
+		if (i > 0 && is.ID <= st.IDs[i-1].ID) || is.ID > st.NextID {
+			return fmt.Errorf("core: lsu%d snapshot id %d out of order (ids must ascend up to NextID %d)", u.Proc, is.ID, st.NextID)
+		}
+		if entryRole(is.Role) > roleReval {
+			return fmt.Errorf("core: lsu%d snapshot id %d has unknown role %d", u.Proc, is.ID, is.Role)
+		}
+	}
 	return nil
 }

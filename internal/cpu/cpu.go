@@ -64,11 +64,14 @@ func RealisticConfig() Config {
 }
 
 // operand is one source of an instruction: either an immediate/committed
-// value or a reference to an in-flight producer.
+// value or a reference to an in-flight producer. The reference names the
+// producer's ROB id and the pooled entry (slot) that held it at decode; it
+// counts only while that slot is live with the same id (see producerAt).
 type operand struct {
 	ready    bool
 	value    int64
-	producer uint64 // ROB id, when !ready
+	producer uint64    // ROB id, when !ready
+	slot     *robEntry // the producer's entry at decode, when !ready
 	reg      isa.Reg
 }
 
@@ -76,6 +79,7 @@ type robEntry struct {
 	id    uint64
 	pc    int
 	instr isa.Instruction
+	live  bool // in the reorder buffer (false once back in the pool)
 
 	src, src2 operand // ALU/branch sources; store data uses src
 
@@ -92,10 +96,13 @@ type robEntry struct {
 	storeSignaled bool // StoreAtHead issued
 	predTaken     bool
 	predTarget    int
+
+	nextFree *robEntry // pool link while the entry is not live
 }
 
 type ratEntry struct {
 	producer uint64
+	slot     *robEntry
 	valid    bool
 }
 
@@ -106,8 +113,12 @@ type Proc struct {
 	prog *isa.Program
 	lsu  *core.LSU
 
+	// rob holds the in-flight entries in program order (head first); their
+	// ids strictly ascend. Retired and squashed entries go back to a free
+	// list (linked through the entries), so at most ROBSize entries are ever
+	// allocated, and only as many as the buffer actually filled.
 	rob    []*robEntry
-	byID   map[uint64]*robEntry
+	free   *robEntry
 	nextID uint64
 
 	rat     [isa.NumRegs]ratEntry
@@ -118,12 +129,17 @@ type Proc struct {
 	haltFetched   bool
 	halted        bool
 
-	predictor map[int]uint8 // pc -> 2-bit counter, init weakly-not-taken
+	// predictor holds the 2-bit counters of the branches fetched so far,
+	// ascending by pc (searched, not hashed); a new branch starts weakly
+	// not-taken.
+	predictor []PredictorState
 
 	// HaltCycle records when the processor halted (all work drained).
 	HaltCycle uint64
 
 	Stats *stats.Set
+	// Counters bumped per instruction, resolved once.
+	decoded, retired, branchesCorrect, branchesMispredicted stats.CounterRef
 }
 
 // New creates a processor bound to a program and a load/store unit. It
@@ -133,14 +149,16 @@ func New(id int, cfg Config, prog *isa.Program, lsu *core.LSU) *Proc {
 		panic("cpu: widths and ROB size must be positive")
 	}
 	p := &Proc{
-		ID:        id,
-		cfg:       cfg,
-		prog:      prog,
-		lsu:       lsu,
-		byID:      make(map[uint64]*robEntry),
-		predictor: make(map[int]uint8),
-		Stats:     stats.NewSet(fmt.Sprintf("cpu%d", id)),
+		ID:    id,
+		cfg:   cfg,
+		prog:  prog,
+		lsu:   lsu,
+		Stats: stats.NewSet(fmt.Sprintf("cpu%d", id)),
 	}
+	p.decoded = p.Stats.Ref("decoded")
+	p.retired = p.Stats.Ref("retired")
+	p.branchesCorrect = p.Stats.Ref("branches_correct")
+	p.branchesMispredicted = p.Stats.Ref("branches_mispredicted")
 	lsu.SetCPU(p)
 	return p
 }
@@ -156,6 +174,17 @@ func (p *Proc) Reg(r isa.Reg) int64 { return p.regfile[r] }
 // ROBLen reports the current reorder-buffer occupancy.
 func (p *Proc) ROBLen() int { return len(p.rob) }
 
+// producerAt returns the in-flight producer a reference names, or nil once
+// it has retired: a retired entry's slot is back in the pool (not live) or
+// holds a younger instruction (ids are never reused). A squashed producer
+// is never asked about, since everything decoded after it is squashed too.
+func producerAt(slot *robEntry, id uint64) *robEntry {
+	if slot != nil && slot.live && slot.id == id {
+		return slot
+	}
+	return nil
+}
+
 // readReg resolves a register read at decode time against the renaming
 // state: a committed value, or a reference to the in-flight producer.
 func (p *Proc) readReg(r isa.Reg) operand {
@@ -163,11 +192,11 @@ func (p *Proc) readReg(r isa.Reg) operand {
 		return operand{ready: true, reg: r}
 	}
 	if re := p.rat[r]; re.valid {
-		if e := p.byID[re.producer]; e != nil {
+		if e := producerAt(re.slot, re.producer); e != nil {
 			if v, ok := producerValue(e); ok {
 				return operand{ready: true, value: v, reg: r}
 			}
-			return operand{producer: re.producer, reg: r}
+			return operand{producer: re.producer, slot: e, reg: r}
 		}
 		// Producer already committed; the architectural register holds it.
 	}
@@ -193,7 +222,7 @@ func (p *Proc) resolve(o *operand) bool {
 	if o.ready {
 		return true
 	}
-	e := p.byID[o.producer]
+	e := producerAt(o.slot, o.producer)
 	if e == nil {
 		// Producer retired after we recorded the reference; in-order
 		// retirement guarantees the architectural register still holds its
@@ -208,6 +237,59 @@ func (p *Proc) resolve(o *operand) bool {
 		return true
 	}
 	return false
+}
+
+// entry returns the in-flight entry with ROB id, or nil. Ids ascend through
+// the buffer one by one except where a squash skipped some, so an offset
+// from the head or from the tail finds the entry directly unless squash
+// gaps lie on both sides of it; a binary search covers that case.
+func (p *Proc) entry(id uint64) *robEntry {
+	n := len(p.rob)
+	if n == 0 || id < p.rob[0].id || id > p.rob[n-1].id {
+		return nil
+	}
+	if off := id - p.rob[0].id; off < uint64(n) && p.rob[off].id == id {
+		return p.rob[off]
+	}
+	if off := p.rob[n-1].id - id; off < uint64(n) && p.rob[n-1-int(off)].id == id {
+		return p.rob[n-1-int(off)]
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.rob[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < n && p.rob[lo].id == id {
+		return p.rob[lo]
+	}
+	return nil
+}
+
+// newEntry takes an entry from the free list (allocating only while the
+// buffer grows past its largest occupancy so far) and initializes it.
+func (p *Proc) newEntry(id uint64, pc int, in isa.Instruction) *robEntry {
+	e := p.free
+	if e != nil {
+		p.free = e.nextFree
+	} else {
+		e = new(robEntry)
+	}
+	*e = robEntry{id: id, pc: pc, instr: in, live: true}
+	return e
+}
+
+// release puts entries that left the buffer on the free list. They stay
+// intact until reused, but no longer count as producers.
+func (p *Proc) release(es []*robEntry) {
+	for _, e := range es {
+		e.live = false
+		e.nextFree = p.free
+		p.free = e
+	}
 }
 
 // ROBSnapshot renders the reorder buffer head-first: one mnemonic per

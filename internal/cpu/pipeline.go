@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
@@ -16,15 +17,15 @@ func (p *Proc) TickFrontend(now uint64) {
 	}
 	for slots := p.cfg.FetchWidth; slots > 0 && len(p.rob) < p.cfg.ROBSize; slots-- {
 		in := p.prog.At(p.pc)
-		e := &robEntry{id: p.nextID, pc: p.pc, instr: in}
+		e := p.newEntry(p.nextID, p.pc, in)
 		p.nextID++
 
 		switch in.Op {
 		case isa.OpHalt:
 			p.haltFetched = true
 			e.executed = true
-			p.pushEntry(e)
-			p.Stats.Counter("decoded").Inc()
+			p.rob = append(p.rob, e)
+			p.decoded.Inc()
 			return
 		case isa.OpNop:
 			e.executed = true
@@ -35,6 +36,10 @@ func (p *Proc) TickFrontend(now uint64) {
 			p.pc = int(in.Imm)
 		case isa.OpBeqz, isa.OpBnez:
 			e.src = p.readReg(in.Src)
+			// A branch has no second source, but its src2 is the zero
+			// operand, a reference to ROB id 0: the branch waits for the
+			// machine's very first instruction if that is still in flight.
+			e.src2 = operand{slot: p.entry(0)}
 			e.predTaken = p.predictTaken(p.pc)
 			if e.predTaken {
 				e.predTarget = int(in.Imm)
@@ -66,10 +71,10 @@ func (p *Proc) TickFrontend(now uint64) {
 			p.pc++
 		}
 		if in.WritesReg() {
-			p.rat[in.Dst] = ratEntry{producer: e.id, valid: true}
+			p.rat[in.Dst] = ratEntry{producer: e.id, slot: e, valid: true}
 		}
-		p.pushEntry(e)
-		p.Stats.Counter("decoded").Inc()
+		p.rob = append(p.rob, e)
+		p.decoded.Inc()
 	}
 }
 
@@ -81,36 +86,38 @@ func usesSrc2(op isa.Op) bool {
 	return false
 }
 
-func (p *Proc) pushEntry(e *robEntry) {
-	p.rob = append(p.rob, e)
-	p.byID[e.id] = e
-}
-
 // predictTaken consults the 2-bit counter for a branch PC. Counters start
 // weakly not-taken so a test-and-set spin loop predicts the success path,
 // as the paper assumes.
-func (p *Proc) predictTaken(pc int) bool {
-	c, ok := p.predictor[pc]
-	if !ok {
-		c = 1
-		p.predictor[pc] = c
-	}
-	return c >= 2
-}
+func (p *Proc) predictTaken(pc int) bool { return *p.counter(pc) >= 2 }
 
 func (p *Proc) trainPredictor(pc int, taken bool) {
-	c, ok := p.predictor[pc]
-	if !ok {
-		c = 1
-	}
+	c := p.counter(pc)
 	if taken {
-		if c < 3 {
-			c++
+		if *c < 3 {
+			*c++
 		}
-	} else if c > 0 {
-		c--
+	} else if *c > 0 {
+		*c--
 	}
-	p.predictor[pc] = c
+}
+
+// counter returns the branch's 2-bit counter, adding a weakly-not-taken
+// one the first time the branch is seen.
+func (p *Proc) counter(pc int) *uint8 {
+	lo, hi := 0, len(p.predictor)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.predictor[mid].PC < pc {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(p.predictor) || p.predictor[lo].PC != pc {
+		p.predictor = slices.Insert(p.predictor, lo, PredictorState{PC: pc, Counter: 1})
+	}
+	return &p.predictor[lo].Counter
 }
 
 // TickExecute runs the functional units: ALU operations and branch
@@ -220,10 +227,10 @@ func (p *Proc) resolveBranch(e *robEntry, now uint64) bool {
 		target = int(e.instr.Imm)
 	}
 	if taken == e.predTaken {
-		p.Stats.Counter("branches_correct").Inc()
+		p.branchesCorrect.Inc()
 		return false
 	}
-	p.Stats.Counter("branches_mispredicted").Inc()
+	p.branchesMispredicted.Inc()
 	p.squashAfter(e.id, target, now, p.cfg.MispredictPenalty)
 	return true
 }
@@ -255,7 +262,7 @@ func (p *Proc) TickRetire(now uint64) {
 			p.popHead()
 			p.halted = true
 			p.HaltCycle = now
-			p.Stats.Counter("retired").Inc()
+			p.retired.Inc()
 			return
 		}
 		if in.WritesReg() {
@@ -268,7 +275,7 @@ func (p *Proc) TickRetire(now uint64) {
 			p.lsu.MarkRetired(e.id)
 		}
 		p.popHead()
-		p.Stats.Counter("retired").Inc()
+		p.retired.Inc()
 	}
 }
 
@@ -299,8 +306,7 @@ func (p *Proc) canRetire(e *robEntry) bool {
 }
 
 func (p *Proc) popHead() {
-	e := p.rob[0]
-	delete(p.byID, e.id)
+	p.release(p.rob[:1])
 	copy(p.rob, p.rob[1:])
 	p.rob = p.rob[:len(p.rob)-1]
 }
@@ -309,7 +315,7 @@ func (p *Proc) popHead() {
 // result becomes visible to dependents immediately — before retirement —
 // which is what lets speculative loads overlap with consistency delays.
 func (p *Proc) LoadComplete(rob uint64, value int64, now uint64) {
-	if e := p.byID[rob]; e != nil {
+	if e := p.entry(rob); e != nil {
 		e.value = value
 		e.complete = true
 	}
@@ -317,7 +323,7 @@ func (p *Proc) LoadComplete(rob uint64, value int64, now uint64) {
 
 // StoreComplete implements core.CPU.
 func (p *Proc) StoreComplete(rob uint64, now uint64) {
-	if e := p.byID[rob]; e != nil {
+	if e := p.entry(rob); e != nil {
 		e.complete = true
 	}
 }
@@ -325,7 +331,7 @@ func (p *Proc) StoreComplete(rob uint64, now uint64) {
 // InvalidateLoadValue implements core.CPU: a speculated value is withdrawn;
 // dependents decoded from now on wait for the fresh LoadComplete.
 func (p *Proc) InvalidateLoadValue(rob uint64) {
-	if e := p.byID[rob]; e != nil {
+	if e := p.entry(rob); e != nil {
 		e.complete = false
 	}
 }
@@ -375,14 +381,17 @@ func (p *Proc) squashAfter(id uint64, target int, now uint64, penalty uint64) {
 // truncate removes reorder-buffer entries from index idx onward and rebuilds
 // the register alias table from the survivors.
 func (p *Proc) truncate(idx int) {
-	for _, e := range p.rob[idx:] {
-		delete(p.byID, e.id)
-	}
+	p.release(p.rob[idx:])
 	p.rob = p.rob[:idx]
+	p.rebuildRAT()
+}
+
+// rebuildRAT points every register at its youngest in-flight writer.
+func (p *Proc) rebuildRAT() {
 	p.rat = [isa.NumRegs]ratEntry{}
 	for _, e := range p.rob {
 		if e.instr.WritesReg() {
-			p.rat[e.instr.Dst] = ratEntry{producer: e.id, valid: true}
+			p.rat[e.instr.Dst] = ratEntry{producer: e.id, slot: e, valid: true}
 		}
 	}
 }

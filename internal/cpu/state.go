@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"mcmsim/internal/isa"
 	"mcmsim/internal/stats"
@@ -120,11 +119,7 @@ func (p *Proc) ExportStateInto(st *State) error {
 			PredTaken:     e.predTaken, PredTarget: e.predTarget,
 		})
 	}
-	st.Predictor = st.Predictor[:0]
-	for pc, ctr := range p.predictor {
-		st.Predictor = append(st.Predictor, PredictorState{PC: pc, Counter: ctr})
-	}
-	sort.Slice(st.Predictor, func(i, j int) bool { return st.Predictor[i].PC < st.Predictor[j].PC })
+	st.Predictor = append(st.Predictor[:0], p.predictor...)
 	p.Stats.ExportStateInto(&st.Stats)
 	return nil
 }
@@ -132,10 +127,14 @@ func (p *Proc) ExportStateInto(st *State) error {
 // RestoreState replaces the processor's entire state — architectural
 // registers, reorder buffer, renaming table, predictor and statistics —
 // with the exported one. Any in-flight instructions the processor held are
-// discarded (the shard engine's rollback path).
+// discarded (the shard engine's rollback path). The state is validated
+// first, since a snapshot may arrive from the network: the reorder buffer
+// must fit ROBSize and hold strictly ascending ids below NextID (the tag
+// lookup relies on the order), and every entry must name an instruction
+// of the program with in-range operand registers.
 func (p *Proc) RestoreState(st State) error {
-	if len(st.Regfile) != int(isa.NumRegs) {
-		return fmt.Errorf("cpu %d: snapshot has %d registers, machine has %d", p.ID, len(st.Regfile), isa.NumRegs)
+	if err := p.validateState(&st); err != nil {
+		return err
 	}
 	p.pc = st.PC
 	p.fetchResumeAt = st.FetchResumeAt
@@ -144,56 +143,62 @@ func (p *Proc) RestoreState(st State) error {
 	p.HaltCycle = st.HaltCycle
 	p.nextID = st.NextID
 	copy(p.regfile[:], st.Regfile)
-	// Reuse the discarded entries' allocations: *robEntry pointers never
-	// escape the package (cross-component references are by ROB id), so the
-	// old entries can be overwritten in place. old[i] is read before append
-	// writes slot i of the shared backing array.
-	old := p.rob
+	// The discarded entries go back to the pool and are refilled in place.
+	p.release(p.rob)
 	p.rob = p.rob[:0]
-	if p.byID == nil {
-		p.byID = make(map[uint64]*robEntry, len(st.ROB))
-	} else {
-		clear(p.byID)
-	}
-	for i, es := range st.ROB {
-		if es.PC < 0 || es.PC >= p.prog.Len() {
-			return fmt.Errorf("cpu %d: snapshot entry %d fetched from pc %d, program has %d instructions", p.ID, es.ID, es.PC, p.prog.Len())
-		}
-		var e *robEntry
-		if i < len(old) {
-			e = old[i]
-		} else {
-			e = new(robEntry)
-		}
-		*e = robEntry{
-			id: es.ID, pc: es.PC, instr: p.prog.At(es.PC),
-			src: restoreOperand(es.Src), src2: restoreOperand(es.Src2),
-			isMem: es.IsMem, executed: es.Executed,
-			execAt: es.ExecAt, execSet: es.ExecSet,
-			value: es.Value, complete: es.Complete,
-			baseSent: es.BaseSent, dataSent: es.DataSent,
-			storeSignaled: es.StoreSignaled,
-			predTaken:     es.PredTaken, predTarget: es.PredTarget,
-		}
+	for _, es := range st.ROB {
+		e := p.newEntry(es.ID, es.PC, p.prog.At(es.PC))
+		e.src, e.src2 = restoreOperand(es.Src), restoreOperand(es.Src2)
+		e.isMem, e.executed = es.IsMem, es.Executed
+		e.execAt, e.execSet = es.ExecAt, es.ExecSet
+		e.value, e.complete = es.Value, es.Complete
+		e.baseSent, e.dataSent = es.BaseSent, es.DataSent
+		e.storeSignaled = es.StoreSignaled
+		e.predTaken, e.predTarget = es.PredTaken, es.PredTarget
 		p.rob = append(p.rob, e)
-		p.byID[e.id] = e
+	}
+	// Operand references bind to the producer's slot by id; a producer that
+	// is no longer in flight has committed, and the reference falls back to
+	// the register file exactly as it would have live.
+	for _, e := range p.rob {
+		for _, o := range []*operand{&e.src, &e.src2} {
+			if !o.ready {
+				o.slot = p.entry(o.producer)
+			}
+		}
 	}
 	// Rebuild the renaming table from the survivors; behaviourally identical
 	// to the live table (see the State doc comment).
-	p.rat = [isa.NumRegs]ratEntry{}
-	for _, e := range p.rob {
-		if e.instr.WritesReg() {
-			p.rat[e.instr.Dst] = ratEntry{producer: e.id, valid: true}
+	p.rebuildRAT()
+	p.predictor = append(p.predictor[:0], st.Predictor...)
+	return p.Stats.RestoreState(st.Stats)
+}
+
+func (p *Proc) validateState(st *State) error {
+	if len(st.Regfile) != int(isa.NumRegs) {
+		return fmt.Errorf("cpu %d: snapshot has %d registers, machine has %d", p.ID, len(st.Regfile), isa.NumRegs)
+	}
+	if len(st.ROB) > p.cfg.ROBSize {
+		return fmt.Errorf("cpu %d: snapshot holds %d reorder-buffer entries, ROBSize is %d", p.ID, len(st.ROB), p.cfg.ROBSize)
+	}
+	for i, es := range st.ROB {
+		if es.ID >= st.NextID || (i > 0 && es.ID <= st.ROB[i-1].ID) {
+			return fmt.Errorf("cpu %d: snapshot entry %d out of order (ids must ascend below NextID %d)", p.ID, es.ID, st.NextID)
+		}
+		if es.PC < 0 || es.PC >= p.prog.Len() {
+			return fmt.Errorf("cpu %d: snapshot entry %d fetched from pc %d, program has %d instructions", p.ID, es.ID, es.PC, p.prog.Len())
+		}
+		if es.IsMem != p.prog.At(es.PC).IsMemory() {
+			return fmt.Errorf("cpu %d: snapshot entry %d disagrees with its instruction on memory access", p.ID, es.ID)
+		}
+		if es.Src.Reg >= isa.NumRegs || es.Src2.Reg >= isa.NumRegs {
+			return fmt.Errorf("cpu %d: snapshot entry %d names a register out of range", p.ID, es.ID)
 		}
 	}
-	if p.predictor == nil {
-		p.predictor = make(map[int]uint8, len(st.Predictor))
-	} else {
-		clear(p.predictor)
+	for i := 1; i < len(st.Predictor); i++ {
+		if st.Predictor[i].PC <= st.Predictor[i-1].PC {
+			return fmt.Errorf("cpu %d: snapshot predictor not in ascending pc order at pc %d", p.ID, st.Predictor[i].PC)
+		}
 	}
-	for _, e := range st.Predictor {
-		p.predictor[e.PC] = e.Counter
-	}
-	p.Stats.RestoreState(st.Stats)
 	return nil
 }

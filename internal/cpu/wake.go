@@ -85,7 +85,7 @@ func (p *Proc) operandReady(o *operand) bool {
 	if o.ready {
 		return true
 	}
-	e := p.byID[o.producer]
+	e := producerAt(o.slot, o.producer)
 	if e == nil {
 		return true // producer retired; register file holds the value
 	}

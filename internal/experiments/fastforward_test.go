@@ -14,7 +14,12 @@ import (
 // by all the sweeps, as in cmd/sweep.
 func renderSuite(t *testing.T, format string, opts runner.Options) []byte {
 	t.Helper()
-	p := DefaultParams()
+	return renderSuiteParams(t, DefaultParams(), format, opts)
+}
+
+// renderSuiteParams renders the full suite under the given parameters.
+func renderSuiteParams(t *testing.T, p Params, format string, opts runner.Options) []byte {
+	t.Helper()
 	var tables []runner.Table
 	for _, s := range Suite() {
 		rows, err := runner.Rows(runner.Run(s.Jobs(p), opts))

@@ -294,22 +294,31 @@ func (c *Coordinator) heldLocked(s *session, job int, seq uint64) bool {
 	return st.status == jobLeased && st.seq == seq && st.owner == s
 }
 
-// checkpoint stores a mid-flight snapshot for a leased job. The snapshot
-// is validated (framing, format version) before it replaces the previous
-// one: a worker dying mid-upload truncates the payload, and a truncated
-// payload must lose progress, never poison the resume path.
+// checkpoint stores a mid-flight snapshot for a leased job. The lease is
+// checked first, so an upload under a stale or foreign lease is refused
+// before anything decodes it. The snapshot is then validated (framing,
+// format version) before it replaces the previous one: a worker dying
+// mid-upload truncates the payload, and a truncated payload must lose
+// progress, never poison the resume path. The decode runs outside the
+// lock, so the lease is checked again after it.
 func (c *Coordinator) checkpoint(s *session, a CheckpointArgs) bool {
-	valid := true
-	if _, err := decodeMachine(a.Snapshot); err != nil {
-		valid = false
+	c.mu.Lock()
+	held := c.heldLocked(s, a.Job, a.Seq)
+	if !held {
+		c.stats.CheckpointsRejected++
 	}
+	c.mu.Unlock()
+	if !held {
+		return false
+	}
+	_, err := decodeMachine(a.Snapshot)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.heldLocked(s, a.Job, a.Seq) {
 		c.stats.CheckpointsRejected++
 		return false
 	}
-	if !valid {
+	if err != nil {
 		c.stats.CheckpointsRejected++
 		return true // lease is fine; only this upload is refused
 	}

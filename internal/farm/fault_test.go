@@ -205,13 +205,18 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 			t.Error("corrupt upload revoked the lease; it should only refuse the payload")
 		}
 	}
-	// Stale lease: refused outright.
-	if held := coord.checkpoint(sess, CheckpointArgs{Job: lease.Job, Seq: lease.Seq + 99, Cycle: 2000, Snapshot: good}); held {
+	// Stale lease: refused outright, before the payload is decoded (a
+	// decode of even this small snapshot allocates hundreds of objects).
+	stale := CheckpointArgs{Job: lease.Job, Seq: lease.Seq + 99, Cycle: 2000, Snapshot: good}
+	if held := coord.checkpoint(sess, stale); held {
 		t.Error("checkpoint accepted under a stale lease")
 	}
+	if allocs := testing.AllocsPerRun(5, func() { coord.checkpoint(sess, stale) }); allocs > 0 {
+		t.Errorf("a stale-lease upload allocates %.0f objects; it must be refused before decoding", allocs)
+	}
 	st := coord.Stats()
-	if st.CheckpointsRejected != 3 {
-		t.Errorf("CheckpointsRejected = %d, want 3", st.CheckpointsRejected)
+	if st.CheckpointsRejected != 3+6 {
+		t.Errorf("CheckpointsRejected = %d, want 9", st.CheckpointsRejected)
 	}
 	if st.Checkpoints != 1 {
 		t.Errorf("Checkpoints = %d, want 1 (corrupt uploads must not count)", st.Checkpoints)

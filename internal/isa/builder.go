@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs Programs with forward-label resolution. All emit
 // methods return the Builder so calls can be chained.
@@ -29,6 +32,11 @@ func NewBuilder() *Builder {
 // Len returns the number of instructions emitted so far (== the PC of the
 // next instruction).
 func (b *Builder) Len() int { return len(b.instrs) }
+
+// Grow reserves room for n more instructions, so a generator that knows
+// its program's size emits it without re-growing the builder (as
+// strings.Builder.Grow does for bytes).
+func (b *Builder) Grow(n int) { b.instrs = slices.Grow(b.instrs, n) }
 
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in Instruction) *Builder {

@@ -241,3 +241,26 @@ func TestPrefetchInstructions(t *testing.T) {
 		t.Error("pf and pf.x render identically")
 	}
 }
+
+// TestBuilderGrow: Grow reserves room so the reserved emits never re-grow
+// the builder, and it changes nothing about the program built.
+func TestBuilderGrow(t *testing.T) {
+	emit := func(b *Builder) {
+		b.Label("top")
+		for i := 0; i < 100; i++ {
+			b.LoadAbs(R1, int64(i)).AddI(R2, R1, 1).StoreAbs(R2, int64(i))
+		}
+		b.Bnez(R2, "top").Halt()
+	}
+	plain, grown := NewBuilder(), NewBuilder()
+	grown.Grow(302)
+	reserved := cap(grown.instrs)
+	emit(plain)
+	emit(grown)
+	if cap(grown.instrs) != reserved {
+		t.Errorf("builder re-grew from %d to %d slots after Grow", reserved, cap(grown.instrs))
+	}
+	if a, b := plain.Build().Disassemble(), grown.Build().Disassemble(); a != b {
+		t.Errorf("Grow changed the program:\n%s\nvs\n%s", a, b)
+	}
+}

@@ -87,6 +87,10 @@ var msgTypeNames = [numMsgTypes]string{
 	MsgSchedWrite: "SchedWrite",
 }
 
+// Valid reports whether t is a message type of this build (a snapshot may
+// carry any byte).
+func (t MsgType) Valid() bool { return t < numMsgTypes }
+
 func (t MsgType) String() string {
 	if t < numMsgTypes && msgTypeNames[t] != "" {
 		return msgTypeNames[t]

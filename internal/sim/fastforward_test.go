@@ -175,8 +175,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, runOne); allocs != 0 {
 		t.Errorf("steady-state RunUntil(Cycle+1) allocates %.1f objects/call, want 0", allocs)
 	}
-	// Past the miss, instructions flow again and the components allocate
-	// (ROB and LSU entries), but the loop itself must add nothing: running
+	// Past the miss, instructions flow again and the caches and directory
+	// allocate for first touches (TestStepZeroAllocFlowing covers the flow
+	// once those are warm), but the loop itself must add nothing: running
 	// the rest of the program allocates exactly what Step does on a dense
 	// twin at the same cycle.
 	twin := sim.New(cfg, []*isa.Program{workload.Example1()})
@@ -194,6 +195,53 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 	if dense, wake := mallocs(twin.Run), mallocs(s.Run); wake != dense {
 		t.Errorf("finishing the run allocates %d objects on the wake schedule, %d under Step", wake, dense)
+	}
+}
+
+// TestStepZeroAllocFlowing asserts that instruction flow itself allocates
+// nothing: on the realistic pipeline running the barrier workload's long
+// private phase, once every private line is cached, cycles retire about
+// two instructions each, and reorder-buffer entries, load/store-unit
+// entries, speculative-load-buffer rows, latency histograms and counters
+// must all come from storage the machine already has.
+func TestStepZeroAllocFlowing(t *testing.T) {
+	for _, tc := range ffTechniques {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.RealisticConfig()
+			cfg.Procs = 4
+			cfg.Model = core.RC
+			cfg.Tech = tc.tech
+			cfg.DenseLoop = true
+			progs := make([]*isa.Program, cfg.Procs)
+			for p := range progs {
+				progs[p] = workload.BarrierPhases(p, cfg.Procs, 1, 4096)
+			}
+			s := sim.New(cfg, progs)
+			// Warm up past the first sweep over the 512 private words.
+			for i := 0; i < 12000; i++ {
+				s.Step()
+			}
+			retired := func() uint64 { return s.Procs[0].Stats.Counter("retired").Value() }
+			before := retired()
+			if allocs := testing.AllocsPerRun(500, s.Step); allocs != 0 {
+				t.Errorf("flowing Step() allocates %.1f objects/cycle, want 0", allocs)
+			}
+			s.Cfg.DenseLoop = false
+			runOne := func() {
+				if _, err := s.RunUntil(s.Cycle + 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(500, runOne); allocs != 0 {
+				t.Errorf("flowing RunUntil(Cycle+1) allocates %.1f objects/call, want 0", allocs)
+			}
+			if s.Done() {
+				t.Fatal("workload finished inside the measured window")
+			}
+			if got := retired() - before; got < 1000 {
+				t.Errorf("cpu0 retired %d instructions over 1002 measured cycles; the window must be flowing", got)
+			}
+		})
 	}
 }
 

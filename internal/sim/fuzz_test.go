@@ -1,0 +1,193 @@
+package sim_test
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"testing"
+
+	"mcmsim/internal/core"
+	"mcmsim/internal/isa"
+	"mcmsim/internal/network"
+	"mcmsim/internal/sim"
+	"mcmsim/internal/snapshot"
+	"mcmsim/internal/stats"
+	"mcmsim/internal/workload"
+)
+
+// fuzzSeedMachines are small machines captured mid-flight, so the seed
+// snapshots carry reorder buffers, LSU entries, buffer rows, MSHRs,
+// in-flight messages and histograms for the fuzzer to mutate.
+func fuzzSeedMachines(t testing.TB) []*snapshot.Machine {
+	t.Helper()
+	var out []*snapshot.Machine
+	add := func(cfg sim.Config, progs []*isa.Program, at uint64) {
+		s := sim.New(cfg, progs)
+		if _, err := s.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	cfg := sim.RealisticConfig()
+	cfg.Procs = 2
+	cfg.Model = core.SC
+	cfg.Tech = core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true, DetectSC: true}
+	add(cfg, mixProgs(2, 7), 300)
+	cfg = sim.PaperConfig()
+	cfg.Procs = 4
+	cfg.Model = core.RC
+	cfg.Tech = core.Technique{SpecLoad: true, Revalidate: true}
+	cfg.Topo = "mesh"
+	progs := make([]*isa.Program, cfg.Procs)
+	for p := range progs {
+		progs[p] = workload.BarrierPhases(p, cfg.Procs, 2, 3)
+	}
+	add(cfg, progs, 150)
+	return out
+}
+
+func encodeMachine(t testing.TB, m *snapshot.Machine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRestore feeds arbitrary bytes through snapshot.Read and sim.Restore,
+// the path a checkpoint upload or a snapshot file takes: every input must
+// come back as a machine or as an error wrapping snapshot.ErrInvalid,
+// never as a panic or a runaway allocation.
+func FuzzRestore(f *testing.F) {
+	for _, m := range fuzzSeedMachines(f) {
+		f.Add(encodeMachine(f, m))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := snapshot.Read(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, snapshot.ErrInvalid) {
+				t.Fatalf("Read error does not wrap ErrInvalid: %v", err)
+			}
+			return
+		}
+		if _, err := sim.Restore(m); err != nil && !errors.Is(err, snapshot.ErrInvalid) {
+			t.Fatalf("Restore error does not wrap ErrInvalid: %v", err)
+		}
+	})
+}
+
+// TestRestoreRejectsInvalidState breaks one invariant at a time in a valid
+// mid-flight machine; Restore must refuse each with ErrInvalid, and accept
+// the unbroken machine.
+func TestRestoreRejectsInvalidState(t *testing.T) {
+	seed := fuzzSeedMachines(t)[0]
+	fresh := func() *snapshot.Machine {
+		m, err := snapshot.Read(bytes.NewReader(encodeMachine(t, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if _, err := sim.Restore(fresh()); err != nil {
+		t.Fatalf("valid machine refused: %v", err)
+	}
+	if len(seed.Procs[0].CPU.ROB) < 2 {
+		t.Fatal("seed machine has fewer than two reorder-buffer entries")
+	}
+	lsuHist := func(t *testing.T, m *snapshot.Machine) *stats.HistogramState {
+		for _, p := range m.Procs {
+			for i := range p.LSU.Stats.Histograms {
+				if h := &p.LSU.Stats.Histograms[i]; len(h.Values) >= 2 {
+					return h
+				}
+			}
+		}
+		t.Fatal("seed machine has no histogram with two buckets")
+		return nil
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(t *testing.T, m *snapshot.Machine)
+	}{
+		{"rob ids descend", func(t *testing.T, m *snapshot.Machine) {
+			rob := m.Procs[0].CPU.ROB
+			rob[0].ID, rob[1].ID = rob[1].ID, rob[0].ID
+		}},
+		{"rob id at NextID", func(t *testing.T, m *snapshot.Machine) {
+			rob := m.Procs[0].CPU.ROB
+			m.Procs[0].CPU.NextID = rob[len(rob)-1].ID
+		}},
+		{"rob over ROBSize", func(t *testing.T, m *snapshot.Machine) {
+			m.Config.CPU.ROBSize = len(m.Procs[0].CPU.ROB) - 1
+		}},
+		{"operand register out of range", func(t *testing.T, m *snapshot.Machine) {
+			m.Procs[0].CPU.ROB[0].Src.Reg = isa.NumRegs
+		}},
+		{"histogram values unsorted", func(t *testing.T, m *snapshot.Machine) {
+			h := lsuHist(t, m)
+			h.Values[0], h.Values[1] = h.Values[1], h.Values[0]
+		}},
+		{"histogram empty bucket", func(t *testing.T, m *snapshot.Machine) {
+			lsuHist(t, m).Counts[0] = 0
+		}},
+		{"histogram count overflow", func(t *testing.T, m *snapshot.Machine) {
+			h := lsuHist(t, m)
+			h.Counts[0], h.Counts[1] = math.MaxUint64/2+1, math.MaxUint64/2+1
+		}},
+		{"histogram shape", func(t *testing.T, m *snapshot.Machine) {
+			h := lsuHist(t, m)
+			h.Counts = h.Counts[:1]
+		}},
+		{"huge machine", func(t *testing.T, m *snapshot.Machine) {
+			m.Config.Procs = 1 << 30
+		}},
+		{"huge cache", func(t *testing.T, m *snapshot.Machine) {
+			m.Config.Cache.Sets = 1 << 40
+		}},
+		{"bad topology", func(t *testing.T, m *snapshot.Machine) {
+			m.Config.Topo = "mesh:0x0"
+		}},
+		{"bad instruction", func(t *testing.T, m *snapshot.Machine) {
+			m.Procs[0].Prog.Instrs[0].Dst = 200
+		}},
+		{"message to a missing node", func(t *testing.T, m *snapshot.Machine) {
+			if len(m.Net.InFlight) == 0 {
+				t.Fatal("seed machine has no message in flight")
+			}
+			m.Net.InFlight[0].Dst = network.NodeID(m.Config.Procs + 99)
+		}},
+		{"short cache line", func(t *testing.T, m *snapshot.Machine) {
+			for _, set := range m.Caches[0].Sets {
+				for i := range set {
+					if len(set[i].Data) > 0 {
+						set[i].Data = set[i].Data[:len(set[i].Data)-1]
+						return
+					}
+				}
+			}
+			t.Fatal("seed machine has no resident cache line")
+		}},
+		{"sharer out of range", func(t *testing.T, m *snapshot.Machine) {
+			for i := range m.Dirs[0].Lines {
+				if l := &m.Dirs[0].Lines[i]; len(l.Sharers) > 0 {
+					l.Sharers[0] = network.NodeID(m.Config.Procs)
+					return
+				}
+			}
+			t.Fatal("seed machine has no shared directory line")
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := fresh()
+			c.mutate(t, m)
+			if _, err := sim.Restore(m); !errors.Is(err, snapshot.ErrInvalid) {
+				t.Errorf("Restore = %v, want an ErrInvalid error", err)
+			}
+		})
+	}
+}

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"mcmsim/internal/cache"
+	"mcmsim/internal/coherence"
+	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/network"
 	"mcmsim/internal/snapshot"
 )
 
@@ -79,16 +84,49 @@ func (s *System) Snapshot() (*snapshot.Machine, error) {
 // snapshot). Restore never mutates or aliases the Machine, so many systems
 // may be restored concurrently from one snapshot (the warmup cache does
 // exactly that).
+//
+// A snapshot may come from a file or from the network, so Restore checks
+// it before building anything: the configuration must describe a machine
+// New can build within the bounds below, and every component validates
+// its own section. Every failure wraps snapshot.ErrInvalid; no input
+// panics.
 func Restore(m *snapshot.Machine) (*System, error) {
+	s, err := restore(m)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrInvalid, err)
+	}
+	return s, nil
+}
+
+// Bounds on a restored machine, far above any machine the experiments
+// build, so a hostile snapshot cannot make Restore allocate without limit.
+const (
+	maxRestoreNodes    = 4096    // processors, home modules, mesh tiles
+	maxRestoreWidth    = 4096    // fetch/retire width, ROB size, MSHRs
+	maxRestoreSetSlots = 1 << 22 // sets × processors (4 bytes each)
+	maxRestoreWays     = 64
+	maxRestoreLine     = 1024 // words per line
+)
+
+func restore(m *snapshot.Machine) (*System, error) {
+	if err := checkConfig(m.Config); err != nil {
+		return nil, err
+	}
 	cfg := importConfig(m.Config)
 	if len(m.Procs) != cfg.Procs {
 		return nil, fmt.Errorf("sim: snapshot has %d processor states for %d processors", len(m.Procs), cfg.Procs)
 	}
 	progs := make([]*isa.Program, cfg.Procs)
 	for i := range m.Procs {
+		if err := checkProgram(m.Procs[i].Prog); err != nil {
+			return nil, fmt.Errorf("sim: processor %d: %w", i, err)
+		}
 		progs[i] = importProgram(m.Procs[i].Prog)
 	}
 	s := New(cfg, progs)
+	if err := checkRefs(m, s.Cfg); err != nil {
+		return nil, err
+	}
 	if err := s.Net.RestoreState(m.Net); err != nil {
 		return nil, err
 	}
@@ -127,6 +165,127 @@ func Restore(m *snapshot.Machine) (*System, error) {
 	s.baseCycle = m.BaseCycle
 	s.FastForwarded = m.FastForwarded
 	return s, nil
+}
+
+// checkConfig rejects a snapshot configuration New would panic on or
+// that exceeds the restore bounds.
+func checkConfig(c snapshot.Config) error {
+	bad := func(what string, v any) error { return fmt.Errorf("sim: snapshot config has %s %v", what, v) }
+	switch {
+	case c.Procs < 1 || c.Procs > maxRestoreNodes:
+		return bad("processor count", c.Procs)
+	case c.MemModules < 0 || c.MemModules > maxRestoreNodes:
+		return bad("home module count", c.MemModules)
+	case c.Model > core.RCsc:
+		return bad("consistency model", c.Model)
+	case c.Protocol > coherence.ProtoMESI:
+		return bad("protocol", c.Protocol)
+	case c.LineWords > maxRestoreLine || c.LineWords&(c.LineWords-1) != 0:
+		return bad("line size", c.LineWords)
+	case c.Cache.Sets < 1 || c.Cache.Sets&(c.Cache.Sets-1) != 0 || c.Cache.Sets > maxRestoreSetSlots/c.Procs:
+		return bad("cache set count", c.Cache.Sets)
+	case c.Cache.Ways < 1 || c.Cache.Ways > maxRestoreWays:
+		return bad("cache associativity", c.Cache.Ways)
+	case c.Cache.MaxMSHRs < 0 || c.Cache.MaxMSHRs > maxRestoreWidth:
+		return bad("MSHR count", c.Cache.MaxMSHRs)
+	case c.CPU.FetchWidth < 1 || c.CPU.FetchWidth > maxRestoreWidth:
+		return bad("fetch width", c.CPU.FetchWidth)
+	case c.CPU.RetireWidth < 1 || c.CPU.RetireWidth > maxRestoreWidth:
+		return bad("retire width", c.CPU.RetireWidth)
+	case c.CPU.ROBSize < 1 || c.CPU.ROBSize > maxRestoreWidth:
+		return bad("reorder-buffer size", c.CPU.ROBSize)
+	case c.MaxAddrPerCycle < 0 || c.DirBandwidth < 0 || c.DirPointers < 0:
+		return bad("negative unit bound", []int{c.MaxAddrPerCycle, c.DirBandwidth, c.DirPointers})
+	}
+	if err := ValidateTopo(c.Topo, c.Procs); err != nil {
+		return err
+	}
+	if IsMeshTopo(c.Topo) {
+		if w, h, _ := MeshDims(c.Topo, c.Procs); w > maxRestoreNodes || h > maxRestoreNodes/w {
+			return bad("mesh", c.Topo)
+		}
+	}
+	return nil
+}
+
+// checkRefs rejects node ids, message types and line sizes the restored
+// components would only trip over later, when a message is delivered or a
+// line read: every message's type and endpoints, the directories' sharers
+// and owners, and every array that holds a cache line. cfg is the built
+// machine's (normalized) configuration.
+func checkRefs(m *snapshot.Machine, cfg Config) error {
+	nodes := network.NodeID(cfg.Procs + cfg.MemModules + 1) // CPUs, homes, write agent
+	cpus := network.NodeID(cfg.Procs)
+	node := func(id network.NodeID) bool { return id >= 0 && id < nodes }
+	line := func(d []int64) bool { return len(d) == 0 || uint64(len(d)) == cfg.LineWords }
+	msg := func(ms network.MessageState) error {
+		if !ms.Type.Valid() || !node(ms.Src) || !node(ms.Dst) || !node(ms.Requester) || !line(ms.Data) {
+			return fmt.Errorf("sim: snapshot holds a malformed %v message %d -> %d", ms.Type, ms.Src, ms.Dst)
+		}
+		return nil
+	}
+	msgs := func(ms []network.MessageState) error {
+		for _, x := range ms {
+			if err := msg(x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := msgs(m.Net.InFlight); err != nil {
+		return err
+	}
+	for _, d := range m.Dirs {
+		if err := msgs(d.Ingress); err != nil {
+			return err
+		}
+		for _, l := range d.Lines {
+			// Owner -1 is the directory's "no owner".
+			if l.Owner < -1 || l.Owner >= cpus || slices.ContainsFunc(l.Sharers, func(id network.NodeID) bool { return id < 0 || id >= cpus }) {
+				return fmt.Errorf("sim: snapshot directory line %#x names a node that is not a processor", l.Addr)
+			}
+			if l.PendingReq != nil {
+				if err := msg(*l.PendingReq); err != nil {
+					return err
+				}
+			}
+			if err := msgs(l.WaitQ); err != nil {
+				return err
+			}
+		}
+	}
+	for _, c := range m.Caches {
+		for _, set := range c.Sets {
+			for _, l := range set {
+				if l.State > uint8(cache.Exclusive) || !line(l.Data) || (l.State != uint8(cache.Invalid) && len(l.Data) == 0) {
+					return fmt.Errorf("sim: snapshot cache line %#x is malformed", l.Addr)
+				}
+			}
+		}
+		for _, ms := range c.MSHRs {
+			if !line(ms.Data) || slices.ContainsFunc(ms.Deferred, func(d cache.DeferredEventState) bool { return !d.Type.Valid() || !node(d.Requester) }) {
+				return fmt.Errorf("sim: snapshot fill for line %#x is malformed", ms.LineAddr)
+			}
+		}
+		for _, wb := range c.Writebacks {
+			if !line(wb.Data) {
+				return fmt.Errorf("sim: snapshot writeback of line %#x is malformed", wb.LineAddr)
+			}
+		}
+	}
+	return nil
+}
+
+// checkProgram rejects instructions the pipeline cannot decode: unknown
+// opcodes or atomics, and registers outside the register file.
+func checkProgram(p snapshot.ProgramState) error {
+	for pc, in := range p.Instrs {
+		if in.Op > isa.OpHalt || in.RMW > isa.RMWSwap ||
+			in.Dst >= isa.NumRegs || in.Src >= isa.NumRegs || in.Src2 >= isa.NumRegs || in.Base >= isa.NumRegs {
+			return fmt.Errorf("sim: snapshot program has an undecodable instruction at pc %d", pc)
+		}
+	}
+	return nil
 }
 
 // exportConfig converts the live configuration to the snapshot's map-free

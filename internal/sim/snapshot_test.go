@@ -15,6 +15,7 @@ import (
 	"mcmsim/internal/parsim"
 	"mcmsim/internal/sim"
 	"mcmsim/internal/snapshot"
+	"mcmsim/internal/workload"
 )
 
 // snapTechniques extends the fast-forward grid with the Adve-Hill
@@ -367,6 +368,38 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	want := fmt.Sprintf("format version %d, this build reads %d", snapshot.FormatVersion+40, snapshot.FormatVersion)
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("version mismatch error %q does not name both versions (want %q)", err, want)
+	}
+}
+
+// TestSnapshotBytesIndependentOfReports: identical machines encode to
+// identical bytes even when a stats report was rendered from one of them
+// first. Reading a histogram's order statistics must not reorder what the
+// snapshot serializes.
+func TestSnapshotBytesIndependentOfReports(t *testing.T) {
+	encode := func(report bool) []byte {
+		cfg := sim.PaperConfig()
+		cfg.Procs = 2
+		cfg.Model = core.WC
+		s := sim.New(cfg, []*isa.Program{workload.Example1(), workload.Example1()})
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if report {
+			_ = s.StatsReport()
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snapshot.Write(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain, reported := encode(false), encode(true)
+	if !bytes.Equal(plain, reported) {
+		t.Errorf("snapshot bytes differ after StatsReport (%d vs %d bytes)", len(plain), len(reported))
 	}
 }
 

@@ -27,6 +27,7 @@ package snapshot
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -49,7 +50,17 @@ import (
 //	2 — mid-flight machines: in-flight messages, MSHR/ROB/LSU/directory
 //	    transients, pending scheduled writes; ProcState.LSU widened from
 //	    bare statistics to the full load/store-unit state.
-const FormatVersion = 2
+//	3 — histograms as buckets: stats.HistogramState carries one count
+//	    per distinct value in ascending order (Values/Counts) instead of
+//	    the raw Samples, so the bytes no longer depend on whether a
+//	    report sorted the samples first.
+const FormatVersion = 3
+
+// ErrInvalid marks every failure to read or restore a snapshot: a foreign
+// or corrupt stream, another format version, or a machine state that
+// violates the invariants the simulator relies on (sim.Restore wraps its
+// errors in it). Callers test for it with errors.Is.
+var ErrInvalid = errors.New("snapshot: invalid")
 
 // magic guards against feeding arbitrary gob streams to Read.
 const magic = "mcmsim-snapshot"
@@ -153,13 +164,13 @@ func Write(w io.Writer, m *Machine) error {
 func Read(r io.Reader) (*Machine, error) {
 	var e envelope
 	if err := gob.NewDecoder(r).Decode(&e); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
+		return nil, fmt.Errorf("%w: decode: %w", ErrInvalid, err)
 	}
 	if e.Magic != magic {
-		return nil, fmt.Errorf("snapshot: not a machine snapshot (magic %q)", e.Magic)
+		return nil, fmt.Errorf("%w: not a machine snapshot (magic %q)", ErrInvalid, e.Magic)
 	}
 	if e.Version != FormatVersion {
-		return nil, fmt.Errorf("snapshot: format version %d, this build reads %d", e.Version, FormatVersion)
+		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrInvalid, e.Version, FormatVersion)
 	}
 	return &e.Machine, nil
 }

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,87 +27,124 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Histogram collects integer samples and reports summary order statistics.
-// It retains every sample; simulator runs are bounded so this is fine and it
-// keeps percentile computation exact.
+// CounterRef is one named counter of a Set, resolved by name on its first
+// use and reached through the cached pointer afterwards, so a counter that
+// is bumped for every instruction or access costs no map lookup. As with
+// Set.Counter, the counter appears in the set (and in reports) only from
+// its first use. Set.RestoreState drops counters absent from the restored
+// state, so every ref of the set re-resolves after a restore.
+type CounterRef struct {
+	set  *Set
+	name string
+	c    *Counter
+	gen  uint64
+}
+
+// Inc adds one to the counter.
+func (r *CounterRef) Inc() { r.Add(1) }
+
+// Add adds delta to the counter.
+func (r *CounterRef) Add(delta uint64) {
+	if r.c == nil || r.gen != r.set.gen {
+		r.c = r.set.Counter(r.name)
+		r.gen = r.set.gen
+	}
+	r.c.n += delta
+}
+
+// Histogram collects integer samples and reports exact summary order
+// statistics. It keeps one count per distinct value, in ascending value
+// order, so its memory is bounded by the number of distinct values rather
+// than by run length, and every order statistic is read off the counts
+// without sorting anything.
 type Histogram struct {
-	samples []int64
-	sorted  bool
+	buckets []bucket // strictly ascending by value; counts never zero
+	n       int
 	sum     int64
+}
+
+type bucket struct {
+	v int64
+	n uint64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	lo, hi := 0, len(h.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.buckets[mid].v < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(h.buckets) && h.buckets[lo].v == v {
+		h.buckets[lo].n++
+	} else {
+		h.buckets = slices.Insert(h.buckets, lo, bucket{v: v, n: 1})
+	}
+	h.n++
 	h.sum += v
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return h.n }
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(len(h.samples))
+	return float64(h.sum) / float64(h.n)
 }
 
 // Max returns the largest sample, or 0 when empty.
 func (h *Histogram) Max() int64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
+	if len(h.buckets) == 0 {
 		return 0
 	}
-	return h.samples[len(h.samples)-1]
+	return h.buckets[len(h.buckets)-1].v
 }
 
 // Min returns the smallest sample, or 0 when empty.
 func (h *Histogram) Min() int64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
+	if len(h.buckets) == 0 {
 		return 0
 	}
-	return h.samples[0]
+	return h.buckets[0].v
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
 // nearest-rank, or 0 when empty.
 func (h *Histogram) Percentile(p float64) int64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return h.samples[0]
+		return h.Min()
 	}
 	if p >= 100 {
-		return h.samples[len(h.samples)-1]
+		return h.Max()
 	}
-	rank := int(p / 100 * float64(len(h.samples)))
-	if rank >= len(h.samples) {
-		rank = len(h.samples) - 1
+	rank := uint64(p / 100 * float64(h.n))
+	for _, b := range h.buckets {
+		if rank < b.n {
+			return b.v
+		}
+		rank -= b.n
 	}
-	return h.samples[rank]
+	return h.Max()
 }
 
 // Reset discards all samples.
 func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sorted = false
+	h.buckets = h.buckets[:0]
+	h.n = 0
 	h.sum = 0
-}
-
-func (h *Histogram) ensureSorted() {
-	if h.sorted {
-		return
-	}
-	sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-	h.sorted = true
 }
 
 // Set is a named collection of counters and histograms. Components create
@@ -121,6 +159,10 @@ type Set struct {
 	// and enumeration is hot: reports and per-window engine checkpoints
 	// both walk the names in sorted order.
 	cNames, hNames []string
+
+	// gen counts restores; a CounterRef resolved under an older generation
+	// may point at a dropped counter and resolves again.
+	gen uint64
 }
 
 // NewSet creates an empty metric set with the given component name.
@@ -145,6 +187,10 @@ func (s *Set) Counter(name string) *Counter {
 	}
 	return c
 }
+
+// Ref returns a handle on the named counter that resolves it on first use
+// (see CounterRef).
+func (s *Set) Ref(name string) CounterRef { return CounterRef{set: s, name: name} }
 
 // Histogram returns the histogram with the given name, creating it on first
 // use.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -186,5 +187,123 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		h.Observe(rng.Int63n(1000))
+	}
+}
+
+// TestHistogramMatchesSortedSamples property: every summary statistic read
+// off the buckets equals the one computed from the sorted raw samples
+// (nearest rank), including values far above any latency cutoff.
+func TestHistogramMatchesSortedSamples(t *testing.T) {
+	f := func(raw []int32, big []uint16) bool {
+		var h Histogram
+		var s []int64
+		for _, v := range raw {
+			s = append(s, int64(v%64))
+		}
+		for _, v := range big {
+			s = append(s, 30000+int64(v))
+		}
+		for _, v := range s {
+			h.Observe(v)
+		}
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		if len(s) == 0 {
+			return h.Count() == 0 && h.Min() == 0 && h.Max() == 0 && h.Percentile(50) == 0
+		}
+		for _, p := range []float64{0, 1, 25, 50, 75, 90, 99, 99.9, 100} {
+			rank := int(p / 100 * float64(len(s)))
+			if rank >= len(s) {
+				rank = len(s) - 1
+			}
+			if h.Percentile(p) != s[rank] {
+				return false
+			}
+		}
+		return h.Count() == len(s) && h.Min() == s[0] && h.Max() == s[len(s)-1]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHistogramStateRoundTrip: the exported buckets ascend with nonzero
+// counts, and a restored histogram reports exactly what the original did.
+func TestHistogramStateRoundTrip(t *testing.T) {
+	s := NewSet("x")
+	for _, v := range []int64{400, 1, 400, 35000, 1, 100, 400} {
+		s.Histogram("lat").Observe(v)
+	}
+	st := s.ExportState()
+	hs := st.Histograms[0]
+	if want := []int64{1, 100, 400, 35000}; !reflect.DeepEqual(hs.Values, want) {
+		t.Errorf("values = %v, want %v", hs.Values, want)
+	}
+	if want := []uint64{2, 1, 3, 1}; !reflect.DeepEqual(hs.Counts, want) {
+		t.Errorf("counts = %v, want %v", hs.Counts, want)
+	}
+	r := NewSet("x")
+	if err := r.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.String(), s.String(); got != want {
+		t.Errorf("restored report %q, want %q", got, want)
+	}
+	if r.Histogram("lat").Sum() != s.Histogram("lat").Sum() {
+		t.Error("restored sum differs")
+	}
+}
+
+// TestStateValidate: RestoreState refuses malformed buckets and leaves the
+// set untouched.
+func TestStateValidate(t *testing.T) {
+	for name, hs := range map[string]HistogramState{
+		"unsorted":   {Name: "h", Values: []int64{5, 3}, Counts: []uint64{1, 1}},
+		"duplicate":  {Name: "h", Values: []int64{3, 3}, Counts: []uint64{1, 1}},
+		"zero count": {Name: "h", Values: []int64{3}, Counts: []uint64{0}},
+		"shape":      {Name: "h", Values: []int64{3, 4}, Counts: []uint64{1}},
+		"overflow":   {Name: "h", Values: []int64{3, 4}, Counts: []uint64{1 << 63, 1 << 63}},
+	} {
+		s := NewSet("x")
+		s.Counter("c").Inc()
+		if err := s.RestoreState(State{Histograms: []HistogramState{hs}}); err == nil {
+			t.Errorf("%s: RestoreState accepted invalid buckets", name)
+		}
+		if s.Counter("c").Value() != 1 {
+			t.Errorf("%s: a refused restore changed the set", name)
+		}
+	}
+}
+
+// TestCounterRef: a ref registers its counter on first use only, shares it
+// with Set.Counter, and re-resolves after a restore drops or replaces it.
+func TestCounterRef(t *testing.T) {
+	s := NewSet("x")
+	r := s.Ref("hits")
+	if len(s.CounterNames()) != 0 {
+		t.Fatal("Ref registered the counter before its first use")
+	}
+	r.Inc()
+	r.Add(2)
+	if got := s.Counter("hits").Value(); got != 3 {
+		t.Fatalf("hits = %d, want 3", got)
+	}
+	// A restore without the counter drops it: the ref must not keep
+	// counting into the dropped object.
+	if err := s.RestoreState(State{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.CounterNames()) != 0 {
+		t.Fatal("restore kept a counter absent from the state")
+	}
+	r.Inc()
+	if got := s.Counter("hits").Value(); got != 1 {
+		t.Errorf("after restore hits = %d, want 1", got)
+	}
+	if err := s.RestoreState(State{Counters: []CounterState{{Name: "hits", Value: 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	r.Inc()
+	if got := s.Counter("hits").Value(); got != 11 {
+		t.Errorf("after restoring 10, hits = %d, want 11", got)
 	}
 }

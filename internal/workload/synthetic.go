@@ -283,6 +283,9 @@ const (
 // PhaseSumBase+p so tests can verify every phase ran exactly once.
 func BarrierPhases(p, nprocs, phases, work int) *isa.Program {
 	b := isa.NewBuilder()
+	// Two register setups, per phase 4 instructions per word plus 11 of
+	// barrier, and the checksum store and halt.
+	b.Grow(2 + phases*(4*work+11) + 2)
 	priv := int64(privBase + p*privStride)
 	const (
 		rSense = isa.R10 // local copy of the sense we are waiting to flip to

@@ -222,6 +222,16 @@ func TestExample2AccessSequence(t *testing.T) {
 	}
 }
 
+// TestBarrierPhasesSizedExactly: the builder reservation in BarrierPhases
+// matches the emitted length, so the large mesh programs never re-grow.
+func TestBarrierPhasesSizedExactly(t *testing.T) {
+	for _, c := range []struct{ phases, work int }{{1, 0}, {1, 32768}, {3, 2}, {5, 4}} {
+		if got, want := BarrierPhases(0, 4, c.phases, c.work).Len(), 2+c.phases*(4*c.work+11)+2; got != want {
+			t.Errorf("BarrierPhases(phases=%d, work=%d) emits %d instructions, reserves %d", c.phases, c.work, got, want)
+		}
+	}
+}
+
 func TestBarrierPhasesShape(t *testing.T) {
 	p := BarrierPhases(1, 4, 3, 2)
 	var rmws, releases, acquires int
