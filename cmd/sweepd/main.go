@@ -18,7 +18,7 @@
 //
 //	-listen ADDR       daemon bind address
 //	-coordinator ADDR  coordinator to attach to
-//	-j N               concurrent worker loops (default: all CPUs)
+//	-j N               concurrent worker loops (<=0 means all CPUs; default: all CPUs)
 //	-name NAME         worker name prefix in coordinator logs (default: hostname)
 package main
 
@@ -36,10 +36,13 @@ func main() {
 	var (
 		coord  = flag.String("coordinator", "", "coordinator address to attach to")
 		listen = flag.String("listen", "", "daemon bind address: await coordinators' invitations")
-		jobs   = flag.Int("j", runtime.NumCPU(), "concurrent worker loops")
+		jobs   = flag.Int("j", runtime.NumCPU(), "concurrent worker loops (<=0 means all CPUs)")
 		name   = flag.String("name", hostname(), "worker name prefix in coordinator logs")
 	)
 	flag.Parse()
+	if *jobs <= 0 {
+		*jobs = runtime.NumCPU()
+	}
 	if err := run(*coord, *listen, *name, *jobs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)

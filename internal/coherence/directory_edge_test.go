@@ -12,13 +12,13 @@ import (
 // new owner's state.
 func TestStaleReplaceHintIgnoredAfterReassignment(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	if got := r.dir.StateOf(0x40); got != "exclusive(1)" {
 		t.Fatalf("dir state = %s", got)
 	}
 	// The hint cache 0 posted when it evicted, delayed past the GetX.
-	r.send(&network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	if got := r.dir.StateOf(0x40); got != "exclusive(1)" {
 		t.Fatalf("stale hint disturbed ownership: %s", got)
 	}
@@ -32,12 +32,12 @@ func TestStaleReplaceHintIgnoredAfterReassignment(t *testing.T) {
 // pending acks — the directory must not invalidate the departed sharer.
 func TestReplaceHintPreventsSpuriousInvalidation(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	if got := r.dir.StateOf(0x40); got != "uncached" {
 		t.Fatalf("dir state after last sharer left = %s", got)
 	}
-	r.send(&network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	grants := r.nodes[1].byType(MsgDataEx)
 	if len(grants) != 1 || grants[0].AckCount != 0 {
 		t.Fatalf("DataEx grants = %+v, want one grant with zero acks", grants)
@@ -53,16 +53,16 @@ func TestReplaceHintPreventsSpuriousInvalidation(t *testing.T) {
 // and must still be acked so the evicting cache can free its buffer.
 func TestDuplicateWritebackAfterRecall(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	ownerTag := r.nodes[0].byType(MsgDataEx)[0].Tag
 
 	// A reader triggers a recall; the owner answers it.
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	recalls := r.nodes[0].byType(network.MsgRecallShare)
 	if len(recalls) != 1 {
 		t.Fatalf("recalls = %d", len(recalls))
 	}
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{7, 7, 7, 7}, Tag: recalls[0].Tag, AckCount: 1,
 	})
@@ -72,7 +72,7 @@ func TestDuplicateWritebackAfterRecall(t *testing.T) {
 
 	// The owner's voluntary writeback with its original (now stale) grant
 	// tag arrives afterwards, carrying older data.
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{1, 1, 1, 1}, Tag: ownerTag,
 	})

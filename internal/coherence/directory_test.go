@@ -51,8 +51,8 @@ func newDirRig(nCaches int, proto Protocol) *dirRig {
 	return r
 }
 
-func (r *dirRig) send(m *network.Message) {
-	r.net.Send(m, r.cycle)
+func (r *dirRig) send(m network.Message) {
+	r.net.Post(m, r.cycle)
 	r.drain()
 }
 
@@ -69,7 +69,7 @@ func (r *dirRig) drain() {
 func TestGetSGrantsSharedData(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
 	r.mem.WriteLine(0x40, []int64{1, 2, 3, 4})
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	data := r.nodes[0].byType(MsgData)
 	if len(data) != 1 {
 		t.Fatalf("grants = %d", len(data))
@@ -84,9 +84,9 @@ func TestGetSGrantsSharedData(t *testing.T) {
 
 func TestGetXInvalidatesSharersAndReportsAckCount(t *testing.T) {
 	r := newDirRig(3, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetX, Src: 2, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 2, Dst: r.dir.ID, Line: 0x40})
 	grants := r.nodes[2].byType(MsgDataEx)
 	if len(grants) != 1 || grants[0].AckCount != 2 {
 		t.Fatalf("DataEx grants = %+v", grants)
@@ -104,8 +104,8 @@ func TestGetXInvalidatesSharersAndReportsAckCount(t *testing.T) {
 
 func TestGetXFromSharerSkipsSelfInvalidation(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	if len(r.nodes[0].byType(MsgInv)) != 0 {
 		t.Error("requester must not be invalidated on upgrade")
 	}
@@ -117,8 +117,8 @@ func TestGetXFromSharerSkipsSelfInvalidation(t *testing.T) {
 
 func TestRecallOnGetSOfDirtyLine(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	recalls := r.nodes[0].byType(MsgRecallShare)
 	if len(recalls) != 1 {
 		t.Fatalf("recalls = %d", len(recalls))
@@ -127,7 +127,7 @@ func TestRecallOnGetSOfDirtyLine(t *testing.T) {
 		t.Error("line must be busy during the recall")
 	}
 	// Owner responds with the dirty data, retaining a shared copy.
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{9, 9, 9, 9}, Tag: recalls[0].Tag, AckCount: 1,
 	})
@@ -148,16 +148,16 @@ func TestRecallOnGetSOfDirtyLine(t *testing.T) {
 
 func TestQueuedRequestsServedAfterRecall(t *testing.T) {
 	r := newDirRig(3, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	// Two readers pile up while the line is busy.
-	r.net.Send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
-	r.net.Send(&network.Message{Type: MsgGetS, Src: 2, Dst: r.dir.ID, Line: 0x40}, r.cycle)
+	r.net.Post(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
+	r.net.Post(network.Message{Type: MsgGetS, Src: 2, Dst: r.dir.ID, Line: 0x40}, r.cycle)
 	r.drain()
 	recalls := r.nodes[0].byType(MsgRecallShare)
 	if len(recalls) != 1 {
 		t.Fatalf("recalls = %d (queued requests must not re-recall)", len(recalls))
 	}
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{7, 0, 0, 0}, Tag: recalls[0].Tag, AckCount: 1,
 	})
@@ -174,9 +174,9 @@ func TestQueuedRequestsServedAfterRecall(t *testing.T) {
 
 func TestVoluntaryWritebackAcceptedAndAcked(t *testing.T) {
 	r := newDirRig(1, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	grant := r.nodes[0].byType(MsgDataEx)[0]
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{5, 6, 7, 8}, Tag: grant.Tag,
 	})
@@ -193,19 +193,19 @@ func TestVoluntaryWritebackAcceptedAndAcked(t *testing.T) {
 
 func TestStaleWritebackDropped(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	grant0 := r.nodes[0].byType(MsgDataEx)[0]
 	// Ownership moves on: node 1 takes the line; node 0 responds to the
 	// recall from its writeback buffer.
-	r.net.Send(&network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
+	r.net.Post(network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
 	r.drain()
 	recall := r.nodes[0].byType(MsgRecallInv)[0]
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{3, 0, 0, 0}, Tag: recall.Tag, AckCount: 0,
 	})
 	// The stale voluntary writeback (old grant tag) arrives afterwards.
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{3, 0, 0, 0}, Tag: grant0.Tag,
 	})
@@ -222,18 +222,18 @@ func TestStaleWritebackDropped(t *testing.T) {
 
 func TestReplaceHintPrunesSharer(t *testing.T) {
 	r := newDirRig(2, ProtoInvalidate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgReplaceHint, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	if r.dir.StateOf(0x40) != "shared(x1)" {
 		t.Errorf("state after hint = %s", r.dir.StateOf(0x40))
 	}
-	r.send(&network.Message{Type: MsgReplaceHint, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgReplaceHint, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	if r.dir.StateOf(0x40) != "uncached" {
 		t.Errorf("state after all hints = %s", r.dir.StateOf(0x40))
 	}
 	// After pruning, a write needs no invalidations.
-	r.send(&network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	if g := r.nodes[0].byType(MsgDataEx); len(g) != 1 || g[0].AckCount != 0 {
 		t.Errorf("grant after prune = %+v", g)
 	}
@@ -241,9 +241,9 @@ func TestReplaceHintPrunesSharer(t *testing.T) {
 
 func TestUpdateProtocolWriteAtDirectory(t *testing.T) {
 	r := newDirRig(2, ProtoUpdate)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
-	r.send(&network.Message{Type: MsgUpdateReq, Src: 0, Dst: r.dir.ID, Line: 0x40, Word: 0x41, Value: 55})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgUpdateReq, Src: 0, Dst: r.dir.ID, Line: 0x40, Word: 0x41, Value: 55})
 	if r.mem.ReadWord(0x41) != 55 {
 		t.Error("update not applied to memory")
 	}
@@ -264,7 +264,7 @@ func TestUpdateRMWAtDirectoryReturnsOldValue(t *testing.T) {
 	r := newDirRig(1, ProtoUpdate)
 	r.mem.WriteWord(0x41, 10)
 	// SeqNo = kind+1; fetch-add (kind 1) of 5.
-	r.send(&network.Message{Type: MsgUpdateReq, Src: 0, Dst: r.dir.ID, Line: 0x40, Word: 0x41, Value: 5, SeqNo: 2})
+	r.send(network.Message{Type: MsgUpdateReq, Src: 0, Dst: r.dir.ID, Line: 0x40, Word: 0x41, Value: 5, SeqNo: 2})
 	dones := r.nodes[0].byType(MsgUpdateDone)
 	if len(dones) != 1 || dones[0].Value != 10 {
 		t.Fatalf("RMW old value = %+v", dones)
@@ -276,12 +276,12 @@ func TestUpdateRMWAtDirectoryReturnsOldValue(t *testing.T) {
 
 func TestNSTReadWrite(t *testing.T) {
 	r := newDirRig(1, ProtoInvalidate)
-	r.send(&network.Message{Type: network.MsgMemWrite, Src: 0, Dst: r.dir.ID, Word: 0x99, Value: 4, Tag: 11})
+	r.send(network.Message{Type: network.MsgMemWrite, Src: 0, Dst: r.dir.ID, Word: 0x99, Value: 4, Tag: 11})
 	acks := r.nodes[0].byType(network.MsgMemWrAck)
 	if len(acks) != 1 || acks[0].Tag != 11 {
 		t.Fatalf("write ack = %+v", acks)
 	}
-	r.send(&network.Message{Type: network.MsgMemRead, Src: 0, Dst: r.dir.ID, Word: 0x99, Tag: 12})
+	r.send(network.Message{Type: network.MsgMemRead, Src: 0, Dst: r.dir.ID, Word: 0x99, Tag: 12})
 	resp := r.nodes[0].byType(network.MsgMemRdResp)
 	if len(resp) != 1 || resp[0].Value != 4 || resp[0].Tag != 12 {
 		t.Fatalf("read response = %+v", resp)
@@ -292,7 +292,7 @@ func TestNSTRMWAtomicAtMemory(t *testing.T) {
 	r := newDirRig(1, ProtoInvalidate)
 	r.mem.WriteWord(0x50, 1)
 	// Test-and-set wire encoding (kind 0 -> SeqNo 1).
-	r.send(&network.Message{Type: network.MsgMemWrite, Src: 0, Dst: r.dir.ID, Word: 0x50, Value: 0, SeqNo: 1, Tag: 5})
+	r.send(network.Message{Type: network.MsgMemWrite, Src: 0, Dst: r.dir.ID, Word: 0x50, Value: 0, SeqNo: 1, Tag: 5})
 	acks := r.nodes[0].byType(network.MsgMemWrAck)
 	if len(acks) != 1 || acks[0].Value != 1 {
 		t.Fatalf("NST rmw old = %+v", acks)

@@ -12,7 +12,7 @@ import (
 // plain shared Data grant.
 func TestMESIExclusiveCleanGrant(t *testing.T) {
 	r := newDirRig(2, ProtoMESI)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
 	grants := r.nodes[0].byType(MsgDataEx)
 	if len(grants) != 1 || grants[0].AckCount != 0 {
 		t.Fatalf("DataEx grants = %+v, want one grant with zero acks", grants)
@@ -25,13 +25,13 @@ func TestMESIExclusiveCleanGrant(t *testing.T) {
 	}
 	// A second reader must demote the line to shared via a recall, exactly
 	// like an MSI dirty owner.
-	r.send(&network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	if recalls := r.nodes[0].byType(network.MsgRecallShare); len(recalls) != 1 {
 		t.Fatalf("recalls to the exclusive-clean owner = %d, want 1", len(recalls))
 	}
 
 	m := newDirRig(2, ProtoInvalidate)
-	m.send(&network.Message{Type: MsgGetS, Src: 0, Dst: m.dir.ID, Line: 0x40})
+	m.send(network.Message{Type: MsgGetS, Src: 0, Dst: m.dir.ID, Line: 0x40})
 	if ex := m.nodes[0].byType(MsgDataEx); len(ex) != 0 {
 		t.Fatalf("MSI granted DataEx on a read: %+v", ex)
 	}
@@ -48,12 +48,12 @@ func TestMESIExclusiveCleanGrant(t *testing.T) {
 func TestMESISilentEvictionRegrant(t *testing.T) {
 	for _, req := range []network.MsgType{MsgGetS, MsgGetX} {
 		r := newDirRig(2, ProtoMESI)
-		r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+		r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
 		if got := r.dir.StateOf(0x40); got != "exclusive(0)" {
 			t.Fatalf("%v: dir state = %s", req, got)
 		}
 		// Cache 0 silently evicts (no message at all), then requests again.
-		r.send(&network.Message{Type: req, Src: 0, Dst: r.dir.ID, Line: 0x40})
+		r.send(network.Message{Type: req, Src: 0, Dst: r.dir.ID, Line: 0x40})
 		grants := r.nodes[0].byType(MsgDataEx)
 		if len(grants) != 2 || grants[1].AckCount != 0 {
 			t.Fatalf("%v: DataEx grants = %+v, want re-grant with zero acks", req, grants)
@@ -77,17 +77,17 @@ func TestMESISilentEvictionRegrant(t *testing.T) {
 func TestMESIRecallNoCopyCompletion(t *testing.T) {
 	r := newDirRig(2, ProtoMESI)
 	r.mem.WriteWord(0x40, 7)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
 
 	// Cache 1 wants to write; the exclusive-clean owner is recalled.
-	r.send(&network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40})
 	recalls := r.nodes[0].byType(network.MsgRecallInv)
 	if len(recalls) != 1 {
 		t.Fatalf("recalls = %d, want 1", len(recalls))
 	}
 	// The owner answers without a copy: silent eviction already happened
 	// (or the line was clean and invalidated on the spot).
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 0, Dst: r.dir.ID, Line: 0x40,
 		Data: nil, Tag: recalls[0].Tag, AckCount: 0,
 	})
@@ -116,11 +116,11 @@ func TestMESIRecallNoCopyCompletion(t *testing.T) {
 func TestMESIBusyLineSelfCompletion(t *testing.T) {
 	r := newDirRig(2, ProtoMESI)
 	r.mem.WriteWord(0x40, 7)
-	r.send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
+	r.send(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40})
 
 	// Deliver GetX and GetS in one drain so the GetS hits the busy window.
-	r.net.Send(&network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
-	r.net.Send(&network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40}, r.cycle)
+	r.net.Post(network.Message{Type: MsgGetX, Src: 1, Dst: r.dir.ID, Line: 0x40}, r.cycle)
+	r.net.Post(network.Message{Type: MsgGetS, Src: 0, Dst: r.dir.ID, Line: 0x40}, r.cycle)
 	r.drain()
 
 	if r.dir.Stats.Counter("recall_self_completions").Value() != 1 {
@@ -138,7 +138,7 @@ func TestMESIBusyLineSelfCompletion(t *testing.T) {
 	if len(recalls) != 1 {
 		t.Fatalf("recalls to the new owner = %d, want 1", len(recalls))
 	}
-	r.send(&network.Message{
+	r.send(network.Message{
 		Type: MsgWriteBack, Src: 1, Dst: r.dir.ID, Line: 0x40,
 		Data: []int64{9, 9, 9, 9}, Tag: recalls[0].Tag, AckCount: 1,
 	})

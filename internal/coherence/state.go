@@ -96,7 +96,8 @@ func (d *Directory) ExportStateInto(st *State) error {
 // transactions, ingress queue and statistics — with the exported one. Any
 // in-progress state the directory held is discarded (the shard engine's
 // rollback path); retained messages are materialized as fresh
-// unpooled allocations, since the originals may have been recycled.
+// allocations, since the originals may have been recycled. The directory
+// recycles them like any retained message once served.
 func (d *Directory) RestoreState(st State) error {
 	// Rollback restores once per mis-speculated window; reuse the discarded
 	// table's dirLine objects and inner buffers in place (*dirLine never

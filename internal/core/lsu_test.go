@@ -436,7 +436,7 @@ func TestRevalidationFailureSquashes(t *testing.T) {
 	// directory invalidates our copy, the LSU marks the entry suspect, and
 	// the later repeat read returns the new value, so the revalidation must
 	// fail and squash.
-	r.net.Send(&network.Message{
+	r.net.Post(network.Message{
 		Type: network.MsgUpdateReq, Src: 2, Dst: 1,
 		Line: 0x100, Word: 0x100, Value: 77,
 	}, r.cycle)
@@ -510,7 +510,7 @@ func TestDetectorFlagsEarlyLoad(t *testing.T) {
 	r.lsu.Dispatch(2, ld(0x300), true, 0, true, 0) // miss
 	r.lsu.Dispatch(3, ld(0x100), true, 0, true, 0) // hit, early
 	// An external write invalidates the early load's line inside the window.
-	r.net.Send(&network.Message{
+	r.net.Post(network.Message{
 		Type: network.MsgUpdateReq, Src: 2, Dst: 1,
 		Line: 0x100, Word: 0x100, Value: 9,
 	}, r.cycle)
@@ -531,7 +531,7 @@ func TestDetectorIgnoresInOrderLoad(t *testing.T) {
 	// during its flight must not count.
 	r.lsu.Dispatch(1, ld(0x100), true, 0, true, 0)
 	r.run(1)
-	r.net.Send(&network.Message{
+	r.net.Post(network.Message{
 		Type: network.MsgUpdateReq, Src: 2, Dst: 1,
 		Line: 0x100, Word: 0x100, Value: 9,
 	}, r.cycle)

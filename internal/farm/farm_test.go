@@ -245,8 +245,10 @@ func TestFarmFingerprintMismatch(t *testing.T) {
 		{Kind: "sweep", Exps: []string{"bogus"}},
 		{Kind: "sweep", Exps: []string{"scale"}, ScaleCPUs: []int{16, 0}},
 		{Kind: "sweep", Exps: []string{"scale"}, Topo: "mesh:bad"},
+		{Kind: "sweep", Exps: []string{"equalization"}, Procs: -1},
 		{Kind: "conform", N: 1, Protocol: "moesi"},
 		{Kind: "conform", N: 1, Topo: "ring"},
+		{Kind: "conform", N: -1},
 	}
 	for _, spec := range bad {
 		if _, err := Enumerate(spec); err == nil {

@@ -56,9 +56,10 @@ type JobSpec struct {
 // Enumerate reproduces the spec's job list. Deterministic: the same spec
 // yields the same jobs in the same order on every fleet member (the
 // Fingerprint handshake enforces it). A spec no enumerator can build — an
-// unknown kind, protocol or experiment, a scale machine size below 1, a
-// topology sim.ValidateTopo rejects — is an error, never a panic, whether
-// it comes from a command line or over the wire.
+// unknown kind, protocol or experiment, a negative processor or program
+// count, a scale machine size below 1, a topology sim.ValidateTopo
+// rejects — is an error, never a panic, whether it comes from a command
+// line or over the wire.
 func Enumerate(spec JobSpec) ([]runner.Job, error) {
 	switch spec.Kind {
 	case "sweep":
@@ -77,6 +78,9 @@ func sweepPlan(spec JobSpec) ([]experiments.Sweep, experiments.Params, error) {
 		Seed:      spec.Seed,
 		ScaleCPUs: spec.ScaleCPUs,
 		ScaleTopo: spec.Topo,
+	}
+	if spec.Procs < 0 {
+		return nil, params, fmt.Errorf("bad processor count %d (want 0 or more)", spec.Procs)
 	}
 	switch spec.Protocol {
 	case "", "msi":
@@ -167,6 +171,10 @@ func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions,
 	default:
 		return conformance.Params{}, conformance.CheckOptions{},
 			fmt.Errorf("unknown conformance protocol axis %q (want both, msi, or mesi)", spec.Protocol)
+	}
+	if spec.N < 0 {
+		return conformance.Params{}, conformance.CheckOptions{},
+			fmt.Errorf("bad program count %d (want 0 or more)", spec.N)
 	}
 	// The smallest generated program has 2 processors.
 	if err := sim.ValidateTopo(spec.Topo, max(spec.PadCPUs, 2)); err != nil {

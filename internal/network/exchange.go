@@ -2,7 +2,7 @@
 // (internal/parsim).
 //
 // The sequential simulator funnels every message through one delivery heap;
-// arbitration order is the global sequence number assigned at Send time,
+// arbitration order is the global sequence number assigned at send time,
 // which in turn is fixed by the phase order of System.Step: scheduled
 // writes, then processor frontends, then network delivery (handlers send in
 // the (deliver, seq) order of the messages they handle), then directory
@@ -20,7 +20,10 @@
 // sorted order, and routes every message into its destination shard's
 // inbox heap. Because the key order equals the sequential send order, the
 // (deliver, seq) delivery order each endpoint observes is byte-for-byte the
-// order the sequential engine would have produced.
+// order the sequential engine would have produced. Every send arrives at
+// least the topology's minimum delay after its departure, because no Port
+// call can name a delivery cycle; a window that short therefore never
+// receives a message sent inside it.
 package network
 
 import (
@@ -78,10 +81,7 @@ type pendingSend struct {
 	key sendKey
 	// dep is the message's departure cycle (send time plus sender service
 	// time); the barrier turns it into an arrival cycle via the topology.
-	// abs marks messages sent with an explicit absolute delivery cycle
-	// (SendAt/PostAt), which bypass the topology entirely.
 	dep uint64
-	abs bool
 }
 
 // Endpoint is one shard's private view of the network: an inbox of
@@ -90,13 +90,12 @@ type pendingSend struct {
 // by exactly one goroutine between barriers; the Exchange (single-threaded
 // at barriers) is the only other toucher.
 type Endpoint struct {
-	lat     uint64
 	rank    uint64
 	handler Handler
 
 	inbox msgHeap
 	out   []pendingSend
-	free  []*Message
+	free  freeList
 
 	// scratch is Rollback's staging area for the leftover inbox pointers it
 	// reuses while rebuilding the inbox from a checkpoint.
@@ -113,9 +112,6 @@ type Endpoint struct {
 	Received uint64
 }
 
-// Latency implements Port.
-func (ep *Endpoint) Latency() uint64 { return ep.lat }
-
 // SetPhase establishes the ambient send-order context for subsequent sends:
 // the current cycle and step phase. The endpoint's component rank supplies
 // the major key. DeliverDue overrides the context per handled message.
@@ -123,70 +119,37 @@ func (ep *Endpoint) SetPhase(cycle uint64, ph Phase) {
 	ep.ctx = sendKey{cycle: cycle, phase: ph, major: ep.rank}
 }
 
-// Send implements Port: the message departs now; its arrival cycle is
+// Post implements Port: the message departs now; its arrival cycle is
 // computed by the topology at the next barrier, in sequential send order,
 // so topology contention state evolves exactly as in the sequential engine.
-func (ep *Endpoint) Send(m *Message, now uint64) { ep.enqueue(m, now, false) }
+func (ep *Endpoint) Post(proto Message, now uint64) { ep.PostAfter(proto, now, 0) }
 
-// SendAfter implements Port: departure at now + extra (sender service time).
-func (ep *Endpoint) SendAfter(m *Message, now, extra uint64) { ep.enqueue(m, now+extra, false) }
-
-// SendAt implements Port: an explicit absolute delivery cycle, bypassing
-// the topology (engine-internal and test traffic only).
-func (ep *Endpoint) SendAt(m *Message, deliver uint64) { ep.enqueue(m, deliver, true) }
+// PostAfter implements Port: departure at now + extra (sender service time).
+func (ep *Endpoint) PostAfter(proto Message, now, extra uint64) {
+	m := ep.free.get()
+	*m = proto
+	ep.enqueue(m, now+extra)
+}
 
 // enqueue buffers the message in the outbox, stamped with the sequential
 // send-order key; it reaches its destination inbox at the next barrier.
-func (ep *Endpoint) enqueue(m *Message, dep uint64, abs bool) {
+func (ep *Endpoint) enqueue(m *Message, dep uint64) {
 	if m.enqueued {
 		panic("network: message enqueued twice")
 	}
 	m.enqueued = true
-	if abs {
-		m.deliver = dep
-	}
 	ep.sent++
 	ep.hops[m.Type]++
 	key := ep.ctx
 	key.ord = ep.ord
 	ep.ord++
-	ep.out = append(ep.out, pendingSend{m: m, key: key, dep: dep, abs: abs})
+	ep.out = append(ep.out, pendingSend{m: m, key: key, dep: dep})
 }
 
-// Post implements Port.
-func (ep *Endpoint) Post(proto Message, now uint64) { ep.post(proto, now, false) }
-
-// PostAfter implements Port.
-func (ep *Endpoint) PostAfter(proto Message, now, extra uint64) { ep.post(proto, now+extra, false) }
-
-// PostAt implements Port, with an explicit absolute delivery cycle.
-func (ep *Endpoint) PostAt(proto Message, deliver uint64) { ep.post(proto, deliver, true) }
-
-// post draws from the endpoint's private free list and enqueues.
-func (ep *Endpoint) post(proto Message, dep uint64, abs bool) {
-	var m *Message
-	if k := len(ep.free); k > 0 {
-		m = ep.free[k-1]
-		ep.free[k-1] = nil
-		ep.free = ep.free[:k-1]
-	} else {
-		m = &Message{}
-	}
-	*m = proto
-	m.pooled = true
-	ep.enqueue(m, dep, abs)
-}
-
-// Recycle implements Port. Pool messages migrate between shards (a message
+// Recycle implements Port. Messages migrate between shards (a message
 // posted by one shard is recycled into the free list of the shard that
 // consumed it); barriers order every handoff.
-func (ep *Endpoint) Recycle(m *Message) {
-	if !m.pooled || m.enqueued {
-		return
-	}
-	*m = Message{}
-	ep.free = append(ep.free, m)
-}
+func (ep *Endpoint) Recycle(m *Message) { ep.free.put(m) }
 
 // DeliverDue hands every inbox message due at or before now to the shard's
 // handler, in the same (deliver, seq) order the sequential Network.Deliver
@@ -197,24 +160,13 @@ func (ep *Endpoint) DeliverDue(now uint64) {
 	for ep.inbox.Len() > 0 && ep.inbox[0].deliver <= now {
 		m := heap.Pop(&ep.inbox).(*Message)
 		m.enqueued = false
-		if m.Type == MsgSchedWrite {
-			// An injected self-delivery is the writes phase of this cycle:
-			// sends made while handling it must sort where the sequential
-			// loop sent them — before every frontend/deliver-phase send —
-			// and its injection ordinal cannot collide with the sequence
-			// number of a real message handled elsewhere this cycle.
-			ep.ctx = sendKey{cycle: now, phase: PhaseWrites, major: m.seq}
-		} else {
-			ep.ctx = sendKey{cycle: now, phase: PhaseDeliver, major: m.seq}
-		}
+		ep.ctx = sendKey{cycle: now, phase: PhaseDeliver, major: m.seq}
 		ep.Received++
 		ep.handler.HandleMessage(m, now)
-		if m.pooled {
-			if m.retained {
-				m.retained = false
-			} else {
-				ep.Recycle(m)
-			}
+		if m.retained {
+			m.retained = false
+		} else {
+			ep.free.put(m)
 		}
 	}
 }
@@ -253,10 +205,6 @@ type Exchange struct {
 	// until their destination endpoints exist.
 	held []*Message
 
-	// nextInject numbers Inject calls; injected messages order among
-	// themselves by this ordinal, never against real sequence numbers.
-	nextInject uint64
-
 	// Exchanged counts messages routed across all barriers.
 	Exchanged uint64
 }
@@ -281,7 +229,7 @@ func NewExchange(n *Network) *Exchange {
 // component rank (index within its step phase), and the handler that
 // receives its deliveries.
 func (x *Exchange) Endpoint(id NodeID, rank uint64, h Handler) *Endpoint {
-	ep := &Endpoint{lat: x.net.topo.MinDelay(), rank: rank, handler: h}
+	ep := &Endpoint{rank: rank, handler: h}
 	x.eps = append(x.eps, ep)
 	x.dest[id] = ep
 	kept := x.held[:0]
@@ -294,34 +242,6 @@ func (x *Exchange) Endpoint(id NodeID, rank uint64, h Handler) *Endpoint {
 	}
 	x.held = kept
 	return ep
-}
-
-// Inject places a copy of proto directly into the destination's inbox for
-// delivery at the given absolute cycle, before the first window runs. This
-// is how a component's self-scheduled future work (the write agent's
-// scheduled external writes) enters the exchange without a special case in
-// the shard loop: the work arrives as an ordinary delivery.
-//
-// Injected messages live outside the global sequence space (they would
-// otherwise skew the counter the sequential engine and the snapshots keep
-// exactly aligned): they carry injection ordinals instead, and the inbox
-// order delivers an injection before any real message due the same cycle —
-// exactly where the sequential loop puts the work, since its writes phase
-// precedes delivery. They are not network traffic either: the
-// MessagesSent/HopsByType counters never see them, and Close discards any
-// still undelivered instead of reinjecting them into the network.
-func (x *Exchange) Inject(proto Message, deliver uint64) {
-	dst, ok := x.dest[proto.Dst]
-	if !ok {
-		panic(fmt.Sprintf("network: injection for unattached node %d", proto.Dst))
-	}
-	m := &Message{}
-	*m = proto
-	m.enqueued = true
-	m.deliver = deliver
-	m.seq = x.nextInject
-	x.nextInject++
-	heap.Push(&dst.inbox, m)
 }
 
 // Barrier merges every outbox into the destination inboxes: sends are
@@ -345,9 +265,7 @@ func (x *Exchange) Barrier() int {
 	topo := x.net.topo
 	for _, ps := range x.scratch {
 		m := ps.m
-		if !ps.abs {
-			m.deliver = topo.Arrival(m.Src, m.Dst, ps.dep)
-		}
+		m.deliver = topo.Arrival(m.Src, m.Dst, ps.dep)
 		m.seq = x.nextSeq
 		x.nextSeq++
 		dst, ok := x.dest[m.Dst]
@@ -394,15 +312,7 @@ func (x *Exchange) Close() {
 		ep.sent = 0
 		ep.hops = [numMsgTypes]uint64{}
 		for ep.inbox.Len() > 0 {
-			m := heap.Pop(&ep.inbox).(*Message)
-			if m.Type == MsgSchedWrite {
-				// Undelivered injections (error paths only) are dropped,
-				// not reinjected: the writes queue cursor only advances on
-				// delivery, so the system still owns the pending writes and
-				// the network sees the same state a sequential abort leaves.
-				continue
-			}
-			heap.Push(&n.q, m) // deliver/seq/enqueued preserved
+			heap.Push(&n.q, heap.Pop(&ep.inbox)) // deliver/seq/enqueued preserved
 		}
 		n.free = append(n.free, ep.free...)
 		ep.free = nil

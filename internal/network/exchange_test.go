@@ -212,15 +212,16 @@ func TestExchangeSeqContinuation(t *testing.T) {
 	// inbox survives to Close and must be reinjected into the network.
 	x.Endpoint(0, 0, rec)
 	ep := x.Endpoint(1, 1, &recorder{id: 1})
-	ep.SetPhase(0, PhaseCacheTick)
-	// Two same-cycle deliveries; arbitration must follow send order.
-	ep.PostAt(Message{Type: MsgData, Src: 1, Dst: 0, Value: 1}, 5)
-	ep.PostAt(Message{Type: MsgData, Src: 1, Dst: 0, Value: 2}, 5)
+	ep.SetPhase(3, PhaseCacheTick)
+	// Two same-cycle deliveries (cycle 5); arbitration must follow send
+	// order.
+	ep.Post(Message{Type: MsgData, Src: 1, Dst: 0, Value: 1}, 3)
+	ep.Post(Message{Type: MsgData, Src: 1, Dst: 0, Value: 2}, 3)
 	x.Barrier()
 	x.Close()
 	// net.q now holds both messages (reinjected undelivered); a direct post
-	// at the same cycle must arbitrate after them.
-	net.PostAt(Message{Type: MsgData, Src: 1, Dst: 0, Value: 3}, 5)
+	// arriving the same cycle must arbitrate after them.
+	net.Post(Message{Type: MsgData, Src: 1, Dst: 0, Value: 3}, 3)
 	net.Deliver(5)
 	want := []string{
 		"t=5 src=1 type=Data val=1 word=0",

@@ -13,6 +13,11 @@
 // same-route messages stay ordered because each link is booked in send
 // order, but the coherence protocol never relies on network FIFO (the
 // per-line version numbers order racing messages).
+//
+// Components send through a Port (port.go). A send names its departure
+// cycle only; the topology names the arrival, so every message arrives at
+// least Latency() cycles after it is sent. Messages come from a free list
+// and return to one after delivery unless their handler retains them.
 package network
 
 import (
@@ -61,13 +66,6 @@ const (
 	MsgMemRdResp // memory module -> processor: read data
 	MsgMemWrAck  // memory module -> processor: write performed
 
-	// MsgSchedWrite is an engine-internal self-delivery: the parallel
-	// engine injects one per scheduled external write (Exchange.Inject),
-	// addressed to the write agent at the write's cycle, so the agent's
-	// self-scheduling needs no special case outside the network layer. It
-	// never crosses a real link and is excluded from the traffic counters.
-	MsgSchedWrite
-
 	numMsgTypes // sentinel: sizes the per-type arrays below
 )
 
@@ -84,7 +82,6 @@ var msgTypeNames = [numMsgTypes]string{
 	MsgUpdateAck: "UpdateAck", MsgUpdateDone: "UpdateDone",
 	MsgMemRead: "MemRead", MsgMemWrite: "MemWrite",
 	MsgMemRdResp: "MemRdResp", MsgMemWrAck: "MemWrAck",
-	MsgSchedWrite: "SchedWrite",
 }
 
 // Valid reports whether t is a message type of this build (a snapshot may
@@ -114,18 +111,15 @@ type Message struct {
 	SeqNo     uint64  // per-processor sequence number (NST comparator)
 	Tag       uint64  // opaque request tag echoed in responses
 
-	seq      uint64 // global arbitration order, assigned by Send
+	seq      uint64 // global arbitration order, assigned at send
 	deliver  uint64 // delivery cycle
-	heapIdx  int
 	enqueued bool
-	pooled   bool // drawn from the network free list (sent via Post*)
 	retained bool // handler kept the message past HandleMessage
 }
 
-// Retain marks a delivered pool message as kept by its handler beyond the
+// Retain marks a delivered message as kept by its handler beyond the
 // HandleMessage call. The network then skips the automatic reclaim; the
-// handler releases the message later with Network.Recycle. Messages sent
-// with Send/SendAt (caller-owned allocations) ignore retention entirely.
+// handler releases the message later with Port.Recycle.
 func (m *Message) Retain() { m.retained = true }
 
 // Handler receives delivered messages. Endpoints (caches, directories,
@@ -143,12 +137,9 @@ type Network struct {
 	q         msgHeap
 	nextSeq   uint64
 
-	// free is the message free list: pool messages (sent via Post*) are
-	// reclaimed after delivery and reused, so steady-state coherence
-	// traffic allocates nothing.
-	free []*Message
+	free freeList
 
-	// MessagesSent counts every Send for statistics.
+	// MessagesSent counts every send for statistics.
 	MessagesSent uint64
 	// HopsByType counts sends per message type, indexed by MsgType.
 	HopsByType [numMsgTypes]uint64
@@ -183,66 +174,54 @@ func (n *Network) Topology() Topology { return n.topo }
 // twice replaces the previous handler.
 func (n *Network) Attach(id NodeID, h Handler) { n.endpoints[id] = h }
 
-// Send enqueues a message departing now; the topology supplies the arrival
-// cycle (now + latency on the uniform topology).
-func (n *Network) Send(m *Message, now uint64) {
-	n.SendAt(m, n.topo.Arrival(m.Src, m.Dst, now))
-}
-
-// SendAfter enqueues a message departing at now + extra. The extra delay
-// models service time at the sender (e.g. the directory's memory access)
-// without a separate event queue; transit time is the topology's.
-func (n *Network) SendAfter(m *Message, now, extra uint64) {
-	n.SendAt(m, n.topo.Arrival(m.Src, m.Dst, now+extra))
-}
-
-// Post sends a copy of proto drawn from the message free list for delivery
-// at now + latency. Pool messages are reclaimed automatically after their
+// Post sends a copy of proto drawn from the message free list, departing
+// now; the topology supplies the arrival cycle (now + latency on the
+// uniform topology). Messages are reclaimed automatically after their
 // destination handler returns, unless the handler called Retain — so a
 // handler that keeps the pointer past HandleMessage must Retain it and
 // Recycle it when done; handlers that copy what they need (the common case)
 // need do nothing.
-func (n *Network) Post(proto Message, now uint64) {
-	n.PostAt(proto, n.topo.Arrival(proto.Src, proto.Dst, now))
-}
+func (n *Network) Post(proto Message, now uint64) { n.PostAfter(proto, now, 0) }
 
-// PostAfter is SendAfter for pool messages: departure at now+extra.
+// PostAfter is Post departing at now + extra. The extra delay models
+// service time at the sender (e.g. the directory's memory access) without
+// a separate event queue; transit time is the topology's.
 func (n *Network) PostAfter(proto Message, now, extra uint64) {
-	n.PostAt(proto, n.topo.Arrival(proto.Src, proto.Dst, now+extra))
-}
-
-// PostAt enqueues a pooled copy of proto for delivery at the absolute cycle
-// deliver.
-func (n *Network) PostAt(proto Message, deliver uint64) {
-	m := n.acquire()
+	m := n.free.get()
 	*m = proto
-	m.pooled = true
-	n.SendAt(m, deliver)
+	n.enqueue(m, n.topo.Arrival(m.Src, m.Dst, now+extra))
 }
 
-func (n *Network) acquire() *Message {
-	if k := len(n.free); k > 0 {
-		m := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
+// Recycle returns a retained message to the free list.
+func (n *Network) Recycle(m *Message) { n.free.put(m) }
+
+// freeList is a message free list: messages return to it after delivery
+// and are reused, so steady-state coherence traffic allocates nothing.
+type freeList []*Message
+
+func (f *freeList) get() *Message {
+	if k := len(*f); k > 0 {
+		m := (*f)[k-1]
+		(*f)[k-1] = nil
+		*f = (*f)[:k-1]
 		return m
 	}
 	return &Message{}
 }
 
-// Recycle returns a retained pool message to the free list. Calling it on a
-// caller-owned (non-pool) or still-enqueued message is a no-op, so handlers
-// may recycle unconditionally.
-func (n *Network) Recycle(m *Message) {
-	if !m.pooled || m.enqueued {
+// put wipes m and adds it to the list. A still-enqueued message is left
+// alone.
+func (f *freeList) put(m *Message) {
+	if m.enqueued {
 		return
 	}
 	*m = Message{}
-	n.free = append(n.free, m)
+	*f = append(*f, m)
 }
 
-// SendAt enqueues a message for delivery at the absolute cycle deliver.
-func (n *Network) SendAt(m *Message, deliver uint64) {
+// enqueue queues a message for delivery at the given cycle and assigns its
+// arbitration sequence number.
+func (n *Network) enqueue(m *Message, deliver uint64) {
 	if m.enqueued {
 		panic("network: message enqueued twice")
 	}
@@ -278,12 +257,10 @@ func (n *Network) DeliverWaking(now uint64, woke func(NodeID)) {
 			woke(m.Dst)
 		}
 		h.HandleMessage(m, now)
-		if m.pooled {
-			if m.retained {
-				m.retained = false
-			} else {
-				n.Recycle(m)
-			}
+		if m.retained {
+			m.retained = false
+		} else {
+			n.free.put(m)
 		}
 	}
 }
@@ -301,11 +278,7 @@ func (n *Network) NextDelivery() (cycle uint64, ok bool) {
 	return n.q[0].deliver, true
 }
 
-// msgHeap orders messages by (deliver, seq). Engine-internal injections
-// (MsgSchedWrite, found only in Exchange inboxes) carry injection ordinals
-// rather than global sequence numbers and sort before every real message
-// due the same cycle — the sequential loop runs the scheduled-writes phase
-// before delivery.
+// msgHeap orders messages by (deliver, seq).
 type msgHeap []*Message
 
 func (h msgHeap) Len() int { return len(h) }
@@ -313,21 +286,10 @@ func (h msgHeap) Less(i, j int) bool {
 	if h[i].deliver != h[j].deliver {
 		return h[i].deliver < h[j].deliver
 	}
-	if ii, ij := h[i].Type == MsgSchedWrite, h[j].Type == MsgSchedWrite; ii != ij {
-		return ii
-	}
 	return h[i].seq < h[j].seq
 }
-func (h msgHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *msgHeap) Push(x any) {
-	m := x.(*Message)
-	m.heapIdx = len(*h)
-	*h = append(*h, m)
-}
+func (h msgHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *msgHeap) Push(x any)   { *h = append(*h, x.(*Message)) }
 func (h *msgHeap) Pop() any {
 	old := *h
 	m := old[len(old)-1]

@@ -5,13 +5,15 @@ import (
 	"testing/quick"
 )
 
+// collector copies delivered messages by value: the network recycles the
+// delivered pointer once the handler returns.
 type collector struct {
-	got []*Message
+	got []Message
 	at  []uint64
 }
 
 func (c *collector) HandleMessage(m *Message, now uint64) {
-	c.got = append(c.got, m)
+	c.got = append(c.got, *m)
 	c.at = append(c.at, now)
 }
 
@@ -19,7 +21,7 @@ func TestDeliveryAfterLatency(t *testing.T) {
 	n := New(10)
 	dst := &collector{}
 	n.Attach(1, dst)
-	n.Send(&Message{Type: MsgGetS, Src: 0, Dst: 1, Line: 0x40}, 5)
+	n.Post(Message{Type: MsgGetS, Src: 0, Dst: 1, Line: 0x40}, 5)
 	for cyc := uint64(0); cyc < 15; cyc++ {
 		n.Deliver(cyc)
 		if cyc < 15 && len(dst.got) != 0 {
@@ -36,7 +38,7 @@ func TestSendAfterAddsServiceTime(t *testing.T) {
 	n := New(10)
 	dst := &collector{}
 	n.Attach(1, dst)
-	n.SendAfter(&Message{Type: MsgData, Dst: 1}, 0, 7)
+	n.PostAfter(Message{Type: MsgData, Dst: 1}, 0, 7)
 	n.Deliver(16)
 	if len(dst.got) != 0 {
 		t.Fatal("delivered before latency+service")
@@ -52,7 +54,7 @@ func TestFIFOPerPair(t *testing.T) {
 	dst := &collector{}
 	n.Attach(1, dst)
 	for i := 0; i < 10; i++ {
-		n.Send(&Message{Type: MsgGetS, Dst: 1, Tag: uint64(i)}, uint64(i))
+		n.Post(Message{Type: MsgGetS, Dst: 1, Tag: uint64(i)}, uint64(i))
 	}
 	n.Deliver(100)
 	if len(dst.got) != 10 {
@@ -69,8 +71,8 @@ func TestSameCycleTieBreakBySendOrder(t *testing.T) {
 	n := New(5)
 	dst := &collector{}
 	n.Attach(1, dst)
-	n.Send(&Message{Type: MsgData, Dst: 1, Tag: 1}, 0)
-	n.Send(&Message{Type: MsgInv, Dst: 1, Tag: 2}, 0)
+	n.Post(Message{Type: MsgData, Dst: 1, Tag: 1}, 0)
+	n.Post(Message{Type: MsgInv, Dst: 1, Tag: 2}, 0)
 	n.Deliver(5)
 	if dst.got[0].Tag != 1 || dst.got[1].Tag != 2 {
 		t.Error("same-cycle messages must deliver in send order")
@@ -83,7 +85,7 @@ func TestPendingAndNextDelivery(t *testing.T) {
 	if _, ok := n.NextDelivery(); ok {
 		t.Error("empty network reports a pending delivery")
 	}
-	n.Send(&Message{Dst: 1}, 4)
+	n.Post(Message{Dst: 1}, 4)
 	if n.Pending() != 1 {
 		t.Errorf("pending = %d", n.Pending())
 	}
@@ -98,7 +100,7 @@ func TestPendingAndNextDelivery(t *testing.T) {
 
 func TestUnattachedDestinationPanics(t *testing.T) {
 	n := New(1)
-	n.Send(&Message{Dst: 9}, 0)
+	n.Post(Message{Dst: 9}, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("delivery to unattached node must panic")
@@ -111,21 +113,21 @@ func TestDoubleEnqueuePanics(t *testing.T) {
 	n := New(1)
 	n.Attach(1, &collector{})
 	m := &Message{Dst: 1}
-	n.Send(m, 0)
+	n.enqueue(m, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("re-sending an enqueued message must panic")
 		}
 	}()
-	n.Send(m, 0)
+	n.enqueue(m, 1)
 }
 
 func TestHopsByTypeCounting(t *testing.T) {
 	n := New(1)
 	n.Attach(1, &collector{})
-	n.Send(&Message{Type: MsgGetS, Dst: 1}, 0)
-	n.Send(&Message{Type: MsgGetS, Dst: 1}, 0)
-	n.Send(&Message{Type: MsgInv, Dst: 1}, 0)
+	n.Post(Message{Type: MsgGetS, Dst: 1}, 0)
+	n.Post(Message{Type: MsgGetS, Dst: 1}, 0)
+	n.Post(Message{Type: MsgInv, Dst: 1}, 0)
 	if n.HopsByType[MsgGetS] != 2 || n.HopsByType[MsgInv] != 1 || n.MessagesSent != 3 {
 		t.Errorf("counters wrong: %v total=%d", n.HopsByType, n.MessagesSent)
 	}
@@ -160,7 +162,7 @@ func TestDeliveryOrderProperty(t *testing.T) {
 		dst := &collector{}
 		n.Attach(1, dst)
 		for _, st := range sendTimes {
-			n.Send(&Message{Dst: 1}, uint64(st))
+			n.Post(Message{Dst: 1}, uint64(st))
 		}
 		// Deliver in chunks to exercise partial drains.
 		for cyc := uint64(0); cyc <= 1<<16+9; cyc += 1000 {
@@ -207,18 +209,12 @@ func itoa(v uint8) string {
 	return string(b[i:])
 }
 
-// capture is a handler that copies delivered messages by value, so the
-// assertions survive the pool reclaiming the delivered pointer.
-type capture struct{ got []Message }
-
-func (c *capture) HandleMessage(m *Message, now uint64) { c.got = append(c.got, *m) }
-
-// TestMessagePoolRoundTrip: a Post-sent message is recycled after delivery
-// and the same backing object is reused by the next Post, while Send-sent
-// messages (caller-owned) are never pooled.
+// TestMessagePoolRoundTrip: a posted message is recycled after delivery
+// and the same backing object is reused by the next Post, and a message
+// restored from a snapshot is recycled after delivery like any other.
 func TestMessagePoolRoundTrip(t *testing.T) {
 	n := New(3)
-	dst := &capture{}
+	dst := &collector{}
 	n.Attach(1, dst)
 
 	n.Post(Message{Type: MsgGetS, Dst: 1, Word: 0x40}, 0)
@@ -243,15 +239,22 @@ func TestMessagePoolRoundTrip(t *testing.T) {
 		t.Error("recycled message was not reused by the next Post")
 	}
 
-	// Send-sent messages are caller-owned: never recycled into the pool.
-	own := &Message{Type: MsgData, Dst: 1}
-	n.Send(own, 200)
-	n.Deliver(200 + n.Latency() + 1)
-	if own.Type != MsgData {
-		t.Error("Send-sent message was wiped by the pool")
+	// A restored in-flight message joins the pool once delivered.
+	st, err := n.ExportState()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(n.free) != 1 {
-		t.Errorf("free list grew to %d from a Send-sent message", len(n.free))
+	st.InFlight = []MessageState{{Type: MsgData, Dst: 1, Value: 9, Seq: st.NextSeq, Deliver: 200}}
+	st.NextSeq++
+	if err := n.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	n.Deliver(200)
+	if len(dst.got) != 3 || dst.got[2].Value != 9 {
+		t.Fatalf("restored delivery wrong: %+v", dst.got)
+	}
+	if len(n.free) != 2 {
+		t.Errorf("free list has %d entries after the restored delivery, want 2", len(n.free))
 	}
 }
 

@@ -14,24 +14,18 @@ package network
 //
 // Components hold a Port, not a *Network, so the simulator can rebind them
 // onto a shard-private endpoint for a parallel run and back afterwards
-// without the component noticing. Both implementations provide the same
-// message-pool semantics (Post*/Retain/Recycle).
+// without the component noticing. A send names its departure, never its
+// arrival: the topology computes the delivery cycle, at least the
+// network's minimum delay later, which is what makes that minimum the
+// shard engine's lookahead. Every message comes from the port's free list
+// and returns to one after delivery unless its handler retained it.
 type Port interface {
-	// Latency returns the configured one-way latency.
-	Latency() uint64
-	// Send enqueues a caller-owned message for delivery at now + latency.
-	Send(m *Message, now uint64)
-	// SendAfter enqueues for delivery at now + latency + extra.
-	SendAfter(m *Message, now, extra uint64)
-	// SendAt enqueues for delivery at the absolute cycle deliver.
-	SendAt(m *Message, deliver uint64)
-	// Post sends a pooled copy of proto for delivery at now + latency.
+	// Post sends a pooled copy of proto departing now.
 	Post(proto Message, now uint64)
-	// PostAfter is SendAfter for pooled messages.
+	// PostAfter sends a pooled copy of proto departing at now + extra
+	// (sender service time).
 	PostAfter(proto Message, now, extra uint64)
-	// PostAt enqueues a pooled copy for delivery at the absolute cycle.
-	PostAt(proto Message, deliver uint64)
-	// Recycle returns a retained pool message to the free list.
+	// Recycle returns a retained message to the free list.
 	Recycle(m *Message)
 }
 

@@ -66,10 +66,10 @@ func ExportMessage(m *Message) MessageState {
 	return ms
 }
 
-// Instantiate materializes the exported message as a fresh allocation. The
-// message is unpooled (delivery hands it to the garbage collector rather
-// than a free list) and not enqueued; callers that re-queue it use
-// RestoreInFlight or retain it directly.
+// Instantiate materializes the exported message as a fresh allocation, not
+// enqueued. Like every message it joins a free list once delivered (unless
+// retained) or recycled: Network.RestoreState re-queues it, and a
+// component that held it retains it directly.
 func (ms MessageState) Instantiate() *Message {
 	m := &Message{
 		Type: ms.Type, Src: ms.Src, Dst: ms.Dst,
@@ -97,9 +97,6 @@ func exportQueue(q msgHeap) []MessageState {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Deliver != out[j].Deliver {
 			return out[i].Deliver < out[j].Deliver
-		}
-		if si, sj := out[i].Type == MsgSchedWrite, out[j].Type == MsgSchedWrite; si != sj {
-			return si
 		}
 		return out[i].Seq < out[j].Seq
 	})

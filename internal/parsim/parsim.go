@@ -6,12 +6,15 @@
 //
 // Safety: shards share no mutable state — every cross-shard interaction is
 // a network message, and every send is delivered at least W = network
-// latency cycles after it is made (Network.Send/Post add the full one-way
-// latency; nothing sends into the past). A message sent anywhere in window
-// [T, T+W) therefore delivers at or after T+W: no shard can observe, during
-// such a conservative window, anything another shard does in that window,
-// so stepping them concurrently is indistinguishable from stepping them in
-// the sequential loop's order. Longer windows speculate: they run off a
+// latency cycles after it is made. That holds by construction: a
+// network.Port send names only its departure, and the topology adds at
+// least its minimum delay. A message sent anywhere in window [T, T+W)
+// therefore delivers at or after T+W: no shard can observe, during such a
+// conservative window, anything another shard does in that window, so
+// stepping them concurrently is indistinguishable from stepping them in
+// the sequential loop's order. The external-write agent's shard performs
+// its scheduled writes in its own writes phase; its next write is its
+// node wake, like any other node's. Longer windows speculate: they run off a
 // checkpoint and roll back when a send lands inside them (speculate.go).
 // Run's window policy decides which windows speculate.
 //
@@ -140,7 +143,9 @@ func Drive(s *sim.System, par int) (uint64, error) {
 //     no message (the run's first window counts as busy). Speculation pays
 //     only across stretches with nothing in flight: a queued delivery
 //     triggers sends that land about W cycles later — the straggler a
-//     speculative window would roll back on.
+//     speculative window would roll back on. A pending scheduled write is
+//     a node wake, not a queued delivery, so a window may speculate
+//     across it.
 func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	if DeclineReason(s, par) != "" {
 		return 0, false, nil
@@ -160,10 +165,6 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 		e.eps[i] = e.x.Endpoint(sh.NodeID(), sh.Rank(), sh.Handler())
 		sh.BindPort(e.eps[i])
 	}
-	// Scheduled external writes become injected self-deliveries to the
-	// agent shard: its window loop is then pure delivery, with no
-	// special-case peek at the write queue.
-	s.InjectScheduledWrites(e.x)
 	e.workers = min(par, len(shards))
 	for k := 1; k < e.workers; k++ {
 		go func() {

@@ -204,45 +204,80 @@ func TestParallelEngineDistributedMemory(t *testing.T) {
 }
 
 // scheduledWritesDiff covers the external-write agent shard: writes
-// injected at fixed cycles (including a backlog before the first cycle the
-// machine is busy) must land identically. Pending writes are queued
-// deliveries in the agent's inbox, so the low-lookahead twin speculates
-// only once the last write has landed.
+// performed at fixed cycles must land identically. The first input mixes
+// writes into a racy workload, including a backlog before the first cycle
+// the machine is busy. The second runs a short barrier program and then a
+// trickle of writes long past its halt. A pending write is the agent
+// node's wake, not a queued delivery, so the low-lookahead twin speculates
+// across it and rolls back when the write's messages land inside the
+// window; the second input asserts that the straggler path ran, which
+// rewinds the agent's write cursor.
 func scheduledWritesDiff(t *testing.T, twin bool) (rollbacks uint64) {
-	cfg := sim.RealisticConfig()
-	cfg.Procs = 2
-	cfg.Model = core.SC
-	if twin {
-		cfg = lowLookahead(cfg)
+	mix := sim.RealisticConfig()
+	mix.Procs = 2
+	mix.Model = core.SC
+	barrier := sim.RealisticConfig()
+	barrier.Procs = 2
+	barrier.Model = core.RC
+	barrier.Tech = core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true}
+	barrierProgs := make([]*isa.Program, 2)
+	for p := range barrierProgs {
+		barrierProgs[p] = workload.BarrierPhases(p, 2, 3, 4)
 	}
-	progs := mixProgs(2, 3)
-	writes := []sim.ScheduledWrite{
-		{Cycle: 0, Addr: 64, Value: 7},
-		{Cycle: 10, Addr: 4, Value: 9},
-		{Cycle: 500, Addr: 8, Value: -2},
-		{Cycle: 501, Addr: 64, Value: 5},
+	// Each processor's first private word and its checksum word.
+	var trickle []sim.ScheduledWrite
+	targets := []uint64{0x10000, workload.PhaseSumBase, 0x11000, workload.PhaseSumBase + 1}
+	for c := uint64(300); c <= 60_000; c += 997 {
+		trickle = append(trickle, sim.ScheduledWrite{Cycle: c, Addr: targets[len(trickle)%len(targets)], Value: int64(c)})
 	}
-	runOne := func(par int) runResult {
-		s := sim.New(cfg, progs)
-		s.ScheduleWrites(writes)
-		if par <= 1 {
-			cycles, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
+	inputs := []struct {
+		name   string
+		cfg    sim.Config
+		progs  []*isa.Program
+		writes []sim.ScheduledWrite
+		// rollBack: the twin must roll back across a write.
+		rollBack bool
+	}{
+		{"mix", mix, mixProgs(2, 3), []sim.ScheduledWrite{
+			{Cycle: 0, Addr: 64, Value: 7},
+			{Cycle: 10, Addr: 4, Value: 9},
+			{Cycle: 500, Addr: 8, Value: -2},
+			{Cycle: 501, Addr: 64, Value: 5},
+		}, false},
+		{"barrier-trickle", barrier, barrierProgs, trickle, true},
+	}
+	for _, in := range inputs {
+		cfg := in.cfg
+		if twin {
+			cfg = lowLookahead(cfg)
+		}
+		runOne := func(par int) runResult {
+			s := sim.New(cfg, in.progs)
+			s.ScheduleWrites(in.writes)
+			if par <= 1 {
+				cycles, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return runResult{cycles, s.Cycle, s.StatsReport(), s.CoherentSnapshot(), 0}
 			}
-			return runResult{cycles, s.Cycle, s.StatsReport(), s.CoherentSnapshot(), 0}
+			cycles, handled, err := parsim.Run(s, par)
+			if !handled || err != nil {
+				t.Fatalf("%s par=%d handled=%v err=%v", in.name, par, handled, err)
+			}
+			return parResult(t, s, cycles)
 		}
-		cycles, handled, err := parsim.Run(s, par)
-		if !handled || err != nil {
-			t.Fatalf("par=%d handled=%v err=%v", par, handled, err)
+		seq := runOne(1)
+		var inputRollbacks uint64
+		for _, par := range []int{2, 4} {
+			r := runOne(par)
+			inputRollbacks += r.rollbacks
+			diffResults(t, fmt.Sprintf("%s par=%d", in.name, par), seq, r)
 		}
-		return parResult(t, s, cycles)
-	}
-	seq := runOne(1)
-	for _, par := range []int{2, 4} {
-		r := runOne(par)
-		rollbacks += r.rollbacks
-		diffResults(t, fmt.Sprintf("par=%d", par), seq, r)
+		if twin && in.rollBack {
+			requireRollbacks(t, inputRollbacks)
+		}
+		rollbacks += inputRollbacks
 	}
 	return rollbacks
 }

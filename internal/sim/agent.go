@@ -10,13 +10,14 @@ import (
 // location" actor in the paper's examples. Under the invalidation protocol
 // the directory invalidates or recalls all cached copies before applying
 // the write, so caches observe exactly the coherence transactions the
-// detection mechanism of §4 monitors.
+// detection mechanism of §4 monitors. The agent node's shard performs the
+// scheduled writes (System.sendDueWrites); the agent itself only sends
+// them and counts their completions.
 type agent struct {
 	id    network.NodeID
 	homes []network.NodeID
 	net   network.Port
 	geom  memsys.Geometry
-	sys   *System // owner; the scheduled-write queue lives there
 
 	outstanding int // writes awaiting UpdateDone
 }
@@ -41,24 +42,37 @@ func (a *agent) write(w ScheduledWrite, now uint64) {
 	}, now)
 }
 
-// idle reports whether all injected writes have completed at the directory.
+// idle reports whether all sent writes have completed at the directory.
 func (a *agent) idle() bool { return a.outstanding == 0 }
 
+// nextWriteAt is the agent node's own wake: the cycle of the first
+// scheduled write not yet performed, ok=false when none remain. The
+// sequential loop's horizon and NodeShard.wake both read it.
+func (s *System) nextWriteAt() (uint64, bool) {
+	if s.nextWrite < len(s.writes) {
+		return s.writes[s.nextWrite].Cycle, true
+	}
+	return 0, false
+}
+
+// sendDueWrites is the agent node's tick, the writes phase of a cycle:
+// the agent sends every scheduled write due at or before now, in schedule
+// order. Step keeps its own copy of the loop as the dense reference.
+func (s *System) sendDueWrites(now uint64) {
+	for s.nextWrite < len(s.writes) && s.writes[s.nextWrite].Cycle <= now {
+		s.agent.write(s.writes[s.nextWrite], now)
+		s.nextWrite++
+	}
+}
+
 // HandleMessage implements network.Handler: the agent counts completions
-// (invalidation acks from sharers are informational) and, under the
-// parallel engine, performs scheduled writes when their injected
-// self-deliveries arrive (System.InjectScheduledWrites). Injections are
-// delivered in schedule order, so the queue cursor just advances.
+// (invalidation acks from sharers are informational).
 func (a *agent) HandleMessage(m *network.Message, now uint64) {
 	switch m.Type {
 	case network.MsgUpdateDone:
 		a.outstanding--
 	case network.MsgInvAck, network.MsgUpdateAck:
 		// Sharers acknowledging; nothing to do.
-	case network.MsgSchedWrite:
-		s := a.sys
-		a.write(s.writes[s.nextWrite], now)
-		s.nextWrite++
 	default:
 		panic("agent: unexpected message " + m.Type.String())
 	}

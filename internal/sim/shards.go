@@ -23,8 +23,8 @@ import (
 //   - one per home module: the directory and its memory bank (node P+j; the
 //     shared Memory is banked by the same line-interleaving that picks a
 //     line's home, so module j only ever touches bank j);
-//   - one for the external-write agent, which also owns the scheduled-write
-//     queue (node P+M).
+//   - one for the external-write agent, which performs the scheduled
+//     writes (node P+M).
 
 type shardKind uint8
 
@@ -150,9 +150,8 @@ func (sh *NodeShard) BindPort(p network.Port) {
 func (sh *NodeShard) StepCycle(now uint64, ep *network.Endpoint) {
 	switch sh.kind {
 	case shardAgent:
-		// Scheduled writes arrive as injected self-deliveries
-		// (InjectScheduledWrites), so the agent shard is pure delivery like
-		// every other shard.
+		ep.SetPhase(now, network.PhaseWrites)
+		sh.sys.sendDueWrites(now)
 		ep.DeliverDue(now)
 	case shardDir:
 		ep.SetPhase(now, network.PhaseDeliver)
@@ -176,16 +175,18 @@ func (sh *NodeShard) StepCycle(now uint64, ep *network.Endpoint) {
 	}
 }
 
-// wake reports the earliest cycle ≥ now at which one of the node's own
+// wake reports the earliest cycle at which one of the node's own
 // components can act without a new delivery; ok=false means only a
-// delivery can wake it (the agent always: its scheduled writes are
-// deliveries or, in the sequential loop, their own horizon term). A
-// result at now means the node is due. It is the one definition of "node
-// is due" that the sequential loop and the shard engine share. It stops at
-// the first component due now, asking the processor first: a frontend
-// that can decode answers at once.
+// delivery can wake it. A result at or before now means the node is due;
+// the agent's wake is its next scheduled write, which may already be
+// past. It is the one definition of "node is due" that the sequential
+// loop and the shard engine share. It stops at the first component due
+// now, asking the processor first: a frontend that can decode answers at
+// once.
 func (sh *NodeShard) wake(now uint64) (uint64, bool) {
 	switch sh.kind {
+	case shardAgent:
+		return sh.sys.nextWriteAt()
 	case shardDir:
 		return sh.dir.NextWake(now)
 	case shardProc:
@@ -235,9 +236,8 @@ func (sh *NodeShard) Quiescent() bool {
 	case shardDir:
 		return sh.dir.Quiescent()
 	default:
-		// Writes not yet performed sit in the agent's inbox as injected
-		// self-deliveries, so the exchange's pending count covers them.
-		return sh.sys.agent.idle()
+		_, pending := sh.sys.nextWriteAt()
+		return sh.sys.agent.idle() && !pending
 	}
 }
 
@@ -295,19 +295,6 @@ func (sh *NodeShard) RestoreState(st ShardState) error {
 		sh.sys.agent.outstanding = st.AgentOutstanding
 		sh.sys.nextWrite = st.NextWrite
 		return nil
-	}
-}
-
-// InjectScheduledWrites hands every not-yet-performed scheduled write to
-// the exchange as a self-delivery to the agent's node at the write's
-// cycle (in queue order, which injection ordinals preserve). The queue
-// cursor advances only when the agent handles each delivery, and
-// Exchange.Close discards undelivered injections — so an engine teardown
-// on an error path leaves the remaining writes exactly where the
-// sequential loop expects them.
-func (s *System) InjectScheduledWrites(x *network.Exchange) {
-	for _, w := range s.writes[s.nextWrite:] {
-		x.Inject(network.Message{Type: network.MsgSchedWrite, Src: s.agent.id, Dst: s.agent.id}, w.Cycle)
 	}
 }
 

@@ -231,7 +231,6 @@ func New(cfg Config, progs []*isa.Program) *System {
 
 	s := &System{Cfg: cfg, Net: net, Mem: mem, Dir: dirs[0], Dirs: dirs}
 	s.agent = newAgent(network.NodeID(cfg.Procs+cfg.MemModules), net, homes, geom)
-	s.agent.sys = s
 
 	for i := 0; i < cfg.Procs; i++ {
 		lcfg := core.Config{

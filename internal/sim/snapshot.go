@@ -311,7 +311,6 @@ func exportConfig(c Config) snapshot.Config {
 		DirBandwidth:    c.DirBandwidth,
 		DirPointers:     c.DirPointers,
 		MaxCycles:       c.MaxCycles,
-		DenseLoop:       c.DenseLoop,
 	}
 	for a, on := range c.UncachedRMW {
 		if on {
@@ -343,7 +342,6 @@ func importConfig(c snapshot.Config) Config {
 		DirBandwidth:    c.DirBandwidth,
 		DirPointers:     c.DirPointers,
 		MaxCycles:       c.MaxCycles,
-		DenseLoop:       c.DenseLoop,
 	}
 	if len(c.UncachedRMW) > 0 {
 		out.UncachedRMW = make(map[uint64]bool, len(c.UncachedRMW))

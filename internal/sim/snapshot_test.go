@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -102,6 +103,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatalf("restore: %v", err)
 					}
+					// Snapshots do not record the loop flavor.
+					s2.Cfg.DenseLoop = eng.dense
 					resnap, err := s2.Snapshot()
 					if err != nil {
 						t.Fatalf("re-snapshot: %v", err)
@@ -274,7 +277,6 @@ func TestSnapshotMidFlight(t *testing.T) {
 						// legitimately depends on the scheduler; normalize it so
 						// the comparison covers everything else.
 						snap.FastForwarded = 0
-						snap.Config.DenseLoop = false
 						var buf bytes.Buffer
 						if err := snapshot.Write(&buf, snap); err != nil {
 							t.Fatalf("cut=%d: encode: %v", cut, err)
@@ -360,14 +362,19 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	// into the raw structure is not exposed, so patch the version byte via
 	// the public API instead — write with a build that disagrees is what we
 	// simulate by checking the error text contract on a crafted stream.
-	stale := gobEnvelopeWithVersion(t, snap, snapshot.FormatVersion+40)
-	_, err = snapshot.Read(bytes.NewReader(stale))
-	if err == nil {
-		t.Fatal("Read accepted a snapshot from a different format version")
-	}
-	want := fmt.Sprintf("format version %d, this build reads %d", snapshot.FormatVersion+40, snapshot.FormatVersion)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("version mismatch error %q does not name both versions (want %q)", err, want)
+	for _, version := range []int{snapshot.FormatVersion - 1, snapshot.FormatVersion + 40} {
+		stale := gobEnvelopeWithVersion(t, snap, version)
+		_, err = snapshot.Read(bytes.NewReader(stale))
+		if err == nil {
+			t.Fatalf("Read accepted a snapshot of format version %d", version)
+		}
+		if !errors.Is(err, snapshot.ErrInvalid) {
+			t.Errorf("version %d: error %q does not wrap snapshot.ErrInvalid", version, err)
+		}
+		want := fmt.Sprintf("format version %d, this build reads %d", version, snapshot.FormatVersion)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("version mismatch error %q does not name both versions (want %q)", err, want)
+		}
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // each phase, in ascending node order, so every send gets the sequence
 // number and mesh link booking Step gives it. A node left out has a wake
 // after now and received nothing, so by the NextWake contract each of its
-// ticks would have changed nothing, statistics included. The agent has
-// no tick: its deliveries only count completions, and its scheduled
-// writes are a term of the horizon.
+// ticks would have changed nothing, statistics included. The agent node
+// keeps no wake slot: its wake (nextWriteAt, the next scheduled write) is
+// a term of the horizon, its tick is the writes phase (sendDueWrites, a
+// no-op when nothing is due), and its deliveries only count completions.
 
 // never is the wake of a node that only a delivery can wake.
 const never = ^uint64(0)
@@ -67,8 +68,8 @@ func (s *System) advance(limit uint64) {
 			horizon = w
 		}
 	}
-	if s.nextWrite < len(s.writes) {
-		if c := s.writes[s.nextWrite].Cycle; c <= now {
+	if c, ok := s.nextWriteAt(); ok {
+		if c <= now {
 			due = true
 		} else if c < horizon {
 			horizon = c
@@ -94,10 +95,7 @@ func (s *System) advance(limit uint64) {
 // then also every node a delivery reaches. Only the ticked nodes' wakes
 // can have moved, so only theirs are recomputed.
 func (s *System) stepAwake(now uint64) {
-	for s.nextWrite < len(s.writes) && s.writes[s.nextWrite].Cycle <= now {
-		s.agent.write(s.writes[s.nextWrite], now)
-		s.nextWrite++
-	}
+	s.sendDueWrites(now)
 	var k int
 	s.ticked, k = s.awakeNodes(s.ticked[:0])
 	for _, i := range s.ticked[:k] {

@@ -54,7 +54,11 @@ import (
 //	    per distinct value in ascending order (Values/Counts) instead of
 //	    the raw Samples, so the bytes no longer depend on whether a
 //	    report sorted the samples first.
-const FormatVersion = 3
+//	4 — one message type fewer (the shard engine's scheduled-write
+//	    self-delivery is gone), so network.State.Hops is one entry
+//	    shorter; Config no longer records DenseLoop, so a restored
+//	    machine runs the wake schedule.
+const FormatVersion = 4
 
 // ErrInvalid marks every failure to read or restore a snapshot: a foreign
 // or corrupt stream, another format version, or a machine state that
@@ -93,7 +97,6 @@ type Config struct {
 	DirBandwidth int
 	DirPointers  int
 	MaxCycles    uint64
-	DenseLoop    bool
 }
 
 // Label is one program label (the isa.Program Labels map, sorted by name).
