@@ -20,7 +20,6 @@ import (
 	"mcmsim/internal/core"
 	"mcmsim/internal/experiments"
 	"mcmsim/internal/isa"
-	"mcmsim/internal/machine"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
 	"mcmsim/internal/workload"
@@ -473,12 +472,12 @@ func BenchmarkReissueOpt(b *testing.B) {
 	b.ReportMetric(ratio, "flush:reissue")
 }
 
-// benchmarkMesh regenerates one machine size of experiment E16: a
-// builder-assembled mesh multiprocessor running the machine-wide sharing
-// workload under the boundary configurations. ns/op is the simulator's
-// cost per many-core run (the scaling burden the mesh network and
-// limited-pointer directory must keep affordable); the cycles metric is
-// the architectural result.
+// benchmarkMesh regenerates one machine size of experiment E16: a mesh
+// multiprocessor scaled by sim.Config.ResolveScaled running the
+// machine-wide sharing workload under the boundary configurations. ns/op
+// is the simulator's cost per many-core run (the scaling burden the mesh
+// network and limited-pointer directory must keep affordable); the cycles
+// metric is the architectural result.
 func benchmarkMesh(b *testing.B, cpus int) {
 	rounds := 4
 	if cpus >= 32 {
@@ -497,12 +496,9 @@ func benchmarkMesh(b *testing.B, cpus int) {
 		{core.RC, experiments.TechBoth},
 	} {
 		b.Run(fmt.Sprintf("%v/%v", pt.m, pt.t), func(b *testing.B) {
-			cfg, err := machine.New().
-				CPUs(cpus).
-				Topology("mesh").
-				Model(pt.m).
-				Technique(pt.t).
-				Config()
+			cfg := sim.RealisticConfig()
+			cfg.Procs, cfg.Topo, cfg.Model, cfg.Tech = cpus, "mesh", pt.m, pt.t
+			cfg, err := cfg.ResolveScaled()
 			if err != nil {
 				b.Fatal(err)
 			}

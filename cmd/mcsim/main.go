@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 
+	"mcmsim/cmd/internal/profile"
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
@@ -100,19 +101,15 @@ func main() {
 
 	progs, warmups, preload, check := buildWorkload(*wl, *procs, *seed)
 	cfg.Procs = len(progs)
-	if err := sim.ValidateTopo(cfg.Topo, cfg.Procs); err != nil {
+	// Resolve now so the snapshot-conflict checks compare the machine the
+	// flags describe, defaults included, with the machine saved.
+	if cfg, err = cfg.Resolve(); err != nil {
 		fatal(err)
 	}
-	if sim.IsMeshTopo(cfg.Topo) {
-		// Normalize now so the run header and snapshot-conflict checks name
-		// the concrete geometry.
-		w, h, _ := sim.MeshDims(cfg.Topo, cfg.Procs)
-		cfg.Topo = fmt.Sprintf("mesh:%dx%d", w, h)
-		if *modules == 1 && !flagSet("modules") {
-			// Mesh machines distribute memory DASH-style unless -modules
-			// was given explicitly.
-			cfg.MemModules = cfg.Procs
-		}
+	if cfg.Topo != "" && !flagSet("modules") {
+		// Mesh machines distribute memory DASH-style unless -modules was
+		// given explicitly.
+		cfg.MemModules = cfg.Procs
 	}
 
 	if *disasm {
@@ -162,7 +159,7 @@ func main() {
 
 	// Profiles cover only the measured phase: warmup simulation and state
 	// restore are setup, and excluding them is the point of -load-state.
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
 	}

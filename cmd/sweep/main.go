@@ -60,6 +60,7 @@ import (
 	"strings"
 	"time"
 
+	"mcmsim/cmd/internal/profile"
 	"mcmsim/internal/experiments"
 	"mcmsim/internal/farm"
 	"mcmsim/internal/runner"
@@ -100,7 +101,7 @@ func main() {
 		if err := runner.CheckFormat(*format); err != nil {
 			return err
 		}
-		stopProf, err := startProfiles(*cpuProf, *memProf)
+		stopProf, err := profile.Start(*cpuProf, *memProf)
 		if err != nil {
 			return err
 		}

@@ -64,13 +64,13 @@
 //     litmus battery, producer/consumer, critical sections, data-race-free
 //     random sharing, barriers.
 //   - internal/sim — machine assembly and the deterministic cycle loop;
-//     configurations (PaperConfig, RealisticConfig), scheduled external
-//     writes, warmed-cache program reloading, coherent-snapshot readback.
-//   - internal/machine — the machine builder (S26): a fluent API that
-//     turns "64 CPUs on a mesh under RC with both techniques" into a
-//     validated sim.Config with scale-appropriate defaults (auto-sized
-//     mesh, one home module per tile, limited-pointer directory past 8
-//     CPUs). Carries its own runnable godoc Example.
+//     configurations (PaperConfig, RealisticConfig) and the one rule that
+//     turns a Config into a machine (S26): Config.Resolve fills in the
+//     defaults and rejects configurations no machine matches, and
+//     Config.ResolveScaled adds the many-core shape (one home module per
+//     mesh tile, limited-pointer directory past 8 CPUs); scheduled
+//     external writes, warmed-cache program reloading, coherent-snapshot
+//     readback.
 //   - internal/stats, internal/tracebuf — counters/metrics and the
 //     Figure-5-style buffer-snapshot tracing.
 //
@@ -96,5 +96,5 @@
 //
 // Runnable introductions live in examples/ (quickstart, producer_consumer,
 // critical_section, equalization, litmus) and as godoc examples in
-// internal/sim, internal/isa and internal/machine.
+// internal/sim and internal/isa.
 package mcmsim

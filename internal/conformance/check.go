@@ -143,8 +143,8 @@ type CheckOptions struct {
 	// Topo selects the interconnect for every cell: "" or "uniform" keeps
 	// the timing axis's uniform-latency network; "mesh" / "mesh:WxH" runs
 	// the grid on a mesh machine with one home module per tile and the
-	// limited-pointer directory above 8 CPUs (the machine builder's scale
-	// defaults).
+	// limited-pointer directory above 8 CPUs (the scale rule of
+	// sim.Config.ResolveScaled, which E16 shares).
 	Topo string
 	// Protocols restricts the protocol axis; nil runs the full
 	// GridProtocols set.
@@ -160,8 +160,9 @@ type CheckOptions struct {
 // immutable once built, so one instance serves every cell.
 var idleProgram = isa.NewBuilder().Halt().Build()
 
-// machineFor applies the options' machine shape to a cell config.
-func machineFor(cfg sim.Config, progs []*isa.Program, opts CheckOptions) (sim.Config, []*isa.Program) {
+// machineFor applies the options' machine shape to a cell config and
+// resolves it.
+func machineFor(cfg sim.Config, progs []*isa.Program, opts CheckOptions) (sim.Config, []*isa.Program, error) {
 	cfg.Procs = len(progs)
 	if opts.CPUs > len(progs) {
 		padded := make([]*isa.Program, opts.CPUs)
@@ -172,14 +173,9 @@ func machineFor(cfg sim.Config, progs []*isa.Program, opts CheckOptions) (sim.Co
 		progs = padded
 		cfg.Procs = opts.CPUs
 	}
-	if opts.Topo != "" && opts.Topo != "uniform" {
-		cfg.Topo = opts.Topo
-		cfg.MemModules = cfg.Procs
-		if cfg.Procs > 8 {
-			cfg.DirPointers = 8
-		}
-	}
-	return cfg, progs
+	cfg.Topo = opts.Topo
+	cfg, err := cfg.ResolveScaled()
+	return cfg, progs, err
 }
 
 // cellResult is one simulator run's observables.
@@ -191,7 +187,10 @@ type cellResult struct {
 
 // runCell builds and runs one configuration and extracts the outcome.
 func runCell(p Program, progs []*isa.Program, m core.Model, tech core.Technique, proto coherence.Protocol, cfg sim.Config, dense bool, opts CheckOptions) (cellResult, error) {
-	cfg, progs = machineFor(cfg, progs, opts)
+	cfg, progs, err := machineFor(cfg, progs, opts)
+	if err != nil {
+		return cellResult{}, err
+	}
 	cfg.Model = m
 	cfg.Tech = tech
 	cfg.Protocol = proto

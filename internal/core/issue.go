@@ -32,16 +32,13 @@ func (u *LSU) predicateOK(e *Entry) bool {
 }
 
 // computeAddresses runs the address unit: effective addresses are computed
-// in FIFO order from the load/store reservation station; an entry whose
+// in FIFO order from the load/store reservation station, as many per cycle
+// as have their base operand (the paper's abstract machine); an entry whose
 // base operand is unavailable stalls the unit (§4.2: "The retiring of
 // instructions is stalled until the effective address for the instruction
 // at the head can be computed").
 func (u *LSU) computeAddresses(now uint64) {
-	budget := u.cfg.MaxAddrPerCycle
 	for len(u.rs) > 0 {
-		if budget == 0 && u.cfg.MaxAddrPerCycle != 0 {
-			return
-		}
 		e := u.rs[0]
 		if !e.baseReady {
 			return
@@ -49,7 +46,6 @@ func (u *LSU) computeAddresses(now uint64) {
 		e.Addr = uint64(e.base + e.imm)
 		e.AddrReady = true
 		u.rs = u.rs[:copy(u.rs, u.rs[1:])]
-		budget--
 		switch e.Class {
 		case ClassPrefetch, ClassPrefetchEx:
 			u.swpfQ = append(u.swpfQ, e)
@@ -310,7 +306,8 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 		e.forwarded = true
 		e.fwdFrom = fwd
 		fwd.fwdSource = true
-		u.forwards = append(u.forwards, forwardCompletion{at: now + u.cfg.ForwardLatency, id: id, value: fwd.data})
+		// A forwarded value arrives a cycle later, like a cache hit.
+		u.forwards = append(u.forwards, forwardCompletion{at: now + 1, id: id, value: fwd.data})
 		u.popLoadQ(e)
 		if u.cfg.Tech.SpecLoad {
 			u.addSpecEntry(e, false)

@@ -34,17 +34,11 @@ type CPU interface {
 	InvalidateLoadValue(rob uint64)
 }
 
-// Config carries the consistency model, the enabled techniques and LSU
-// timing parameters.
+// Config carries the consistency model, the enabled techniques and the
+// memory-side modes of the load/store unit.
 type Config struct {
 	Model Model
 	Tech  Technique
-	// ForwardLatency is the store-buffer forwarding latency for a load that
-	// hits an older store in the store buffer. Default 1 (like a cache hit).
-	ForwardLatency uint64
-	// MaxAddrPerCycle bounds how many effective addresses the address unit
-	// computes per cycle; 0 means unlimited (the paper's abstract machine).
-	MaxAddrPerCycle int
 	// NST selects the Stenstrom comparator (paper §6): the cache is
 	// bypassed and accesses are sequenced at the memory module, so the
 	// processor issues them in program order without waiting for
@@ -229,9 +223,6 @@ type forwardCompletion struct {
 // NewLSU creates a load/store unit bound to a cache. Call SetCPU before the
 // first cycle.
 func NewLSU(proc int, cfg Config, c *cache.Cache, geom memsys.Geometry) *LSU {
-	if cfg.ForwardLatency == 0 {
-		cfg.ForwardLatency = 1
-	}
 	u := &LSU{
 		Proc:       proc,
 		cfg:        cfg,
@@ -254,10 +245,6 @@ func NewLSU(proc int, cfg Config, c *cache.Cache, geom memsys.Geometry) *LSU {
 
 // SetCPU wires the back-pointer to the out-of-order core.
 func (u *LSU) SetCPU(cpu CPU) { u.cpu = cpu }
-
-// BindCache attaches the cache the LSU issues to. Separate from the
-// constructor because the cache's client is the LSU (mutual references).
-func (u *LSU) BindCache(c *cache.Cache) { u.cache = c }
 
 // Model returns the configured consistency model.
 func (u *LSU) Model() Model { return u.cfg.Model }

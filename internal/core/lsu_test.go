@@ -53,9 +53,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 		cpu: newFakeCPU(),
 	}
 	r.dir = coherence.New(1, r.net, r.mem, 2, coherence.ProtoInvalidate)
-	r.lsu = NewLSU(0, cfg, nil, geom)
-	r.cache = cache.New(0, 1, r.net, geom, cache.DefaultConfig(), cache.ProtoInvalidate, r.lsu)
-	r.lsu.BindCache(r.cache)
+	r.cache = cache.New(0, 1, r.net, geom, cache.DefaultConfig(), cache.ProtoInvalidate, nil)
+	r.lsu = NewLSU(0, cfg, r.cache, geom)
+	r.cache.SetClient(r.lsu)
 	r.lsu.SetCPU(r.cpu)
 	r.cpu.lsu = r.lsu
 	return r

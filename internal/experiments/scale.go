@@ -6,7 +6,6 @@ import (
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
-	"mcmsim/internal/machine"
 	"mcmsim/internal/network"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
@@ -60,11 +59,11 @@ func scaleStats(s *sim.System) map[string]float64 {
 }
 
 // ScaleSweepJobs enumerates E16: the §5 equalization question re-asked on
-// many-core mesh machines. Each machine is assembled by the machine
-// builder (auto-sized mesh, one home module per tile, limited-pointer
-// directory with coarse-vector fallback) and measured under SC
-// conventional, SC prefetch, SC prefetch+speculation, RC conventional and
-// RC prefetch+speculation. If prefetch+speculation still closes the SC/RC
+// many-core mesh machines. Each machine is the realistic machine scaled by
+// sim.Config.ResolveScaled (auto-sized mesh, one home module per tile,
+// limited-pointer directory with coarse-vector fallback) and is measured
+// under SC conventional, SC prefetch, SC prefetch+speculation, RC
+// conventional and RC prefetch+speculation. If prefetch+speculation still closes the SC/RC
 // gap when an invalidation fans out across a 16x16 mesh, the paper's claim
 // survives two orders of magnitude of scaling. The machines run MSI; the
 // suite's E16 entry runs them on Params.Protocol.
@@ -86,21 +85,20 @@ func scaleSweepJobs(cpuCounts []int, topo string, proto coherence.Protocol) []ru
 	var jobs []runner.Job
 	for _, cpus := range cpuCounts {
 		for _, pt := range points {
-			cfg, err := machine.New().
-				CPUs(cpus).
-				Topology(topo).
-				Model(pt.model).
-				Technique(pt.tech).
-				Protocol(proto).
-				Config()
+			cfg := realisticConfig(proto)
+			cfg.Procs, cfg.Topo, cfg.Model, cfg.Tech = cpus, topo, pt.model, pt.tech
+			cfg, err := cfg.ResolveScaled()
 			if err != nil {
 				panic(fmt.Sprintf("experiments: E16 machine rejected: %v", err))
 			}
-			cpus := cpus
+			topoName := cfg.Topo
+			if topoName == "" {
+				topoName = "uniform"
+			}
 			jobs = append(jobs, simJob(
 				fmt.Sprintf("scale/%d/%v/%v", cpus, pt.model, pt.tech),
 				map[string]string{
-					"cpus": fmt.Sprint(cpus), "topo": cfg.Topo,
+					"cpus": fmt.Sprint(cpus), "topo": topoName,
 					"model": pt.model.String(), "tech": pt.tech.String(),
 				},
 				func() *sim.System { return sim.New(cfg, scaleWorkload(cpus)) },

@@ -141,8 +141,8 @@ func TestFarmConformParity(t *testing.T) {
 func TestFarmConcurrentSpecs(t *testing.T) {
 	t.Parallel()
 	specs := []JobSpec{
-		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "msi"},
-		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "mesi"},
+		{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3, Protocol: "msi"},
+		{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3, Protocol: "mesi"},
 	}
 	want := make([][]byte, len(specs))
 	for i, spec := range specs {
@@ -241,11 +241,12 @@ func TestFarmHandshakeVersionMismatch(t *testing.T) {
 func TestFarmFingerprintMismatch(t *testing.T) {
 	bad := []JobSpec{
 		{Kind: "bogus"},
-		{Kind: "sweep", Exps: []string{"mshr"}, Protocol: "moesi"},
-		{Kind: "sweep", Exps: []string{"bogus"}},
-		{Kind: "sweep", Exps: []string{"scale"}, ScaleCPUs: []int{16, 0}},
-		{Kind: "sweep", Exps: []string{"scale"}, Topo: "mesh:bad"},
+		{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3, Protocol: "moesi"},
+		{Kind: "sweep", Exps: []string{"bogus"}, Procs: 3},
+		{Kind: "sweep", Exps: []string{"scale"}, Procs: 3, ScaleCPUs: []int{16, 0}},
+		{Kind: "sweep", Exps: []string{"scale"}, Procs: 3, Topo: "mesh:bad"},
 		{Kind: "sweep", Exps: []string{"equalization"}, Procs: -1},
+		{Kind: "sweep", Exps: []string{"equalization"}, Procs: 0},
 		{Kind: "conform", N: 1, Protocol: "moesi"},
 		{Kind: "conform", N: 1, Topo: "ring"},
 		{Kind: "conform", N: -1},

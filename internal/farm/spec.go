@@ -30,8 +30,8 @@ type JobSpec struct {
 	// Seed is the sweep's workload seed, or the first generator seed of a
 	// conformance batch (programs use Seed..Seed+N-1).
 	Seed int64
-	// Procs is the workload experiments' processor count, or each
-	// generated program's (0 = random 2-3).
+	// Procs is the workload experiments' processor count (at least 1), or
+	// each generated program's (0 = random 2-3).
 	Procs int
 	// Topo is the interconnect: of the E16 scale sweep ("" = mesh), or of
 	// every conformance cell ("" = uniform).
@@ -56,10 +56,10 @@ type JobSpec struct {
 // Enumerate reproduces the spec's job list. Deterministic: the same spec
 // yields the same jobs in the same order on every fleet member (the
 // Fingerprint handshake enforces it). A spec no enumerator can build — an
-// unknown kind, protocol or experiment, a negative processor or program
-// count, a scale machine size below 1, a topology sim.ValidateTopo
-// rejects — is an error, never a panic, whether it comes from a command
-// line or over the wire.
+// unknown kind, protocol or experiment, a sweep without processors, a
+// negative processor or program count, a scale machine size below 1, a
+// topology sim.Config.Resolve rejects — is an error, never a panic,
+// whether it comes from a command line or over the wire.
 func Enumerate(spec JobSpec) ([]runner.Job, error) {
 	switch spec.Kind {
 	case "sweep":
@@ -79,8 +79,8 @@ func sweepPlan(spec JobSpec) ([]experiments.Sweep, experiments.Params, error) {
 		ScaleCPUs: spec.ScaleCPUs,
 		ScaleTopo: spec.Topo,
 	}
-	if spec.Procs < 0 {
-		return nil, params, fmt.Errorf("bad processor count %d (want 0 or more)", spec.Procs)
+	if spec.Procs < 1 {
+		return nil, params, fmt.Errorf("bad processor count %d (want 1 or more)", spec.Procs)
 	}
 	switch spec.Protocol {
 	case "", "msi":
@@ -100,7 +100,7 @@ func sweepPlan(spec JobSpec) ([]experiments.Sweep, experiments.Params, error) {
 		if n < 1 {
 			return nil, params, fmt.Errorf("bad scale machine size %d (want a positive CPU count)", n)
 		}
-		if err := sim.ValidateTopo(topo, n); err != nil {
+		if _, err := (sim.Config{Procs: n, Topo: topo}).Resolve(); err != nil {
 			return nil, params, err
 		}
 	}
@@ -177,7 +177,7 @@ func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions,
 			fmt.Errorf("bad program count %d (want 0 or more)", spec.N)
 	}
 	// The smallest generated program has 2 processors.
-	if err := sim.ValidateTopo(spec.Topo, max(spec.PadCPUs, 2)); err != nil {
+	if _, err := (sim.Config{Procs: max(spec.PadCPUs, 2), Topo: spec.Topo}).Resolve(); err != nil {
 		return conformance.Params{}, conformance.CheckOptions{}, err
 	}
 	params := conformance.Params{Procs: spec.Procs, ProcOps: spec.Ops}

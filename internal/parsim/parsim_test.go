@@ -48,7 +48,7 @@ func mixProgs(nprocs int, seed int64) []*isa.Program {
 // a 4-cycle uniform network otherwise. Below 8 cycles of lookahead the
 // window policy speculates across quiet stretches.
 func lowLookahead(cfg sim.Config) sim.Config {
-	if sim.IsMeshTopo(cfg.Topo) {
+	if cfg.Topo != "" && cfg.Topo != "uniform" {
 		cfg.HopLatency = 1
 	} else {
 		cfg.NetLatency = 4

@@ -67,3 +67,33 @@ func ExampleSystem() {
 	// Output:
 	// result: 42
 }
+
+// ExampleConfig_ResolveScaled assembles a 16-CPU mesh multiprocessor and
+// runs a machine-wide sharing workload under release consistency with both
+// latency-hiding techniques. ResolveScaled picks the scale-appropriate
+// structure: a 4x4 mesh, one home memory module per tile, and a
+// limited-pointer directory.
+func ExampleConfig_ResolveScaled() {
+	cfg := sim.RealisticConfig()
+	cfg.Procs, cfg.Topo = 16, "mesh"
+	cfg.Model = core.RC
+	cfg.Tech = core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true}
+	cfg, err := cfg.ResolveScaled()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("topology=%s homes=%d dirptrs=%d\n", cfg.Topo, cfg.MemModules, cfg.DirPointers)
+
+	progs := make([]*isa.Program, cfg.Procs)
+	for p := range progs {
+		progs[p] = workload.WideSharing(p, cfg.Procs, 4, 2)
+	}
+	cycles, err := sim.RunProgram(cfg, progs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("halted after %d cycles\n", cycles)
+	// Output:
+	// topology=mesh:4x4 homes=16 dirptrs=8
+	// halted after 438 cycles
+}

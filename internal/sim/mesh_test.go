@@ -51,33 +51,32 @@ func TestMeshMachineRuns(t *testing.T) {
 	}
 }
 
-// TestMeshDims pins the topology spec grammar.
+// TestMeshDims pins the topology spec grammar: "mesh" auto-sizes to the
+// squarest grid covering the CPUs, "mesh:WxH" is explicit, and Resolve
+// names the grid it resolved to.
 func TestMeshDims(t *testing.T) {
 	cases := []struct {
 		spec  string
 		procs int
-		w, h  int
+		want  string
 	}{
-		{"mesh", 16, 4, 4},
-		{"mesh", 64, 8, 8},
-		{"mesh", 256, 16, 16},
-		{"mesh", 5, 3, 2},
-		{"mesh", 1, 1, 1},
-		{"mesh:2x8", 16, 2, 8},
+		{"mesh", 16, "mesh:4x4"},
+		{"mesh", 64, "mesh:8x8"},
+		{"mesh", 256, "mesh:16x16"},
+		{"mesh", 5, "mesh:3x2"},
+		{"mesh", 1, "mesh:1x1"},
+		{"mesh:2x8", 16, "mesh:2x8"},
 	}
 	for _, c := range cases {
-		w, h, err := sim.MeshDims(c.spec, c.procs)
-		if err != nil || w != c.w || h != c.h {
-			t.Errorf("MeshDims(%q, %d) = %d,%d,%v; want %d,%d", c.spec, c.procs, w, h, err, c.w, c.h)
+		cfg, err := sim.Config{Procs: c.procs, Topo: c.spec}.Resolve()
+		if err != nil || cfg.Topo != c.want {
+			t.Errorf("Resolve(%q, %d CPUs) = %q, %v; want %q", c.spec, c.procs, cfg.Topo, err, c.want)
 		}
 	}
 	for _, bad := range []string{"mesh:0x4", "mesh:4", "mesh:axb", "torus"} {
-		if err := sim.ValidateTopo(bad, 4); err == nil {
-			t.Errorf("ValidateTopo(%q) accepted", bad)
+		if _, err := (sim.Config{Procs: 4, Topo: bad}).Resolve(); err == nil {
+			t.Errorf("Resolve accepted topology %q", bad)
 		}
-	}
-	if err := sim.ValidateTopo("uniform", 4); err != nil {
-		t.Errorf("ValidateTopo(uniform): %v", err)
 	}
 }
 

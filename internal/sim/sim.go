@@ -37,7 +37,7 @@ type Config struct {
 	// 2-D mesh auto-sized to ceil(sqrt(P)) columns; "mesh:WxH" fixes the
 	// dimensions. On a mesh, CPU i and home module i share tile i (mod
 	// tiles) — a DASH-style cluster — and NetLatency is ignored in favor of
-	// HopLatency. New normalizes the field to its explicit form
+	// HopLatency. Resolve normalizes the field to its explicit form
 	// ("mesh:WxH", or "" for uniform).
 	Topo string
 	// HopLatency is the mesh per-link traversal latency (default 10, so a
@@ -59,11 +59,6 @@ type Config struct {
 	Cache cache.Config
 	CPU   cpu.Config
 
-	// ForwardLatency is the store-buffer forwarding latency (default 1).
-	ForwardLatency uint64
-	// MaxAddrPerCycle bounds the LSU address unit (0 = unlimited).
-	MaxAddrPerCycle int
-
 	// NST enables the Stenstrom comparator (paper §6): caches bypassed,
 	// ordering guaranteed at the memory module.
 	NST bool
@@ -79,7 +74,8 @@ type Config struct {
 	// (0 = unlimited, the paper's pipelined-memory assumption).
 	DirBandwidth int
 
-	// MaxCycles aborts a run that fails to converge (deadlock guard).
+	// MaxCycles aborts a run that fails to converge (deadlock guard;
+	// default 2 000 000).
 	MaxCycles uint64
 
 	// DenseLoop disables the wake schedule: Run calls Step, which ticks
@@ -103,7 +99,7 @@ func PaperConfig() Config {
 		MemLatency: 10,
 		Cache:      cache.DefaultConfig(),
 		CPU:        cpu.PaperConfig(),
-		MaxCycles:  2_000_000,
+		MaxCycles:  defaultMaxCycles,
 	}
 }
 
@@ -114,6 +110,77 @@ func RealisticConfig() Config {
 	c.LineWords = 4
 	c.CPU = cpu.RealisticConfig()
 	return c
+}
+
+// Defaults Resolve fills in for zero fields, and the scale rule of
+// ResolveScaled.
+const (
+	defaultMaxCycles  = 2_000_000
+	defaultHopLatency = 10
+	defaultLinkGap    = 1
+	// scaleDirPointers is the exact-pointer capacity a scaled mesh
+	// directory gets once the machine outgrows it: the classic Dir_8_B
+	// point, where small synchronized sharing sets stay exact and wide
+	// read-sharing overflows to the coarse vector.
+	scaleDirPointers = 8
+)
+
+// Resolve returns the machine c describes with every default filled in:
+// 1-word lines, the cycle budget, a single home module, and the explicit
+// topology — "" for "" or "uniform" (whose mesh knobs are zeroed),
+// "mesh:WxH" for "mesh", with hop latency 10 and link gap 1 unless set.
+// It rejects a configuration no machine matches: fewer than one processor
+// or an unknown or malformed topology. Resolving a resolved configuration
+// changes nothing. New, Restore and the command lines build machines from
+// resolved configurations, so a saved machine and a run header name the
+// machine actually built.
+func (c Config) Resolve() (Config, error) {
+	if c.Procs < 1 {
+		return Config{}, fmt.Errorf("sim: need at least 1 processor, got %d", c.Procs)
+	}
+	if c.LineWords == 0 {
+		c.LineWords = 1
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = defaultMaxCycles
+	}
+	if c.MemModules <= 0 {
+		c.MemModules = 1
+	}
+	if c.Topo == "" || c.Topo == "uniform" {
+		c.Topo = ""
+		c.HopLatency, c.LinkGap = 0, 0
+		return c, nil
+	}
+	w, h, err := meshDims(c.Topo, c.Procs)
+	if err != nil {
+		return Config{}, err
+	}
+	c.Topo = fmt.Sprintf("mesh:%dx%d", w, h)
+	if c.HopLatency == 0 {
+		c.HopLatency = defaultHopLatency
+	}
+	if c.LinkGap == 0 {
+		c.LinkGap = defaultLinkGap
+	}
+	return c, nil
+}
+
+// ResolveScaled resolves c and gives a mesh machine the many-core shape
+// that E16 and the conformance mesh runs measure: one home module per CPU,
+// so each CPU's slice of memory sits on its own tile, and past 8 CPUs an
+// 8-pointer directory with coarse-vector overflow. Both replace whatever c
+// set; a uniform machine keeps c's homes and directory.
+func (c Config) ResolveScaled() (Config, error) {
+	c, err := c.Resolve()
+	if err != nil || c.Topo == "" {
+		return c, err
+	}
+	c.MemModules = c.Procs
+	if c.Procs > scaleDirPointers {
+		c.DirPointers = scaleDirPointers
+	}
+	return c, nil
 }
 
 // MissLatency returns the end-to-end clean-miss cost of the configuration.
@@ -152,7 +219,6 @@ type System struct {
 	Cfg    Config
 	Net    *network.Network
 	Mem    *memsys.Memory
-	Dir    *coherence.Directory // first home module (convenience accessor)
 	Dirs   []*coherence.Directory
 	Caches []*cache.Cache
 	LSUs   []*core.LSU
@@ -197,27 +263,19 @@ func (s *System) BaseCycle() uint64 { return s.baseCycle }
 // Figure 5 tracer.
 type TraceHook func(s *System, cycle uint64)
 
-// New builds a system running the given per-processor programs. len(progs)
-// must equal cfg.Procs.
+// New builds a system running the given per-processor programs on the
+// machine cfg resolves to. len(progs) must equal cfg.Procs.
 func New(cfg Config, progs []*isa.Program) *System {
-	if len(progs) != cfg.Procs {
-		panic(fmt.Sprintf("sim: %d programs for %d processors", len(progs), cfg.Procs))
-	}
-	if cfg.LineWords == 0 {
-		cfg.LineWords = 1
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000
-	}
-	if cfg.MemModules <= 0 {
-		cfg.MemModules = 1
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		panic(err.Error())
 	}
 	geom := memsys.NewGeometry(cfg.LineWords)
 	// One storage bank per home module: each directory shard then touches
 	// only its own map, which is what lets the parallel engine run home
 	// nodes on separate goroutines against the one Memory.
 	mem := memsys.NewBankedMemory(geom, cfg.MemModules)
-	net := buildNetwork(&cfg)
+	net := buildNetwork(cfg)
 	homes := make([]network.NodeID, cfg.MemModules)
 	dirs := make([]*coherence.Directory, cfg.MemModules)
 	for i := range dirs {
@@ -229,35 +287,24 @@ func New(cfg Config, progs []*isa.Program) *System {
 		}
 	}
 
-	s := &System{Cfg: cfg, Net: net, Mem: mem, Dir: dirs[0], Dirs: dirs}
+	s := &System{Cfg: cfg, Net: net, Mem: mem, Dirs: dirs}
 	s.agent = newAgent(network.NodeID(cfg.Procs+cfg.MemModules), net, homes, geom)
-
-	for i := 0; i < cfg.Procs; i++ {
-		lcfg := core.Config{
-			Model:           cfg.Model,
-			Tech:            cfg.Tech,
-			ForwardLatency:  cfg.ForwardLatency,
-			MaxAddrPerCycle: cfg.MaxAddrPerCycle,
-		}
-		// The cache's client is the LSU; construct LSU first with a
-		// placeholder cache, then the cache, then bind.
-		lcfg.NST = cfg.NST
-		lcfg.UncachedRMW = cfg.UncachedRMW
-		lsu := core.NewLSU(i, lcfg, nil, geom)
-		c := cache.New(network.NodeID(i), homes[0], net, geom, cfg.Cache, cache.Protocol(cfg.Protocol), lsu)
+	s.Caches = make([]*cache.Cache, cfg.Procs)
+	for i := range s.Caches {
+		// The cache's client is the LSU, which LoadPrograms binds.
+		c := cache.New(network.NodeID(i), homes[0], net, geom, cfg.Cache, cache.Protocol(cfg.Protocol), nil)
 		if cfg.MemModules > 1 {
 			c.SetHomes(homes)
 		}
 		if cfg.NST {
 			c.EnableBypass()
 		}
-		lsu.BindCache(c)
-		p := cpu.New(i, cfg.CPU, progs[i], lsu)
-		s.Caches = append(s.Caches, c)
-		s.LSUs = append(s.LSUs, lsu)
-		s.Procs = append(s.Procs, p)
+		s.Caches[i] = c
 	}
+	s.LSUs = make([]*core.LSU, cfg.Procs)
+	s.Procs = make([]*cpu.Proc, cfg.Procs)
 	s.partition()
+	s.LoadPrograms(progs)
 	n := len(s.Procs) + len(s.Dirs)
 	s.wake = make([]uint64, n)
 	s.awake = make([]uint64, (n+63)/64)
@@ -317,21 +364,13 @@ func (s *System) ScheduleWrites(ws []ScheduledWrite) {
 // location D is assumed to hit in the cache").
 func (s *System) LoadPrograms(progs []*isa.Program) {
 	if len(progs) != s.Cfg.Procs {
-		panic("sim: wrong program count")
+		panic(fmt.Sprintf("sim: %d programs for %d processors", len(progs), s.Cfg.Procs))
 	}
 	geom := s.Mem.Geometry()
+	lcfg := core.Config{Model: s.Cfg.Model, Tech: s.Cfg.Tech, NST: s.Cfg.NST, UncachedRMW: s.Cfg.UncachedRMW}
 	for i := range progs {
-		lcfg := core.Config{
-			Model:           s.Cfg.Model,
-			Tech:            s.Cfg.Tech,
-			ForwardLatency:  s.Cfg.ForwardLatency,
-			MaxAddrPerCycle: s.Cfg.MaxAddrPerCycle,
-		}
-		lcfg.NST = s.Cfg.NST
-		lcfg.UncachedRMW = s.Cfg.UncachedRMW
 		lsu := core.NewLSU(i, lcfg, s.Caches[i], geom)
 		s.Caches[i].SetClient(lsu)
-		lsu.BindCache(s.Caches[i])
 		s.Procs[i] = cpu.New(i, s.Cfg.CPU, progs[i], lsu)
 		s.LSUs[i] = lsu
 		s.nodes[i].proc, s.nodes[i].lsu = s.Procs[i], lsu

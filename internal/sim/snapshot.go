@@ -112,7 +112,10 @@ func restore(m *snapshot.Machine) (*System, error) {
 	if err := checkConfig(m.Config); err != nil {
 		return nil, err
 	}
-	cfg := importConfig(m.Config)
+	cfg, err := importConfig(m.Config).Resolve()
+	if err != nil {
+		return nil, err
+	}
 	if len(m.Procs) != cfg.Procs {
 		return nil, fmt.Errorf("sim: snapshot has %d processor states for %d processors", len(m.Procs), cfg.Procs)
 	}
@@ -167,8 +170,8 @@ func restore(m *snapshot.Machine) (*System, error) {
 	return s, nil
 }
 
-// checkConfig rejects a snapshot configuration New would panic on or
-// that exceeds the restore bounds.
+// checkConfig bounds a snapshot configuration and rejects what New would
+// panic on that Resolve does not check, such as the cache geometry.
 func checkConfig(c snapshot.Config) error {
 	bad := func(what string, v any) error { return fmt.Errorf("sim: snapshot config has %s %v", what, v) }
 	switch {
@@ -194,16 +197,11 @@ func checkConfig(c snapshot.Config) error {
 		return bad("retire width", c.CPU.RetireWidth)
 	case c.CPU.ROBSize < 1 || c.CPU.ROBSize > maxRestoreWidth:
 		return bad("reorder-buffer size", c.CPU.ROBSize)
-	case c.MaxAddrPerCycle < 0 || c.DirBandwidth < 0 || c.DirPointers < 0:
-		return bad("negative unit bound", []int{c.MaxAddrPerCycle, c.DirBandwidth, c.DirPointers})
+	case c.DirBandwidth < 0 || c.DirPointers < 0:
+		return bad("negative unit bound", []int{c.DirBandwidth, c.DirPointers})
 	}
-	if err := ValidateTopo(c.Topo, c.Procs); err != nil {
-		return err
-	}
-	if IsMeshTopo(c.Topo) {
-		if w, h, _ := MeshDims(c.Topo, c.Procs); w > maxRestoreNodes || h > maxRestoreNodes/w {
-			return bad("mesh", c.Topo)
-		}
+	if w, h, err := meshDims(c.Topo, c.Procs); err == nil && (w > maxRestoreNodes || h > maxRestoreNodes/w) {
+		return bad("mesh", c.Topo)
 	}
 	return nil
 }
@@ -292,25 +290,23 @@ func checkProgram(p snapshot.ProgramState) error {
 // mirror.
 func exportConfig(c Config) snapshot.Config {
 	out := snapshot.Config{
-		Procs:           c.Procs,
-		Model:           c.Model,
-		Tech:            c.Tech,
-		Protocol:        c.Protocol,
-		LineWords:       c.LineWords,
-		NetLatency:      c.NetLatency,
-		MemLatency:      c.MemLatency,
-		Topo:            c.Topo,
-		HopLatency:      c.HopLatency,
-		LinkGap:         c.LinkGap,
-		Cache:           c.Cache,
-		CPU:             c.CPU,
-		ForwardLatency:  c.ForwardLatency,
-		MaxAddrPerCycle: c.MaxAddrPerCycle,
-		NST:             c.NST,
-		MemModules:      c.MemModules,
-		DirBandwidth:    c.DirBandwidth,
-		DirPointers:     c.DirPointers,
-		MaxCycles:       c.MaxCycles,
+		Procs:        c.Procs,
+		Model:        c.Model,
+		Tech:         c.Tech,
+		Protocol:     c.Protocol,
+		LineWords:    c.LineWords,
+		NetLatency:   c.NetLatency,
+		MemLatency:   c.MemLatency,
+		Topo:         c.Topo,
+		HopLatency:   c.HopLatency,
+		LinkGap:      c.LinkGap,
+		Cache:        c.Cache,
+		CPU:          c.CPU,
+		NST:          c.NST,
+		MemModules:   c.MemModules,
+		DirBandwidth: c.DirBandwidth,
+		DirPointers:  c.DirPointers,
+		MaxCycles:    c.MaxCycles,
 	}
 	for a, on := range c.UncachedRMW {
 		if on {
@@ -323,25 +319,23 @@ func exportConfig(c Config) snapshot.Config {
 
 func importConfig(c snapshot.Config) Config {
 	out := Config{
-		Procs:           c.Procs,
-		Model:           c.Model,
-		Tech:            c.Tech,
-		Protocol:        c.Protocol,
-		LineWords:       c.LineWords,
-		NetLatency:      c.NetLatency,
-		MemLatency:      c.MemLatency,
-		Topo:            c.Topo,
-		HopLatency:      c.HopLatency,
-		LinkGap:         c.LinkGap,
-		Cache:           c.Cache,
-		CPU:             c.CPU,
-		ForwardLatency:  c.ForwardLatency,
-		MaxAddrPerCycle: c.MaxAddrPerCycle,
-		NST:             c.NST,
-		MemModules:      c.MemModules,
-		DirBandwidth:    c.DirBandwidth,
-		DirPointers:     c.DirPointers,
-		MaxCycles:       c.MaxCycles,
+		Procs:        c.Procs,
+		Model:        c.Model,
+		Tech:         c.Tech,
+		Protocol:     c.Protocol,
+		LineWords:    c.LineWords,
+		NetLatency:   c.NetLatency,
+		MemLatency:   c.MemLatency,
+		Topo:         c.Topo,
+		HopLatency:   c.HopLatency,
+		LinkGap:      c.LinkGap,
+		Cache:        c.Cache,
+		CPU:          c.CPU,
+		NST:          c.NST,
+		MemModules:   c.MemModules,
+		DirBandwidth: c.DirBandwidth,
+		DirPointers:  c.DirPointers,
+		MaxCycles:    c.MaxCycles,
 	}
 	if len(c.UncachedRMW) > 0 {
 		out.UncachedRMW = make(map[uint64]bool, len(c.UncachedRMW))

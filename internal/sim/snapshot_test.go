@@ -362,7 +362,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	// into the raw structure is not exposed, so patch the version byte via
 	// the public API instead — write with a build that disagrees is what we
 	// simulate by checking the error text contract on a crafted stream.
-	for _, version := range []int{snapshot.FormatVersion - 1, snapshot.FormatVersion + 40} {
+	for _, version := range []int{3, 4, snapshot.FormatVersion + 40} {
 		stale := gobEnvelopeWithVersion(t, snap, version)
 		_, err = snapshot.Read(bytes.NewReader(stale))
 		if err == nil {

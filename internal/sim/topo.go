@@ -8,16 +8,12 @@ import (
 	"mcmsim/internal/network"
 )
 
-// IsMeshTopo reports whether a -topo spec names a mesh.
-func IsMeshTopo(spec string) bool {
-	return spec == "mesh" || strings.HasPrefix(spec, "mesh:")
-}
-
-// MeshDims resolves a mesh spec to its dimensions: "mesh" auto-sizes to
+// meshDims resolves a mesh spec to its dimensions: "mesh" auto-sizes to
 // the squarest W×H grid with at least procs tiles (W = ceil(sqrt(P)));
 // "mesh:WxH" is explicit. Explicit dimensions may be smaller than the CPU
-// count — tiles are then shared — but must be positive.
-func MeshDims(spec string, procs int) (w, h int, err error) {
+// count — tiles are then shared — but must be positive. Any other spec is
+// an unknown topology.
+func meshDims(spec string, procs int) (w, h int, err error) {
 	if spec == "mesh" {
 		w = 1
 		for w*w < procs {
@@ -31,7 +27,7 @@ func MeshDims(spec string, procs int) (w, h int, err error) {
 	}
 	dims, ok := strings.CutPrefix(spec, "mesh:")
 	if !ok {
-		return 0, 0, fmt.Errorf("sim: not a mesh topology spec: %q", spec)
+		return 0, 0, fmt.Errorf("sim: unknown topology %q (want uniform, mesh, or mesh:WxH)", spec)
 	}
 	ws, hs, ok := strings.Cut(dims, "x")
 	if ok {
@@ -46,55 +42,23 @@ func MeshDims(spec string, procs int) (w, h int, err error) {
 	return w, h, nil
 }
 
-// ValidateTopo rejects malformed -topo specs early (the CLIs call it before
-// building machines; New panics instead, as it does for all bad configs).
-func ValidateTopo(spec string, procs int) error {
-	switch {
-	case spec == "" || spec == "uniform":
-		return nil
-	case IsMeshTopo(spec):
-		_, _, err := MeshDims(spec, procs)
-		return err
-	default:
-		return fmt.Errorf("sim: unknown topology %q (want uniform, mesh, or mesh:WxH)", spec)
-	}
-}
-
-// buildNetwork constructs the interconnect the config describes and
-// normalizes the config's topology fields to their explicit values (so
-// snapshots and warmup-cache keys capture the machine actually built).
-func buildNetwork(cfg *Config) *network.Network {
-	switch {
-	case cfg.Topo == "" || cfg.Topo == "uniform":
-		cfg.Topo = ""
-		cfg.HopLatency, cfg.LinkGap = 0, 0
+// buildNetwork constructs the interconnect of a resolved configuration.
+func buildNetwork(cfg Config) *network.Network {
+	if cfg.Topo == "" {
 		return network.New(cfg.NetLatency)
-	case IsMeshTopo(cfg.Topo):
-		w, h, err := MeshDims(cfg.Topo, cfg.Procs)
-		if err != nil {
-			panic(err.Error())
-		}
-		if cfg.HopLatency == 0 {
-			cfg.HopLatency = 10
-		}
-		if cfg.LinkGap == 0 {
-			cfg.LinkGap = 1
-		}
-		cfg.Topo = fmt.Sprintf("mesh:%dx%d", w, h)
-		m := network.NewMesh(w, h, cfg.HopLatency, cfg.LinkGap)
-		tiles := m.Tiles()
-		// DASH-style clusters: CPU i and home module i share a tile, so a
-		// processor's slice of the distributed memory is one local hop away.
-		// The write agent (harness-only traffic) sits on tile 0.
-		for i := 0; i < cfg.Procs; i++ {
-			m.Place(network.NodeID(i), i%tiles)
-		}
-		for j := 0; j < cfg.MemModules; j++ {
-			m.Place(network.NodeID(cfg.Procs+j), j%tiles)
-		}
-		m.Place(network.NodeID(cfg.Procs+cfg.MemModules), 0)
-		return network.NewWithTopology(m)
-	default:
-		panic(fmt.Sprintf("sim: unknown topology %q (want uniform, mesh, or mesh:WxH)", cfg.Topo))
 	}
+	w, h, _ := meshDims(cfg.Topo, cfg.Procs)
+	m := network.NewMesh(w, h, cfg.HopLatency, cfg.LinkGap)
+	tiles := m.Tiles()
+	// DASH-style clusters: CPU i and home module i share a tile, so a
+	// processor's slice of the distributed memory is one local hop away.
+	// The write agent (harness-only traffic) sits on tile 0.
+	for i := 0; i < cfg.Procs; i++ {
+		m.Place(network.NodeID(i), i%tiles)
+	}
+	for j := 0; j < cfg.MemModules; j++ {
+		m.Place(network.NodeID(cfg.Procs+j), j%tiles)
+	}
+	m.Place(network.NodeID(cfg.Procs+cfg.MemModules), 0)
+	return network.NewWithTopology(m)
 }

@@ -58,7 +58,10 @@ import (
 //	    self-delivery is gone), so network.State.Hops is one entry
 //	    shorter; Config no longer records DenseLoop, so a restored
 //	    machine runs the wake schedule.
-const FormatVersion = 4
+//	5 — Config no longer records the store-buffer forwarding latency or
+//	    a per-cycle bound on the address unit, which no machine set: a
+//	    forward takes one cycle and the address unit is unbounded.
+const FormatVersion = 5
 
 // ErrInvalid marks every failure to read or restore a snapshot: a foreign
 // or corrupt stream, another format version, or a machine state that
@@ -88,10 +91,8 @@ type Config struct {
 	Cache cache.Config
 	CPU   cpu.Config
 
-	ForwardLatency  uint64
-	MaxAddrPerCycle int
-	NST             bool
-	UncachedRMW     []uint64 // ascending; the enabled addresses only
+	NST         bool
+	UncachedRMW []uint64 // ascending; the enabled addresses only
 
 	MemModules   int
 	DirBandwidth int
