@@ -29,10 +29,11 @@
 //	          report byte-stable (what the farm-vs-local CI diff compares)
 //
 // Fleet flags, shared with cmd/sweep: -workers LIST (comma-separated
-// local:N and `sweepd -listen` daemon host:port entries), -listen,
-// -advertise, -lease-ttl, -checkpoint-every. A list with a daemon entry,
-// or -listen, runs the batch on a farm (internal/farm); the report is
-// byte-identical to the local run's.
+// local:N loopback workers and `sweepd -listen` daemon host:port entries),
+// -listen, -advertise, -lease-ttl, -checkpoint-every. A list with a daemon
+// entry, or -listen, runs the batch on a farm (internal/farm); the report
+// is byte-identical to the local run's. A list of local:N entries alone is
+// an error: -j sizes the in-process pool.
 //
 // Any violation is minimized to a 1-minimal reproducer and printed with
 // the failing cell, the observed outcome, and the oracle's allowed set;

@@ -360,6 +360,12 @@ func restoreState(path string, cfg sim.Config, nprogs int) *sim.System {
 	if err != nil {
 		fatal(fmt.Errorf("load-state: %w", err))
 	}
+	// The processor count comes first: a mesh's shape and the default
+	// module count derive from it, so a count mismatch would otherwise be
+	// reported as a -topo or -modules conflict.
+	if s.Cfg.Procs != nprogs {
+		fatal(fmt.Errorf("load-state: snapshot has %d processors, workload builds %d programs", s.Cfg.Procs, nprogs))
+	}
 	conflicts := map[string]bool{
 		"miss":      s.Cfg.MissLatency() != cfg.MissLatency(),
 		"modules":   s.Cfg.MemModules != cfg.MemModules,
@@ -377,9 +383,6 @@ func restoreState(path string, cfg sim.Config, nprogs int) *sim.System {
 			fatal(fmt.Errorf("load-state: -%s conflicts with the machine saved in %s", f.Name, path))
 		}
 	})
-	if s.Cfg.Procs != nprogs {
-		fatal(fmt.Errorf("load-state: snapshot has %d processors, workload builds %d programs", s.Cfg.Procs, nprogs))
-	}
 	return s
 }
 

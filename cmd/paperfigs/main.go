@@ -7,9 +7,8 @@
 //	paperfigs -fig 5    the §4.3 execution trace with buffer snapshots
 //	paperfigs -fig all  every paper figure
 //
-// Beyond the paper's own figures, -fig scale prints the E16 many-core
-// extension table (16/64/256-CPU mesh machines, SC vs RC); it is not part
-// of -fig all because the paper has no such figure.
+// The E16 many-core extension table, which the paper has no figure for,
+// is `sweep -exp scale`.
 package main
 
 import (
@@ -23,7 +22,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2a, 2b, 5, all, or scale (E16 extension)")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2a, 2b, 5, or all")
 	flag.Parse()
 
 	var err error
@@ -40,8 +39,6 @@ func main() {
 		}
 	case "5":
 		err = figure5()
-	case "scale":
-		err = figureScale()
 	case "all":
 		for _, f := range []func() error{figure1, func() error { return figure2("example1") },
 			func() error { return figure2("example2") }, figure5} {
@@ -101,26 +98,6 @@ func figure2(example string) error {
 		} else {
 			fmt.Fprintf(w, "%v\t%v\t%d\t-\t(extension)\n", r.Model, r.Tech, r.Cycles)
 		}
-	}
-	return w.Flush()
-}
-
-// figureScale prints the E16 extension table: the §5 equalization question
-// on mesh machines the paper's 16-processor study could not reach.
-func figureScale() error {
-	fmt.Println("E16 — many-core mesh scale sweep (extension; the paper has no such figure)")
-	fmt.Println("(does prefetch+speculation still close the SC/RC gap at 16/64/256 CPUs?)")
-	rows, err := experiments.ScaleSweep(experiments.ScaleCPUCounts, "mesh")
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "cpus\ttopo\tmodel\ttechniques\tcycles\tmessages\thops\tlink waits\tinvalidations\tcoarse sweeps")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
-			r.Labels["cpus"], r.Labels["topo"], r.Labels["model"], r.Labels["tech"], r.Cycles,
-			r.Extra["messages"], r.Extra["hops"], r.Extra["link_waits"],
-			r.Extra["invalidations"], r.Extra["coarse_sweeps"])
 	}
 	return w.Flush()
 }

@@ -27,14 +27,14 @@
 //
 //	-cpus LIST        machine sizes for the scale sweep (default 16,64,256)
 //	-topo T           scale-sweep interconnect: mesh or mesh:WxH
-//	-j N              worker-pool size (default: all CPUs)
-//	-workers LIST     worker fleet: comma-separated local:N and daemon
-//	                  host:port entries. Only-local lists run the
-//	                  in-process pool (local:8 == -j 8); any remote entry,
-//	                  or -listen, starts a farm coordinator (internal/farm)
-//	                  that leases jobs to the fleet and reassembles the
-//	                  report to the same bytes. Remote entries are
-//	                  `sweepd -listen` daemons. Farm companions: -listen,
+//	-j N              in-process worker-pool size (default: all CPUs)
+//	-workers LIST     farm fleet: comma-separated local:N loopback workers
+//	                  and `sweepd -listen` daemon host:port entries. A
+//	                  daemon entry, or -listen, starts a farm coordinator
+//	                  (internal/farm) that leases jobs to the fleet and
+//	                  reassembles the report to the same bytes; a list of
+//	                  local:N entries alone is an error (-j sizes the
+//	                  in-process pool). Farm companions: -listen,
 //	                  -advertise, -lease-ttl, -checkpoint-every (shared
 //	                  with cmd/conform)
 //	-format table|json|csv

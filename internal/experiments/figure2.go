@@ -7,7 +7,6 @@ package experiments
 import (
 	"fmt"
 
-	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/sim"
@@ -61,8 +60,22 @@ func RunExample2(model core.Model, tech core.Technique) (uint64, error) {
 // grid of the paper's analysis. Speculative loads are combined with store
 // prefetching, as §4 prescribes.
 func Figure2Grid() ([]Figure2Result, error) {
+	return figure2Grid([]core.Model{core.SC, core.RC})
+}
+
+// Figure2GridAll extends the paper's SC/RC analysis to every implemented
+// model, including PC, WC and RCsc (extension data: the paper presents the
+// techniques "only in the context of SC and RC since they represent the two
+// extremes of the spectrum"; these rows fill in the middle).
+func Figure2GridAll() ([]Figure2Result, error) {
+	return figure2Grid(core.AllModels)
+}
+
+// figure2Grid runs both examples under each model and each of conv, pf
+// and pf+spec, in that order.
+func figure2Grid(models []core.Model) ([]Figure2Result, error) {
 	var out []Figure2Result
-	for _, m := range []core.Model{core.SC, core.RC} {
+	for _, m := range models {
 		for _, t := range []core.Technique{TechConv, TechPf, TechBoth} {
 			c1, err := RunExample1(m, t)
 			if err != nil {
@@ -101,30 +114,4 @@ func PaperFigure2() map[string]uint64 {
 // Key renders the lookup key of a result in PaperFigure2 format.
 func (r Figure2Result) Key() string {
 	return fmt.Sprintf("%s/%v/%v", r.Example, r.Model, r.Tech)
-}
-
-// ProtocolFor exposes the default protocol used by the figure experiments.
-const ProtocolFor = coherence.ProtoInvalidate
-
-// Figure2GridAll extends the paper's SC/RC analysis to every implemented
-// model, including PC, WC and RCsc (extension data: the paper presents the
-// techniques "only in the context of SC and RC since they represent the two
-// extremes of the spectrum"; these rows fill in the middle).
-func Figure2GridAll() ([]Figure2Result, error) {
-	var out []Figure2Result
-	for _, m := range core.AllModels {
-		for _, t := range []core.Technique{TechConv, TechPf, TechBoth} {
-			c1, err := RunExample1(m, t)
-			if err != nil {
-				return nil, fmt.Errorf("example1 %v/%v: %w", m, t, err)
-			}
-			out = append(out, Figure2Result{"example1", m, t, c1})
-			c2, err := RunExample2(m, t)
-			if err != nil {
-				return nil, fmt.Errorf("example2 %v/%v: %w", m, t, err)
-			}
-			out = append(out, Figure2Result{"example2", m, t, c2})
-		}
-	}
-	return out, nil
 }

@@ -107,8 +107,3 @@ func scaleSweepJobs(cpuCounts []int, topo string, proto coherence.Protocol) []ru
 	}
 	return jobs
 }
-
-// ScaleSweep executes E16 and returns its rows.
-func ScaleSweep(cpuCounts []int, topo string) ([]Row, error) {
-	return runner.Execute(ScaleSweepJobs(cpuCounts, topo), 0)
-}

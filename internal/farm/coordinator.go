@@ -25,9 +25,10 @@ type Stats struct {
 	Checkpoints         int // checkpoint uploads accepted
 	CheckpointsRejected int // refused: corrupt snapshot or stale lease
 
-	WarmKeys    int // distinct declared warmup keys requested
-	WarmBuilds  int // build grants handed out (== WarmKeys when no builder died)
-	WarmFetches int // warmup snapshot downloads served
+	// WarmFetches is always 0: each worker session builds its warmups in
+	// its own runner.WarmupCache, so the coordinator serves none. It stays
+	// only because perfbench reports it as farm.warm_fetches.
+	WarmFetches int
 }
 
 // job lease states.
@@ -47,26 +48,14 @@ type jobState struct {
 	ckCycle    uint64
 }
 
-// warmState is one warmup key's fleet-wide build: granted to the first
-// asker, re-granted if that asker's session dies before uploading.
-type warmState struct {
-	builder *session
-	done    bool
-	snap    []byte
-	err     string
-}
-
 // Coordinator owns one spec's execution across a worker fleet: the lease
-// table, the checkpoint store, the warmup store, and the result slots.
-// Safe for concurrent use by the per-connection RPC sessions.
+// table, the checkpoint store, and the result slots. Safe for concurrent
+// use by the per-connection RPC sessions.
 type Coordinator struct {
 	spec        JobSpec
 	jobs        []runner.Job
 	fingerprint string
 	build       string
-	// declared holds the spec's warmup keys (Job.Warmup.Key); the warmup
-	// store refuses every other key. Read-only after NewCoordinator.
-	declared map[string]bool
 
 	ttl   time.Duration
 	every uint64
@@ -81,7 +70,6 @@ type Coordinator struct {
 	results   []runner.Result
 	completed int
 	seq       uint64
-	warm      map[string]*warmState
 	stats     Stats
 	sessions  int // currently connected workers
 	done      chan struct{}
@@ -114,17 +102,10 @@ func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64
 		build:       BuildHash(),
 		ttl:         leaseTTL,
 		every:       checkpointEvery,
-		declared:    make(map[string]bool),
 		state:       make([]jobState, len(jobs)),
 		results:     make([]runner.Result, len(jobs)),
-		warm:        make(map[string]*warmState),
 		done:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
-	}
-	for _, j := range jobs {
-		if j.Warmup != nil {
-			c.declared[j.Warmup.Key] = true
-		}
 	}
 	c.stats.Jobs = len(jobs)
 	go c.janitor()
@@ -155,7 +136,7 @@ func (c *Coordinator) janitor() {
 }
 
 // releaseLocked returns a leased job to the queue (lease expiry or owner
-// hangup) and re-grants any warmup build its owner held. Caller holds mu.
+// hangup). Caller holds mu.
 func (c *Coordinator) releaseLocked(i int) {
 	st := &c.state[i]
 	if st.owner != nil {
@@ -164,17 +145,6 @@ func (c *Coordinator) releaseLocked(i int) {
 	st.status = jobPending
 	st.owner = nil
 	c.stats.Reassigned++
-}
-
-// releaseWarmBuildsLocked re-opens every unfinished warmup build owned by
-// a dead session, so the next asker is promoted to builder instead of
-// polling forever. Caller holds mu.
-func (c *Coordinator) releaseWarmBuildsLocked(s *session) {
-	for _, w := range c.warm {
-		if !w.done && w.builder == s {
-			w.builder = nil
-		}
-	}
 }
 
 // Jobs returns the enumerated job count.
@@ -368,68 +338,6 @@ func (c *Coordinator) complete(s *session, a CompleteArgs) bool {
 		close(c.done)
 	}
 	return true
-}
-
-// checkDeclared refuses a warmup key the spec's jobs do not declare, so a
-// worker cannot grow the warmup store beyond the spec's own keys.
-func (c *Coordinator) checkDeclared(key string) error {
-	if c.declared[key] {
-		return nil
-	}
-	return fmt.Errorf("farm: warmup key %s is not declared by the spec", short(key))
-}
-
-// warmup runs one poll round of the warmup-fetch protocol for s.
-func (c *Coordinator) warmup(s *session, key string) (WarmupReply, error) {
-	if err := c.checkDeclared(key); err != nil {
-		return WarmupReply{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.warm[key]
-	if !ok {
-		w = &warmState{}
-		c.warm[key] = w
-		c.stats.WarmKeys++
-	}
-	if w.done {
-		if w.err != "" {
-			// The build failed deterministically on the builder; propagate
-			// the same error to every asker, exactly like the in-process
-			// cache propagates its builder's error to every waiter.
-			return WarmupReply{Error: w.err}, nil
-		}
-		c.stats.WarmFetches++
-		return WarmupReply{Snapshot: w.snap}, nil
-	}
-	if w.builder == nil {
-		w.builder = s
-		c.stats.WarmBuilds++
-		return WarmupReply{Build: true}, nil
-	}
-	return WarmupReply{}, nil // someone is building; poll again
-}
-
-// putWarmup stores a built warmup snapshot (validated like checkpoints).
-func (c *Coordinator) putWarmup(s *session, a PutWarmupArgs) error {
-	if err := c.checkDeclared(a.Key); err != nil {
-		return err
-	}
-	if a.Error == "" {
-		if _, err := decodeMachine(a.Snapshot); err != nil {
-			return fmt.Errorf("farm: warmup snapshot for key %s rejected: %w", short(a.Key), err)
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.warm[a.Key]
-	if !ok || w.builder != s || w.done {
-		return fmt.Errorf("farm: warmup upload for key %s without a build grant", short(a.Key))
-	}
-	w.done = true
-	w.snap = a.Snapshot
-	w.err = a.Error
-	return nil
 }
 
 // short abbreviates a key or fingerprint for error messages.

@@ -32,22 +32,21 @@
 // it, when, or after how many retries. (2) The coordinator assembles
 // results by job index and releases them in enumeration order — exactly
 // the local pool's contract — so completion order, lease order and
-// reassignment are all invisible. (3) The shipped artifacts (warmup
-// snapshots, checkpoints) are machine snapshots, whose restore is
+// reassignment are all invisible. (3) The only shipped artifacts,
+// checkpoints, are machine snapshots, whose restore is
 // observation-transparent by the differential gates. The formatters then
 // render identical rows to identical bytes.
 //
-// # Content-addressed warmup shipping
+// # Per-session warmup caches
 //
-// Jobs that declare a runner.WarmupSpec are deduplicated across the whole
-// fleet, not just one process: the worker asks the coordinator for the
-// snapshot by the content hash of its canonical runner.WarmupKey. The
-// first asker is granted the build — it simulates the warmup once,
-// uploads the snapshot, and every later asker (on any host) downloads it
-// instead of re-simulating. N workers x M grid points therefore cost K
-// warmup simulations, where K is the number of distinct keys. The
-// coordinator serves only the keys its spec's jobs declare, so a worker
-// cannot grow the warmup table.
+// Warmups never cross the wire. Each Worker.Run session hands its jobs one
+// runner.NewWarmupCache as JobOptions.Warmups, the same cache the
+// in-process pool uses: the session simulates each declared warmup
+// (runner.WarmupSpec) at most once, and every job, the builder's
+// included, restores a private machine from the snapshot, so a farmed job
+// measures on the machine a local job would. A fleet of N sessions
+// therefore simulates each warmup key at most N times; the suite declares
+// two keys (E6 and E15), both short warmups.
 //
 // # Fault tolerance
 //
@@ -67,5 +66,5 @@
 // Snapshot bytes are only meaningful between identical builds (the format
 // is version-locked). The handshake therefore exchanges sim.SnapshotVersion
 // and a VCS build hash both ways and rejects mismatched fleets with a
-// clear error before any job, snapshot or checkpoint moves.
+// clear error before any job or checkpoint moves.
 package farm

@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,8 +41,9 @@ func render(t *testing.T, results []runner.Result, format string) []byte {
 }
 
 // TestFarmSuiteByteIdentical is the headline gate: a coordinator plus two
-// loopback workers — checkpointing enabled, warmups shipped over the wire
-// — renders the exact bytes of a local -j 2 run, in every output format.
+// loopback workers — checkpointing enabled, each worker building the
+// shared warmup in its own session cache — renders the exact bytes of a
+// local -j 2 run, in every output format.
 func TestFarmSuiteByteIdentical(t *testing.T) {
 	t.Parallel()
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization", "warmequal"}, Procs: 3, Seed: 7}
@@ -58,45 +60,6 @@ func TestFarmSuiteByteIdentical(t *testing.T) {
 		if !bytes.Equal(farm, local) {
 			t.Errorf("%s output differs:\n--- farm ---\n%s--- local -j 2 ---\n%s", format, farm, local)
 		}
-	}
-}
-
-// TestFarmWarmupDedup asserts the content-addressed warmup store costs
-// exactly one warmup simulation per distinct key across the whole fleet:
-// the warmequal sweep's 8 jobs share one key, and with two workers racing
-// for it the coordinator must still grant a single build.
-func TestFarmWarmupDedup(t *testing.T) {
-	t.Parallel()
-	spec := JobSpec{Kind: "sweep", Exps: []string{"warmequal"}, Procs: 3, Seed: 7}
-	jobs, err := Enumerate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmJobs := 0
-	for _, j := range jobs {
-		if j.Warmup != nil {
-			warmJobs++
-		}
-	}
-	if warmJobs < 2 {
-		t.Fatalf("warmequal has %d warm jobs; the dedup assertion needs at least 2", warmJobs)
-	}
-	results, stats, err := Run(spec, Options{LocalWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runner.Rows(results); err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmKeys != 1 {
-		t.Errorf("warmequal requested %d distinct warmup keys, want 1", stats.WarmKeys)
-	}
-	if stats.WarmBuilds != stats.WarmKeys {
-		t.Errorf("fleet simulated %d warmup builds for %d keys; want exactly one per key",
-			stats.WarmBuilds, stats.WarmKeys)
-	}
-	if stats.WarmBuilds >= warmJobs {
-		t.Errorf("no dedup: %d builds for %d warm jobs", stats.WarmBuilds, warmJobs)
 	}
 }
 
@@ -168,6 +131,22 @@ func TestFarmConcurrentSpecs(t *testing.T) {
 		}
 		if got := render(t, results[i], runner.FormatCSV); !bytes.Equal(got, want[i]) {
 			t.Errorf("%s farm run concurrently with another spec rendered:\n%s--- want (run alone) ---\n%s", spec.Protocol, got, want[i])
+		}
+	}
+}
+
+// TestFleetLocalOnlyWorkersRejected asserts -j alone sizes the in-process
+// pool: a -workers list of local:N entries with no daemon and no -listen
+// is an error that names -j, and no job runs.
+func TestFleetLocalOnlyWorkersRejected(t *testing.T) {
+	spec := JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}
+	for _, workers := range []string{"local:2", "local:1,local:3"} {
+		results, _, err := (&Fleet{workers: workers}).Run(spec, runner.Options{Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "-j") {
+			t.Errorf("-workers %s: error %v, want one that names -j", workers, err)
+		}
+		if results != nil {
+			t.Errorf("-workers %s ran %d jobs", workers, len(results))
 		}
 	}
 }

@@ -3,9 +3,7 @@ package farm
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net/rpc"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,65 +16,95 @@ import (
 // first checkpoint upload and asserts the full fault path: the hangup
 // releases the lease immediately, a healthy worker is reassigned the job,
 // resumes from the dead worker's checkpoint rather than cycle zero, and
-// the final report is byte-identical to an undisturbed local run.
+// the final report is byte-identical to an undisturbed local run. The
+// warmequal input resumes a warmed job: the victim builds the shared
+// warmup in its own session cache, completes the jobs before the one it
+// dies in, and dies inside that job's measured kernel, whose model and
+// technique differ from the warmup's. The healthy worker resumes that job
+// from the checkpoint and builds the warmup in its own cache for the jobs
+// it starts from scratch.
 func TestFarmWorkerDeathResumesFromCheckpoint(t *testing.T) {
-	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3, Seed: 7}
-	coord, err := NewCoordinator(spec, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Stop()
-	ln, err := coord.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	for _, tc := range []struct {
+		exp   string
+		every uint64
+		die   string // the job the victim dies in; the jobs before it complete
+	}{
+		{"equalization", 1000, "equalization/SC/conv"},
+		{"warmequal", 100, "warmequal/PC/pf+spec"}, // a 206-cycle kernel
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			spec := JobSpec{Kind: "sweep", Exps: []string{tc.exp}, Procs: 3, Seed: 7}
+			coord, err := NewCoordinator(spec, 0, tc.every)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Stop()
+			die := -1
+			for i, j := range coord.jobs {
+				if j.Name == tc.die {
+					die = i
+				}
+			}
+			if die < 0 {
+				t.Fatalf("%s enumerates no job %s", tc.exp, tc.die)
+			}
+			ln, err := coord.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			addr := ln.Addr().String()
 
-	// Worker A dies at its first checkpoint: the hook error abandons the
-	// job and terminates the worker, whose closing connection releases
-	// the lease (no TTL wait — equivalent to the process being killed).
-	injected := errors.New("injected worker death")
-	victim := &Worker{Name: "victim", CheckpointHook: func(job int, cycle uint64) error {
-		if cycle == 0 {
-			t.Errorf("checkpoint at cycle 0")
-		}
-		return injected
-	}}
-	if err := victim.Run(addr); !errors.Is(err, injected) {
-		t.Fatalf("victim exited with %v, want the injected death", err)
-	}
+			// Worker A dies at its first checkpoint of the chosen job: the
+			// hook error abandons the job and terminates the worker, whose
+			// closing connection releases the lease (no TTL wait —
+			// equivalent to the process being killed).
+			injected := errors.New("injected worker death")
+			victim := &Worker{Name: "victim", CheckpointHook: func(job int, cycle uint64) error {
+				if cycle == 0 {
+					t.Errorf("checkpoint at cycle 0")
+				}
+				if job != die {
+					return nil
+				}
+				return injected
+			}}
+			if err := victim.Run(addr); !errors.Is(err, injected) {
+				t.Fatalf("victim exited with %v, want the injected death", err)
+			}
 
-	st := coord.Stats()
-	if st.Checkpoints < 1 {
-		t.Fatalf("victim died without an accepted checkpoint (stats %+v)", st)
-	}
-	if st.Completed != 0 {
-		t.Fatalf("victim completed %d jobs before dying at its first checkpoint", st.Completed)
-	}
+			st := coord.Stats()
+			if st.Checkpoints < 1 {
+				t.Fatalf("victim died without an accepted checkpoint (stats %+v)", st)
+			}
+			if st.Completed != die {
+				t.Fatalf("victim completed %d jobs before dying in job %d", st.Completed, die)
+			}
 
-	// A healthy worker drains the farm, the victim's job included.
-	if err := (&Worker{Name: "healthy"}).Run(addr); err != nil {
-		t.Fatal(err)
-	}
-	st = coord.Stats()
-	if st.Completed != st.Jobs {
-		t.Fatalf("farm incomplete after recovery: %d of %d (stats %+v)", st.Completed, st.Jobs, st)
-	}
-	if st.Reassigned < 1 {
-		t.Errorf("victim's hangup released no lease (stats %+v)", st)
-	}
-	if st.Resumed < 1 {
-		t.Errorf("reassigned job restarted from cycle zero instead of the checkpoint (stats %+v)", st)
-	}
+			// A healthy worker drains the farm, the victim's job included.
+			if err := (&Worker{Name: "healthy"}).Run(addr); err != nil {
+				t.Fatal(err)
+			}
+			st = coord.Stats()
+			if st.Completed != st.Jobs {
+				t.Fatalf("farm incomplete after recovery: %d of %d (stats %+v)", st.Completed, st.Jobs, st)
+			}
+			if st.Reassigned < 1 {
+				t.Errorf("victim's hangup released no lease (stats %+v)", st)
+			}
+			if st.Resumed < 1 {
+				t.Errorf("reassigned job restarted from cycle zero instead of the checkpoint (stats %+v)", st)
+			}
 
-	results := coord.Results()
-	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
-		farm := render(t, results, format)
-		local := renderLocal(t, spec, 2, format)
-		if !bytes.Equal(farm, local) {
-			t.Errorf("%s output differs after worker death:\n--- farm ---\n%s--- local ---\n%s", format, farm, local)
-		}
+			results := coord.Results()
+			for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
+				farm := render(t, results, format)
+				local := renderLocal(t, spec, 2, format)
+				if !bytes.Equal(farm, local) {
+					t.Errorf("%s output differs after worker death:\n--- farm ---\n%s--- local ---\n%s", format, farm, local)
+				}
+			}
+		})
 	}
 }
 
@@ -240,88 +268,5 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Resumed != 1 || st.Reassigned != 1 {
 		t.Errorf("Resumed/Reassigned = %d/%d, want 1/1", st.Resumed, st.Reassigned)
-	}
-}
-
-// TestFarmDeadWarmupBuilderPromoted kills the worker holding a warmup
-// build grant and asserts a waiting asker is promoted to builder instead
-// of polling forever.
-func TestFarmDeadWarmupBuilderPromoted(t *testing.T) {
-	spec := JobSpec{Kind: "sweep", Exps: []string{"warmequal"}, Procs: 3, Seed: 7}
-	coord, err := NewCoordinator(spec, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Stop()
-	key := declaredKey(t, coord)
-
-	ask := func(s *session) WarmupReply {
-		t.Helper()
-		r, err := coord.warmup(s, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	dead := &session{coord: coord, held: map[int]bool{}}
-	if r := ask(dead); !r.Build {
-		t.Fatal("first asker was not granted the build")
-	}
-	other := &session{coord: coord, held: map[int]bool{}}
-	if r := ask(other); r.Build || r.Snapshot != nil || r.Error != "" {
-		t.Fatalf("second asker should wait while the builder lives, got %+v", r)
-	}
-	dead.close() // builder dies before uploading
-	if r := ask(other); !r.Build {
-		t.Fatal("waiting asker was not promoted after the builder died")
-	}
-	if st := coord.Stats(); st.WarmBuilds != 2 || st.WarmKeys != 1 {
-		t.Errorf("WarmBuilds/WarmKeys = %d/%d, want 2/1 (one re-grant)", st.WarmBuilds, st.WarmKeys)
-	}
-}
-
-// declaredKey returns the warmup key of the coordinator's first job that
-// declares one.
-func declaredKey(t *testing.T, c *Coordinator) string {
-	t.Helper()
-	for _, j := range c.jobs {
-		if j.Warmup != nil {
-			return j.Warmup.Key
-		}
-	}
-	t.Fatal("spec declares no warmup")
-	return ""
-}
-
-// TestFarmWarmupRefusesUndeclaredKeys asserts a worker cannot grow the
-// coordinator's warmup store: asking for, or uploading, a key no job of
-// the spec declares is an error that creates no entry, while the spec's
-// own key is still served.
-func TestFarmWarmupRefusesUndeclaredKeys(t *testing.T) {
-	spec := JobSpec{Kind: "sweep", Exps: []string{"warmequal"}, Procs: 3, Seed: 7}
-	coord, client := dialCoord(t, spec, 0, 0)
-	var w Welcome
-	if err := client.Call("Farm.Hello", Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Worker: "greedy"}, &w); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		key := fmt.Sprintf("undeclared-%d", i)
-		var r WarmupReply
-		if err := client.Call("Farm.Warmup", WarmupArgs{Key: key}, &r); err == nil || !strings.Contains(err.Error(), "not declared") {
-			t.Errorf("Warmup(%q) = %+v, %v; want a not-declared error", key, r, err)
-		}
-		if err := client.Call("Farm.PutWarmup", PutWarmupArgs{Key: key, Error: "x"}, &struct{}{}); err == nil || !strings.Contains(err.Error(), "not declared") {
-			t.Errorf("PutWarmup(%q) = %v; want a not-declared error", key, err)
-		}
-	}
-	if st := coord.Stats(); st.WarmKeys != 0 || st.WarmBuilds != 0 {
-		t.Errorf("undeclared keys reached the store: WarmKeys/WarmBuilds = %d/%d, want 0/0", st.WarmKeys, st.WarmBuilds)
-	}
-	var r WarmupReply
-	if err := client.Call("Farm.Warmup", WarmupArgs{Key: declaredKey(t, coord)}, &r); err != nil || !r.Build {
-		t.Errorf("declared key: reply %+v, err %v; want a build grant", r, err)
-	}
-	if st := coord.Stats(); st.WarmKeys != 1 {
-		t.Errorf("WarmKeys = %d after one declared request, want 1", st.WarmKeys)
 	}
 }

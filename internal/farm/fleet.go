@@ -28,7 +28,7 @@ type Fleet struct {
 // -advertise, -lease-ttl and -checkpoint-every.
 func FleetFlags(fs *flag.FlagSet) *Fleet {
 	f := &Fleet{}
-	fs.StringVar(&f.workers, "workers", "", "worker fleet: comma-separated local:N and sweepd daemon host:port entries (only-local lists use the in-process pool; any remote entry runs the farm)")
+	fs.StringVar(&f.workers, "workers", "", "farm worker fleet: comma-separated local:N loopback workers and sweepd daemon host:port entries; needs a daemon entry or -listen (-j sizes the in-process pool)")
 	fs.StringVar(&f.listen, "listen", "", "farm coordinator bind address (runs the farm; default: an ephemeral loopback port)")
 	fs.StringVar(&f.advertise, "advertise", "", "address remote farm workers dial back (default: the listener's)")
 	fs.DurationVar(&f.leaseTTL, "lease-ttl", DefaultLeaseTTL, "farm: reassign a silent worker's job after this long")
@@ -38,23 +38,25 @@ func FleetFlags(fs *flag.FlagSet) *Fleet {
 
 // Run executes spec on the fleet and returns the results in enumeration
 // order, plus a one-line description of the executor for a progress log.
-// A fleet with no daemon entry and no -listen address is this process: the
-// jobs run on the in-process pool described by pool, at the width of
-// -workers' local:N entries if given. Otherwise a farm coordinator leases
-// them to the local:N loopback workers and the invited daemons. Either way
-// the rows render to the same bytes.
+// A fleet with no -workers list and no -listen address is this process:
+// the jobs run on the in-process pool described by pool, whose width comes
+// from -j alone. A -workers list with a daemon entry, or -listen, runs a
+// farm coordinator that leases the jobs to the local:N loopback workers
+// and the invited daemons. A -workers list of local:N entries alone is an
+// error, since -j already sizes the pool. Either way the rows render to
+// the same bytes.
 func (f *Fleet) Run(spec JobSpec, pool runner.Options) (results []runner.Result, summary string, err error) {
 	local, invites, err := parseWorkers(f.workers)
 	if err != nil {
 		return nil, "", err
 	}
 	if len(invites) == 0 && f.listen == "" {
+		if f.workers != "" {
+			return nil, "", fmt.Errorf("-workers %s names no daemon and -listen is not set: size the in-process pool with -j, or add -listen to run a farm", f.workers)
+		}
 		jobs, err := Enumerate(spec)
 		if err != nil {
 			return nil, "", err
-		}
-		if f.workers != "" {
-			pool.Workers = local
 		}
 		if pool.Workers <= 0 {
 			pool.Workers = runtime.NumCPU()
@@ -71,8 +73,7 @@ func (f *Fleet) Run(spec JobSpec, pool runner.Options) (results []runner.Result,
 		OnProgress:      pool.OnProgress,
 		OnWorkerError:   func(name string, err error) { fmt.Fprintf(os.Stderr, "farm: worker %s: %v\n", name, err) },
 	})
-	summary = fmt.Sprintf("farm: %d workers, %d reassigned, %d resumed, %d warmups built for %d keys",
-		st.Workers, st.Reassigned, st.Resumed, st.WarmBuilds, st.WarmKeys)
+	summary = fmt.Sprintf("farm: %d workers, %d reassigned, %d resumed", st.Workers, st.Reassigned, st.Resumed)
 	return results, summary, err
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // ProtocolVersion is the farm wire protocol. Bumped on any change to the
-// RPC argument or reply types; mixed fleets are rejected at handshake.
-const ProtocolVersion = 1
+// RPC methods or their argument and reply types; mixed fleets are
+// rejected at handshake. Version 2 dropped the warmup-store calls.
+const ProtocolVersion = 2
 
 // Hello is the worker's side of the handshake, sent as the first call on a
 // new connection. The coordinator validates it before anything else moves.
@@ -74,31 +75,6 @@ type RenewArgs struct {
 // coordinator reassigned the job; the worker must abandon it.
 type RenewReply struct {
 	Held bool
-}
-
-// WarmupArgs asks for the warmup snapshot with the given content key
-// (runner.WarmupKey of the job's warmup spec). The coordinator refuses a
-// key no job of its spec declares, for Warmup and PutWarmup alike.
-type WarmupArgs struct {
-	Key string
-}
-
-// WarmupReply is one round of the warmup-fetch poll. One of four states:
-// the snapshot is ready (Snapshot non-nil), the build failed fleet-wide
-// (Error non-empty, propagated to every asker), the asker is granted the
-// build (Build true — simulate the warmup and PutWarmup the result), or
-// another worker is building it (all zero — re-ask shortly).
-type WarmupReply struct {
-	Snapshot []byte
-	Build    bool
-	Error    string
-}
-
-// PutWarmupArgs uploads a built warmup snapshot (or the build's failure).
-type PutWarmupArgs struct {
-	Key      string
-	Snapshot []byte
-	Error    string // non-empty: the build failed; propagated to every asker
 }
 
 // CheckpointArgs uploads a mid-flight snapshot of a leased job.
@@ -181,7 +157,7 @@ func compatible(protocol, snapVersion int, build, selfBuild string) error {
 		return fmt.Errorf("farm protocol v%d vs v%d", protocol, ProtocolVersion)
 	}
 	if snapVersion != sim.SnapshotVersion {
-		return fmt.Errorf("snapshot format v%d vs v%d (mixed builds cannot exchange warmup snapshots or checkpoints)",
+		return fmt.Errorf("snapshot format v%d vs v%d (mixed builds cannot exchange checkpoints)",
 			snapVersion, sim.SnapshotVersion)
 	}
 	if build != "" && selfBuild != "" && build != selfBuild {

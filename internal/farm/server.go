@@ -11,8 +11,8 @@ import (
 // as the "Farm" RPC service on a per-connection rpc.Server. Tying the
 // service object to the connection is what makes failure detection cheap:
 // when ServeConn returns (hangup, reset, shutdown), close releases every
-// lease and warmup build the connection held, immediately — the lease TTL
-// only covers workers that stall while keeping their socket open.
+// lease the connection held, immediately — the lease TTL only covers
+// workers that stall while keeping their socket open.
 type session struct {
 	coord *Coordinator
 	name  string
@@ -34,8 +34,7 @@ func (s *session) drop(i int) {
 	s.mu.Unlock()
 }
 
-// close releases the session's leases back to the queue and re-opens its
-// unfinished warmup builds so a waiting asker is promoted to builder.
+// close releases the session's leases back to the queue.
 func (s *session) close() {
 	s.mu.Lock()
 	held := make([]int, 0, len(s.held))
@@ -52,7 +51,6 @@ func (s *session) close() {
 			c.releaseLocked(i)
 		}
 	}
-	c.releaseWarmBuildsLocked(s)
 	c.mu.Unlock()
 }
 
@@ -120,27 +118,6 @@ func (s *session) Complete(a CompleteArgs, reply *CompleteReply) error {
 	}
 	reply.Accepted = s.coord.complete(s, a)
 	return nil
-}
-
-// Warmup is one poll round of the content-addressed warmup fetch.
-func (s *session) Warmup(a WarmupArgs, reply *WarmupReply) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
-	r, err := s.coord.warmup(s, a.Key)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// PutWarmup uploads a built warmup snapshot.
-func (s *session) PutWarmup(a PutWarmupArgs, reply *struct{}) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
-	return s.coord.putWarmup(s, a)
 }
 
 // Stats reports the coordinator's counters.

@@ -10,11 +10,10 @@ import (
 
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
-	"mcmsim/internal/snapshot"
 )
 
 // leaseWaitBackoff is how long a worker sleeps when the coordinator has
-// every remaining job leased out (or a warmup is being built elsewhere).
+// every remaining job leased out.
 const leaseWaitBackoff = 10 * time.Millisecond
 
 // Worker executes leased jobs against one coordinator. The zero value
@@ -71,7 +70,9 @@ func (w *Worker) run(client *rpc.Client) error {
 			w.Name, len(jobs), short(fp), welcome.Jobs, short(welcome.Fingerprint))
 	}
 
-	warm := &wireWarmups{client: client, local: map[string]*localWarm{}}
+	// One warmup cache per session: the session builds each declared
+	// warmup at most once, and every job restores from the snapshot.
+	warm := runner.NewWarmupCache()
 	for {
 		var lease LeaseReply
 		if err := client.Call("Farm.Lease", LeaseArgs{Fingerprint: fp}, &lease); err != nil {
@@ -94,7 +95,7 @@ func (w *Worker) run(client *rpc.Client) error {
 // the result. Only infrastructure failures return an error — a job whose
 // simulation fails completes with that error in its result, exactly like
 // the in-process pool.
-func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job, warm *wireWarmups, lease LeaseReply) error {
+func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job, warm *runner.WarmupCache, lease LeaseReply) error {
 	job := jobs[lease.Job]
 
 	// Heartbeat for the lease while the job runs. lost flips when the
@@ -199,89 +200,3 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 // (or a fault hook fired). It surfaces as the RunJob error and is eaten
 // by execute — never completed, never fatal by itself.
 var errAbandoned = fmt.Errorf("farm: lease lost; job abandoned")
-
-// localWarm memoizes one warmup key within a worker process, so the N
-// jobs of one worker sharing a key cost one RPC fetch, not N.
-type localWarm struct {
-	once sync.Once
-	snap *snapshot.Machine
-	err  error
-}
-
-// wireWarmups is the worker's runner.WarmupSource: content-addressed
-// fetch from the coordinator, with fleet-wide build deduplication (the
-// first asker per key simulates the warmup once and uploads it) and a
-// process-local memo in front.
-type wireWarmups struct {
-	client *rpc.Client
-
-	mu    sync.Mutex
-	local map[string]*localWarm
-}
-
-// Machine implements runner.WarmupSource over the wire.
-func (ww *wireWarmups) Machine(key string, build func() (*sim.System, error)) (*snapshot.Machine, error) {
-	ww.mu.Lock()
-	lw, ok := ww.local[key]
-	if !ok {
-		lw = &localWarm{}
-		ww.local[key] = lw
-	}
-	ww.mu.Unlock()
-	lw.once.Do(func() {
-		lw.snap, lw.err = ww.fetch(key, build)
-	})
-	return lw.snap, lw.err
-}
-
-// fetch polls the coordinator until the key resolves: download the
-// snapshot, build it under a fleet-wide grant, or inherit the builder's
-// error.
-func (ww *wireWarmups) fetch(key string, build func() (*sim.System, error)) (*snapshot.Machine, error) {
-	for {
-		var r WarmupReply
-		if err := ww.client.Call("Farm.Warmup", WarmupArgs{Key: key}, &r); err != nil {
-			return nil, err
-		}
-		switch {
-		case r.Error != "":
-			return nil, fmt.Errorf("%s", r.Error)
-		case r.Snapshot != nil:
-			return decodeMachine(r.Snapshot)
-		case r.Build:
-			m, err := ww.build(key, build)
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		time.Sleep(leaseWaitBackoff)
-	}
-}
-
-// build simulates the warmup under this worker's grant and uploads it.
-// The builder restores from its own uploaded snapshot like every other
-// consumer (the in-process cache has the same property), so builder and
-// fetcher jobs run their measured phases on byte-identical machines.
-func (ww *wireWarmups) build(key string, build func() (*sim.System, error)) (*snapshot.Machine, error) {
-	s, err := build()
-	if err != nil {
-		putErr := ww.client.Call("Farm.PutWarmup", PutWarmupArgs{Key: key, Error: err.Error()}, &struct{}{})
-		if putErr != nil {
-			return nil, putErr
-		}
-		return nil, err
-	}
-	m, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	b, err := encodeMachine(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := ww.client.Call("Farm.PutWarmup", PutWarmupArgs{Key: key, Snapshot: b}, &struct{}{}); err != nil {
-		return nil, err
-	}
-	return m, nil
-}

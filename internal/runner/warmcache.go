@@ -27,12 +27,11 @@ type WarmupSpec struct {
 	Finish func(s *sim.System) error
 }
 
-// WarmupSource provides warmed machines by key. The in-process WarmupCache
-// is one implementation; the farm worker's wire source (fetch the snapshot
-// from the coordinator, or build it once for the whole fleet and upload
-// it) is another. Implementations must return a snapshot every consumer
-// can restore privately, and must call build at most once per key across
-// whatever population they deduplicate over.
+// WarmupSource provides warmed machines by key. WarmupCache is its only
+// implementation, used by the in-process pool and by every farm worker
+// session; the interface stays because perfbench names it. An
+// implementation must return a snapshot every consumer can restore
+// privately, and must call build at most once per key.
 type WarmupSource interface {
 	// Machine returns the warmup snapshot for key, invoking build to
 	// simulate the warmup if no other consumer has produced it yet.

@@ -317,7 +317,6 @@ func New(cfg Config, progs []*isa.Program) *System {
 // results through it (dirty lines are not written back at quiescence).
 func (s *System) CoherentSnapshot() map[uint64]int64 {
 	snap := s.Mem.Snapshot()
-	geom := s.Mem.Geometry()
 	for _, c := range s.Caches {
 		for lineAddr, data := range c.DirtyLines() {
 			for i, v := range data {
@@ -330,7 +329,6 @@ func (s *System) CoherentSnapshot() map[uint64]int64 {
 			}
 		}
 	}
-	_ = geom
 	return snap
 }
 
