@@ -62,9 +62,10 @@ conform:
 # The oracle tier: the exact-vs-legacy differential over a seeded batch
 # (exact ⊆ legacy for every model, equality under SC, 1-minimal shrinking
 # on failure), the pinned divergence programs, the named litmus corpus,
-# and the state-cap hard-error contract.
+# the state-cap hard-error contract, both oracles' pinned outcome sets and
+# state counts, the search's allocation bound and the outcome text.
 oracle-diff:
-	$(GO) test -run 'TestOracleDifferential|TestExact|TestLitmusCorpus|TestOracleStateCap' ./internal/conformance
+	$(GO) test -run 'TestOracleDifferential|TestExact|TestLitmusCorpus|TestOracleStateCap|TestOracleOutcomesPinned|TestOracleSearchAllocs|TestOutcomeString' ./internal/conformance
 
 # Per-package statement coverage for the simulator core.
 cover:

@@ -1,9 +1,6 @@
 package conformance
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 )
@@ -62,13 +59,11 @@ import (
 // step is unobservable (arcs delay everything younger anyway), so
 // exact(SC) == legacy(SC).
 type ExactOracle struct {
-	model     core.Model
-	procs     [][]oracleOp
-	naddr     int
-	nreads    []int
-	maxStates int
-	memo      map[string]struct{}
-	out       OutcomeSet
+	model  core.Model
+	procs  [][]oracleOp
+	naddr  int
+	nreads []int
+	memoSearch
 }
 
 // NewExactOracle extracts the abstract program (see extractOps) and wires
@@ -79,52 +74,12 @@ func NewExactOracle(progs []*isa.Program, shared []uint64, m core.Model) (*Exact
 		return nil, err
 	}
 	return &ExactOracle{
-		model:     m,
-		procs:     procs,
-		naddr:     len(shared),
-		nreads:    nreads,
-		maxStates: maxOracleStates,
+		model:      m,
+		procs:      procs,
+		naddr:      len(shared),
+		nreads:     nreads,
+		memoSearch: memoSearch{maxStates: maxOracleStates},
 	}, nil
-}
-
-// exactState extends the legacy state with per-processor issue masks: bit i
-// of issued[p] is set once write op i has entered p's store buffer. Issued
-// bits of performed writes stay set, so perf[p] & writeMask ⊆ issued[p].
-type exactState struct {
-	perf   []uint32
-	issued []uint32
-	mem    []int64
-	binds  [][]int64
-}
-
-func (st *exactState) clone() *exactState {
-	c := &exactState{
-		perf:   append([]uint32(nil), st.perf...),
-		issued: append([]uint32(nil), st.issued...),
-		mem:    append([]int64(nil), st.mem...),
-		binds:  make([][]int64, len(st.binds)),
-	}
-	for i, b := range st.binds {
-		c.binds[i] = append([]int64(nil), b...)
-	}
-	return c
-}
-
-func (st *exactState) key() string {
-	var b []byte
-	for i := range st.perf {
-		b = binary.LittleEndian.AppendUint32(b, st.perf[i])
-		b = binary.LittleEndian.AppendUint32(b, st.issued[i])
-	}
-	for _, v := range st.mem {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	for _, pb := range st.binds {
-		for _, v := range pb {
-			b = binary.LittleEndian.AppendUint64(b, uint64(v))
-		}
-	}
-	return string(b)
 }
 
 // isReadOnly reports whether op is a load or acquire (binds a value without
@@ -137,7 +92,7 @@ func isReadOnly(op oracleOp) bool {
 // arcsPermit checks Figure 1's delay arcs for op i of processor p against
 // every older unperformed access (issued-but-unperformed writes still
 // block: the LSU's predicate tests Done, not issued).
-func (o *ExactOracle) arcsPermit(st *exactState, p, i int) bool {
+func (o *ExactOracle) arcsPermit(st *oracleState, p, i int) bool {
 	ops := o.procs[p]
 	for j := 0; j < i; j++ {
 		if st.perf[p]&(1<<j) != 0 {
@@ -152,7 +107,7 @@ func (o *ExactOracle) arcsPermit(st *exactState, p, i int) bool {
 
 // enabledRead implements the perform-read step's enabledness and resolves
 // the forwarding source: fwd >= 0 forces a bind from that op's data.
-func (o *ExactOracle) enabledRead(st *exactState, p, i int) (ok bool, fwd int) {
+func (o *ExactOracle) enabledRead(st *oracleState, p, i int) (ok bool, fwd int) {
 	ops := o.procs[p]
 	cur := ops[i]
 	if !o.arcsPermit(st, p, i) {
@@ -184,7 +139,7 @@ func (o *ExactOracle) enabledRead(st *exactState, p, i int) (ok bool, fwd int) {
 }
 
 // enabledIssue implements the issue-write step's enabledness.
-func (o *ExactOracle) enabledIssue(st *exactState, p, i int) bool {
+func (o *ExactOracle) enabledIssue(st *oracleState, p, i int) bool {
 	ops := o.procs[p]
 	for j := 0; j < i; j++ {
 		if ops[j].class.IsWrite() && st.issued[p]&(1<<j) == 0 {
@@ -208,7 +163,7 @@ func (o *ExactOracle) enabledIssue(st *exactState, p, i int) bool {
 
 // enabledDrain implements the perform-write step's enabledness for an
 // already-issued write.
-func (o *ExactOracle) enabledDrain(st *exactState, p, i int) bool {
+func (o *ExactOracle) enabledDrain(st *oracleState, p, i int) bool {
 	ops := o.procs[p]
 	for j := 0; j < i; j++ {
 		if st.perf[p]&(1<<j) != 0 {
@@ -221,107 +176,81 @@ func (o *ExactOracle) enabledDrain(st *exactState, p, i int) bool {
 	return true
 }
 
-// performRead binds op i of processor p on a copy of st.
-func (o *ExactOracle) performRead(st *exactState, p, i, fwd int) *exactState {
-	ns := st.clone()
-	op := o.procs[p][i]
-	if fwd >= 0 {
-		ns.binds[p][op.read] = resolveData(ns.binds, p, o.procs[p][fwd].data)
-	} else {
-		ns.binds[p][op.read] = ns.mem[op.addr]
-	}
-	ns.perf[p] |= 1 << i
-	return ns
-}
-
-// issueWrite moves op i of processor p into the store buffer on a copy.
-func (o *ExactOracle) issueWrite(st *exactState, p, i int) *exactState {
-	ns := st.clone()
-	ns.issued[p] |= 1 << i
-	return ns
-}
-
-// performWrite drains issued op i of processor p to memory on a copy.
-func (o *ExactOracle) performWrite(st *exactState, p, i int) *exactState {
-	ns := st.clone()
-	op := o.procs[p][i]
-	if op.op == isa.OpRMW {
-		old := ns.mem[op.addr]
-		ns.mem[op.addr] = op.rmw.Apply(old, resolveData(ns.binds, p, op.data))
-		ns.binds[p][op.read] = old
-	} else {
-		ns.mem[op.addr] = resolveData(ns.binds, p, op.data)
-	}
-	ns.perf[p] |= 1 << i
-	return ns
-}
-
 // Outcomes runs the exhaustive search and returns exactly the outcomes the
 // model allows. A state space above the cap is a hard error, never a
 // truncated set.
 func (o *ExactOracle) Outcomes() (OutcomeSet, error) {
-	o.memo = make(map[string]struct{})
-	o.out = make(OutcomeSet)
-	st := &exactState{
-		perf:   make([]uint32, len(o.procs)),
-		issued: make([]uint32, len(o.procs)),
-		mem:    make([]int64, o.naddr),
-		binds:  make([][]int64, len(o.procs)),
-	}
-	for p := range st.binds {
-		st.binds[p] = make([]int64, o.nreads[p])
-	}
-	if err := o.search(st); err != nil {
+	o.start(o.nreads, o.naddr, true)
+	if err := o.search(); err != nil {
 		return nil, err
 	}
 	return o.out, nil
 }
 
-// search explores every interleaving of enabled steps. The oldest
+// search explores every interleaving of enabled steps from the current
+// state, taking each step in place and undoing it on return. The oldest
 // unperformed op of any processor is always eventually steppable (its
 // older ops are all performed, hence issued), so no reachable non-final
 // state is stuck and every DFS branch extends to a complete outcome.
-func (o *ExactOracle) search(st *exactState) error {
-	k := st.key()
-	if _, seen := o.memo[k]; seen {
-		return nil
+func (o *ExactOracle) search() error {
+	if fresh, err := o.visit(); !fresh {
+		return err
 	}
-	if len(o.memo) >= o.maxStates {
-		return fmt.Errorf("conformance: oracle state space exceeds %d states", o.maxStates)
-	}
-	o.memo[k] = struct{}{}
+	st := &o.st
 	done := true
-	for p := range o.procs {
-		for i := range o.procs[p] {
+	for p, ops := range o.procs {
+		for i, op := range ops {
 			if st.perf[p]&(1<<i) != 0 {
 				continue
 			}
 			done = false
-			op := o.procs[p][i]
+			var u undo
 			switch {
 			case isReadOnly(op):
-				if ok, fwd := o.enabledRead(st, p, i); ok {
-					if err := o.search(o.performRead(st, p, i, fwd)); err != nil {
-						return err
-					}
+				ok, fwd := o.enabledRead(st, p, i)
+				if !ok {
+					continue
 				}
+				u = st.save(p, op)
+				// perform-read: bind the forced forwarding source, or memory.
+				if fwd >= 0 {
+					st.binds[p][op.read] = resolveData(st.binds, p, ops[fwd].data)
+				} else {
+					st.binds[p][op.read] = st.mem[op.addr]
+				}
+				st.perf[p] |= 1 << i
 			case st.issued[p]&(1<<i) == 0:
-				if o.enabledIssue(st, p, i) {
-					if err := o.search(o.issueWrite(st, p, i)); err != nil {
-						return err
-					}
+				if !o.enabledIssue(st, p, i) {
+					continue
 				}
+				u = st.save(p, op)
+				// issue-write: enter the store buffer.
+				st.issued[p] |= 1 << i
 			default:
-				if o.enabledDrain(st, p, i) {
-					if err := o.search(o.performWrite(st, p, i)); err != nil {
-						return err
-					}
+				if !o.enabledDrain(st, p, i) {
+					continue
 				}
+				u = st.save(p, op)
+				// perform-write: drain to memory; an RMW binds its read
+				// and applies its update in the same step.
+				if op.op == isa.OpRMW {
+					old := st.mem[op.addr]
+					st.mem[op.addr] = op.rmw.Apply(old, resolveData(st.binds, p, op.data))
+					st.binds[p][op.read] = old
+				} else {
+					st.mem[op.addr] = resolveData(st.binds, p, op.data)
+				}
+				st.perf[p] |= 1 << i
+			}
+			err := o.search()
+			st.restore(u)
+			if err != nil {
+				return err
 			}
 		}
 	}
 	if done {
-		o.out[outcomeString(st.binds, st.mem)] = struct{}{}
+		o.leaf()
 	}
 	return nil
 }

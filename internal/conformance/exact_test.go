@@ -74,7 +74,7 @@ func TestExactStoreFIFO(t *testing.T) {
 // is contained in the legacy superset for every model, and the two agree
 // exactly under SC. A failure is 1-minimized before reporting.
 func TestOracleDifferential(t *testing.T) {
-	const programs = 120
+	const programs = 512
 	diverges := func(c Program, m core.Model) bool {
 		if c.NumOps() == 0 {
 			return false

@@ -1,11 +1,10 @@
 package conformance
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
@@ -69,13 +68,11 @@ var ErrNotAnalyzable = errors.New("conformance: program not analyzable by the or
 // allows for one program. Build it once per (program, model) pair; Outcomes
 // runs the search.
 type LegacyOracle struct {
-	model     core.Model
-	procs     [][]oracleOp
-	naddr     int
-	nreads    []int
-	maxStates int
-	memo      map[string]struct{}
-	out       OutcomeSet
+	model  core.Model
+	procs  [][]oracleOp
+	naddr  int
+	nreads []int
+	memoSearch
 }
 
 // OutcomeSet is a set of canonical outcome strings (see outcomeString).
@@ -185,47 +182,12 @@ func NewLegacyOracle(progs []*isa.Program, shared []uint64, m core.Model) (*Lega
 		return nil, err
 	}
 	return &LegacyOracle{
-		model:     m,
-		procs:     procs,
-		naddr:     len(shared),
-		nreads:    nreads,
-		maxStates: maxOracleStates,
+		model:      m,
+		procs:      procs,
+		naddr:      len(shared),
+		nreads:     nreads,
+		memoSearch: memoSearch{maxStates: maxOracleStates},
 	}, nil
-}
-
-// oracleState is the abstract machine state during the search.
-type oracleState struct {
-	mask  []uint32  // per-proc bitmask of performed ops
-	mem   []int64   // shared memory image
-	binds [][]int64 // per-proc read bindings (valid once the read performed)
-}
-
-func (st *oracleState) clone() *oracleState {
-	c := &oracleState{
-		mask:  append([]uint32(nil), st.mask...),
-		mem:   append([]int64(nil), st.mem...),
-		binds: make([][]int64, len(st.binds)),
-	}
-	for i, b := range st.binds {
-		c.binds[i] = append([]int64(nil), b...)
-	}
-	return c
-}
-
-func (st *oracleState) key() string {
-	var b []byte
-	for _, m := range st.mask {
-		b = binary.LittleEndian.AppendUint32(b, m)
-	}
-	for _, v := range st.mem {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	for _, pb := range st.binds {
-		for _, v := range pb {
-			b = binary.LittleEndian.AppendUint64(b, uint64(v))
-		}
-	}
-	return string(b)
 }
 
 // readPerformed reports whether read-binding index r of processor p has its
@@ -252,7 +214,7 @@ func resolveData(binds [][]int64, p int, d isa.DataRef) int64 {
 func (o *LegacyOracle) enabled(st *oracleState, p, i int) (ok bool, fwd int) {
 	ops := o.procs[p]
 	cur := ops[i]
-	mask := st.mask[p]
+	mask := st.perf[p]
 	fwd = -1
 	// Figure 1 delay arcs against every older outstanding access.
 	for j := 0; j < i; j++ {
@@ -275,7 +237,7 @@ func (o *LegacyOracle) enabled(st *oracleState, p, i int) (ok bool, fwd int) {
 				return false, -1 // FIFO store buffer: same-address writes in order
 			}
 		}
-		if !cur.data.IsConst() && !readPerformed(o.procs, st.mask, p, cur.data.FromLoad) {
+		if !cur.data.IsConst() && !readPerformed(o.procs, st.perf, p, cur.data.FromLoad) {
 			return false, -1 // store data not yet available
 		}
 		return true, -1
@@ -288,7 +250,7 @@ func (o *LegacyOracle) enabled(st *oracleState, p, i int) (ok bool, fwd int) {
 		if ops[j].op == isa.OpRMW {
 			return false, -1 // atomics never forward
 		}
-		if !ops[j].data.IsConst() && !readPerformed(o.procs, st.mask, p, ops[j].data.FromLoad) {
+		if !ops[j].data.IsConst() && !readPerformed(o.procs, st.perf, p, ops[j].data.FromLoad) {
 			return false, -1 // forwarding source's data not yet available
 		}
 		return true, j
@@ -296,59 +258,28 @@ func (o *LegacyOracle) enabled(st *oracleState, p, i int) (ok bool, fwd int) {
 	return true, -1
 }
 
-// perform applies op i of processor p to a copy of st and returns it.
-func (o *LegacyOracle) perform(st *oracleState, p, i, fwd int) *oracleState {
-	ns := st.clone()
-	op := o.procs[p][i]
-	switch {
-	case op.op == isa.OpRMW:
-		old := ns.mem[op.addr]
-		ns.mem[op.addr] = op.rmw.Apply(old, resolveData(ns.binds, p, op.data))
-		ns.binds[p][op.read] = old
-	case op.class.IsWrite():
-		ns.mem[op.addr] = resolveData(ns.binds, p, op.data)
-	case fwd >= 0:
-		ns.binds[p][op.read] = resolveData(ns.binds, p, o.procs[p][fwd].data)
-	default:
-		ns.binds[p][op.read] = ns.mem[op.addr]
-	}
-	ns.mask[p] |= 1 << i
-	return ns
-}
-
 // Outcomes runs the exhaustive search and returns every outcome the model
 // allows (plus the deliberate over-approximations documented above). A
 // state space above the cap is a hard error, never a truncated set.
 func (o *LegacyOracle) Outcomes() (OutcomeSet, error) {
-	o.memo = make(map[string]struct{})
-	o.out = make(OutcomeSet)
-	st := &oracleState{
-		mask:  make([]uint32, len(o.procs)),
-		mem:   make([]int64, o.naddr),
-		binds: make([][]int64, len(o.procs)),
-	}
-	for p := range st.binds {
-		st.binds[p] = make([]int64, o.nreads[p])
-	}
-	if err := o.search(st); err != nil {
+	o.start(o.nreads, o.naddr, false)
+	if err := o.search(); err != nil {
 		return nil, err
 	}
 	return o.out, nil
 }
 
-func (o *LegacyOracle) search(st *oracleState) error {
-	k := st.key()
-	if _, seen := o.memo[k]; seen {
-		return nil
+// search explores every interleaving of enabled steps from the current
+// state, performing each enabled op in place and undoing it on return.
+func (o *LegacyOracle) search() error {
+	if fresh, err := o.visit(); !fresh {
+		return err
 	}
-	if len(o.memo) >= o.maxStates {
-		return fmt.Errorf("conformance: oracle state space exceeds %d states", o.maxStates)
-	}
-	o.memo[k] = struct{}{}
+	st := &o.st
 	done := true
-	for p := range o.procs {
-		for i := range o.procs[p] {
-			if st.mask[p]&(1<<i) != 0 {
+	for p, ops := range o.procs {
+		for i, op := range ops {
+			if st.perf[p]&(1<<i) != 0 {
 				continue
 			}
 			done = false
@@ -356,31 +287,68 @@ func (o *LegacyOracle) search(st *oracleState) error {
 			if !ok {
 				continue
 			}
-			if err := o.search(o.perform(st, p, i, fwd)); err != nil {
+			u := st.save(p, op)
+			switch {
+			case op.op == isa.OpRMW:
+				old := st.mem[op.addr]
+				st.mem[op.addr] = op.rmw.Apply(old, resolveData(st.binds, p, op.data))
+				st.binds[p][op.read] = old
+			case op.class.IsWrite():
+				st.mem[op.addr] = resolveData(st.binds, p, op.data)
+			case fwd >= 0:
+				st.binds[p][op.read] = resolveData(st.binds, p, ops[fwd].data)
+			default:
+				st.binds[p][op.read] = st.mem[op.addr]
+			}
+			st.perf[p] |= 1 << i
+			err := o.search()
+			st.restore(u)
+			if err != nil {
 				return err
 			}
 		}
 	}
 	if done {
-		o.out[outcomeString(st.binds, st.mem)] = struct{}{}
+		o.leaf()
 	}
 	return nil
 }
 
 // outcomeString renders an outcome canonically: each processor's read
-// bindings in program order, then the final shared-memory image. The
-// driver renders the simulator's observed outcome with the same function,
-// so set membership is plain string equality.
+// bindings in program order, then the final shared-memory image, as in
+// "P0:[1 -2] P1:[] mem:[3 4]". The driver renders the simulator's
+// observed outcome with the same function, so set membership is plain
+// string equality.
 func outcomeString(binds [][]int64, mem []int64) string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(appendOutcome(buf[:0], binds, mem))
+}
+
+// appendOutcome appends outcomeString's text to b.
+func appendOutcome(b []byte, binds [][]int64, mem []int64) []byte {
 	for p, pb := range binds {
 		if p > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "P%d:%v", p, pb)
+		b = append(b, 'P')
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, ':')
+		b = appendValues(b, pb)
 	}
-	fmt.Fprintf(&b, " mem:%v", mem)
-	return b.String()
+	b = append(b, " mem:"...)
+	return appendValues(b, mem)
+}
+
+// appendValues appends vs as fmt's %v renders an []int64: "[1 -2]".
+func appendValues(b []byte, vs []int64) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, ']')
 }
 
 // LegacyModelOutcomes is the one-call convenience wrapper for the superset

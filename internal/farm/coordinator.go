@@ -74,6 +74,12 @@ type Coordinator struct {
 	sessions  int // currently connected workers
 	done      chan struct{}
 
+	refused  int           // handshakes refused as incompatible
+	refusal  error         // the first refusal, naming its worker
+	refusedC chan struct{} // wakes Run after each refusal is recorded
+	// onRefusal, if set before Listen, reports each refused worker.
+	onRefusal func(worker string, err error)
+
 	janitorStop chan struct{}
 }
 
@@ -105,6 +111,7 @@ func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64
 		state:       make([]jobState, len(jobs)),
 		results:     make([]runner.Result, len(jobs)),
 		done:        make(chan struct{}),
+		refusedC:    make(chan struct{}, 1),
 		janitorStop: make(chan struct{}),
 	}
 	c.stats.Jobs = len(jobs)
@@ -133,6 +140,32 @@ func (c *Coordinator) janitor() {
 			c.mu.Unlock()
 		}
 	}
+}
+
+// refuse reports a Hello refused as incompatible, then records it. A
+// refusal is counted only once reported, so whoever acts on the count
+// has seen every report it includes.
+func (c *Coordinator) refuse(worker string, err error) {
+	if c.onRefusal != nil {
+		c.onRefusal(worker, fmt.Errorf("handshake refused: %w", err))
+	}
+	c.mu.Lock()
+	c.refused++
+	if c.refusal == nil {
+		c.refusal = fmt.Errorf("worker %q: %w", worker, err)
+	}
+	c.mu.Unlock()
+	select {
+	case c.refusedC <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// refusals reports how many handshakes were refused, and the first.
+func (c *Coordinator) refusals() (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.refused, c.refusal
 }
 
 // releaseLocked returns a leased job to the queue (lease expiry or owner

@@ -66,5 +66,8 @@
 // Snapshot bytes are only meaningful between identical builds (the format
 // is version-locked). The handshake therefore exchanges sim.SnapshotVersion
 // and a VCS build hash both ways and rejects mismatched fleets with a
-// clear error before any job or checkpoint moves.
+// clear error before any job or checkpoint moves. The coordinator reports
+// each refused worker through Options.OnWorkerError. A farm whose only
+// workers are the loops its invitations started fails once every one of
+// them has been refused, instead of waiting for workers that cannot join.
 package farm

@@ -28,7 +28,8 @@ type Options struct {
 	CheckpointEvery uint64
 	// OnProgress observes accepted completions (completion order).
 	OnProgress func(runner.Progress)
-	// OnWorkerError observes local worker failures; nil logs nowhere.
+	// OnWorkerError observes local worker failures and every worker the
+	// coordinator refuses at the handshake; nil logs nowhere.
 	OnWorkerError func(name string, err error)
 }
 
@@ -43,6 +44,7 @@ func Run(spec JobSpec, opts Options) ([]runner.Result, Stats, error) {
 	}
 	defer coord.Stop()
 	coord.OnProgress = opts.OnProgress
+	coord.onRefusal = opts.OnWorkerError
 
 	addr := opts.Listen
 	if addr == "" {
@@ -80,20 +82,35 @@ func Run(spec JobSpec, opts Options) ([]runner.Result, Stats, error) {
 			}
 		}()
 	}
+	invited := 0
 	for _, daemon := range opts.Invite {
 		n, err := Invite(daemon, advertise)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("farm: invite %s: %w", daemon, err)
 		}
-		_ = n
+		invited += n
 	}
 
 	// With external workers possible (an invite, or an explicit listen
-	// address), the farm waits for completion however long it takes. A
-	// pure-loopback farm instead fails fast once its last worker exits
-	// with the farm incomplete — nothing else could ever finish it.
+	// address), the farm waits for completion however long it takes, unless
+	// the invited worker loops are all it has and the coordinator has
+	// refused every one of them at the handshake. A pure-loopback farm
+	// instead fails fast once its last worker exits with the farm
+	// incomplete. Either way, nothing else could ever finish it.
 	external := len(opts.Invite) > 0 || opts.Listen != ""
-	if opts.LocalWorkers > 0 && !external {
+	switch {
+	case opts.LocalWorkers <= 0 && opts.Listen == "":
+		for waiting := true; waiting; {
+			select {
+			case <-coord.Done():
+				waiting = false
+			case <-coord.refusedC:
+				if n, first := coord.refusals(); n >= invited {
+					return nil, coord.Stats(), fmt.Errorf("farm: all %d invited workers were refused at the handshake, first %w", n, first)
+				}
+			}
+		}
+	case opts.LocalWorkers > 0 && !external:
 		localsDone := make(chan struct{})
 		go func() {
 			wg.Wait()
@@ -113,7 +130,7 @@ func Run(spec JobSpec, opts Options) ([]runner.Result, Stats, error) {
 				}
 			}
 		}
-	} else {
+	default:
 		<-coord.Done()
 	}
 	results := coord.Results()

@@ -2,6 +2,8 @@ package farm
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"net/rpc"
 	"strings"
 	"sync"
@@ -252,5 +254,91 @@ func TestFarmFingerprintMismatch(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(err.Error()), []byte("fingerprint mismatch")) {
 		t.Errorf("error %q does not name the fingerprint mismatch", err)
+	}
+}
+
+// staleDaemon stands in for a sweepd from an older build: each worker loop
+// an Attach starts greets the coordinator with the previous farm protocol.
+type staleDaemon struct {
+	workers int
+	wg      sync.WaitGroup
+}
+
+func (d *staleDaemon) Attach(a AttachArgs, reply *AttachReply) error {
+	for i := 0; i < d.workers; i++ {
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			client, err := rpc.Dial("tcp", a.Coordinator)
+			if err != nil {
+				return
+			}
+			defer client.Close()
+			hello := Hello{Protocol: ProtocolVersion - 1, Snapshot: sim.SnapshotVersion, Worker: fmt.Sprintf("stale%d", i)}
+			var w Welcome
+			_ = client.Call("Farm.Hello", hello, &w) // refused; the coordinator reports it
+		}()
+	}
+	reply.Workers = d.workers
+	return nil
+}
+
+// TestFarmInvitesAllRefused asserts a farm whose only workers are invited
+// daemons' loops, every one refused at the handshake, returns an error
+// naming the refusal instead of waiting forever, and reports each refused
+// worker through OnWorkerError.
+func TestFarmInvitesAllRefused(t *testing.T) {
+	d := &staleDaemon{workers: 2}
+	t.Cleanup(d.wg.Wait)
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Daemon", d); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+
+	var mu sync.Mutex
+	var reported []string
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Run(JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}, Options{
+			Invite: []string{ln.Addr().String()},
+			OnWorkerError: func(name string, err error) {
+				mu.Lock()
+				reported = append(reported, name+": "+err.Error())
+				mu.Unlock()
+			},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "farm protocol v") {
+			t.Fatalf("farm.Run error = %v, want one naming the farm protocol refusal", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("farm.Run still waiting after every invited worker was refused")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reported) != d.workers {
+		t.Errorf("OnWorkerError saw %d refusals, want %d: %q", len(reported), d.workers, reported)
+	}
+	for _, r := range reported {
+		if !strings.Contains(r, "farm protocol v") {
+			t.Errorf("refusal report %q does not name the protocol mismatch", r)
+		}
 	}
 }

@@ -58,6 +58,7 @@ func (s *session) close() {
 // method refuses to serve a connection that has not completed it.
 func (s *session) Hello(h Hello, reply *Welcome) error {
 	if err := compatible(h.Protocol, h.Snapshot, h.Build, s.coord.build); err != nil {
+		s.coord.refuse(h.Worker, err)
 		return fmt.Errorf("farm: worker %q rejected: %w", h.Worker, err)
 	}
 	s.mu.Lock()
