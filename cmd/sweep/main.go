@@ -28,15 +28,15 @@
 //	-cpus LIST        machine sizes for the scale sweep (default 16,64,256)
 //	-topo T           scale-sweep interconnect: mesh or mesh:WxH
 //	-j N              in-process worker-pool size (default: all CPUs)
-//	-workers LIST     farm fleet: comma-separated local:N loopback workers
-//	                  and `sweepd -listen` daemon host:port entries. A
-//	                  daemon entry, or -listen, starts a farm coordinator
-//	                  (internal/farm) that leases jobs to the fleet and
-//	                  reassembles the report to the same bytes; a list of
-//	                  local:N entries alone is an error (-j sizes the
-//	                  in-process pool). Farm companions: -listen,
-//	                  -advertise, -lease-ttl, -checkpoint-every (shared
-//	                  with cmd/conform)
+//	-workers LIST     farm fleet: comma-separated local:N in-process
+//	                  workers and host:port addresses of `sweepd -listen`
+//	                  daemons. A daemon entry starts a farm coordinator
+//	                  (internal/farm) that dials each daemon, leases jobs
+//	                  to the fleet and reassembles the report to the same
+//	                  bytes; a list of local:N entries alone is an error
+//	                  (-j sizes the in-process pool). Farm companions:
+//	                  -lease-ttl, -checkpoint-every (shared with
+//	                  cmd/conform)
 //	-format table|json|csv
 //	-out FILE         write the report to FILE instead of stdout
 //	-quiet            suppress the per-job progress log on stderr
@@ -115,7 +115,7 @@ func main() {
 }
 
 // run executes the spec on the fleet — the in-process pool, or a farm
-// when -workers names a daemon or -listen is set — and writes the report.
+// when -workers names a daemon — and writes the report.
 // Both executors return rows in enumeration order, so the report is
 // byte-identical either way (`make differential` gates it).
 func run(spec farm.JobSpec, fleet *farm.Fleet, workers int, format, out string, quiet bool) error {

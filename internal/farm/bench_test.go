@@ -13,7 +13,8 @@ var benchSpec = JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3,
 
 // BenchmarkFarmLocalVsInProcess prices the farm's transport: the same job
 // list through the in-process pool at -j 2 versus a coordinator with two
-// loopback workers (handshake, leases, heartbeats, gob-encoded results).
+// in-process workers, each on its own in-memory pipe (handshake, leases,
+// heartbeats, gob-encoded results).
 // The two sub-benchmarks produce byte-identical reports; the delta is
 // pure coordination overhead.
 func BenchmarkFarmLocalVsInProcess(b *testing.B) {

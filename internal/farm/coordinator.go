@@ -25,7 +25,7 @@ type Stats struct {
 	Checkpoints         int // checkpoint uploads accepted
 	CheckpointsRejected int // refused: corrupt snapshot or stale lease
 
-	// WarmFetches is always 0: each worker session builds its warmups in
+	// WarmFetches is always 0: each worker loop builds its warmups in
 	// its own runner.WarmupCache, so the coordinator serves none. It stays
 	// only because perfbench reports it as farm.warm_fetches.
 	WarmFetches int
@@ -60,10 +60,12 @@ type Coordinator struct {
 	ttl   time.Duration
 	every uint64
 
-	// OnProgress, if set before Serve, observes accepted completions in
+	// OnProgress, if set before serving, observes accepted completions in
 	// completion order (like runner.Options.OnProgress, and with the same
 	// caveat: completion order is not deterministic).
 	OnProgress func(runner.Progress)
+	// onRefusal, if set before serving, reports each refused Hello.
+	onRefusal func(worker string, err error)
 
 	mu        sync.Mutex
 	state     []jobState
@@ -71,14 +73,7 @@ type Coordinator struct {
 	completed int
 	seq       uint64
 	stats     Stats
-	sessions  int // currently connected workers
 	done      chan struct{}
-
-	refused  int           // handshakes refused as incompatible
-	refusal  error         // the first refusal, naming its worker
-	refusedC chan struct{} // wakes Run after each refusal is recorded
-	// onRefusal, if set before Listen, reports each refused worker.
-	onRefusal func(worker string, err error)
 
 	janitorStop chan struct{}
 }
@@ -87,10 +82,19 @@ type Coordinator struct {
 // without closing their connection (a hangup releases leases immediately).
 const DefaultLeaseTTL = time.Minute
 
+// minLeaseTTL is the shortest lease either side accepts: the janitor
+// sweeps at a quarter of the TTL and a worker heartbeats at a third, and
+// neither can tick at a zero interval.
+const minLeaseTTL = time.Millisecond
+
 // NewCoordinator enumerates the spec locally and prepares to serve it.
-// leaseTTL <= 0 selects DefaultLeaseTTL; checkpointEvery is the interval
-// (in simulated cycles) workers snapshot Measure jobs at, 0 to disable.
+// leaseTTL <= 0 selects DefaultLeaseTTL, and a positive TTL below
+// minLeaseTTL is an error; checkpointEvery is the interval (in simulated
+// cycles) workers snapshot Measure jobs at, 0 to disable.
 func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64) (*Coordinator, error) {
+	if leaseTTL > 0 && leaseTTL < minLeaseTTL {
+		return nil, fmt.Errorf("farm: lease TTL %v is below the minimum %v", leaseTTL, minLeaseTTL)
+	}
 	jobs, err := Enumerate(spec)
 	if err != nil {
 		return nil, err
@@ -111,7 +115,6 @@ func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64
 		state:       make([]jobState, len(jobs)),
 		results:     make([]runner.Result, len(jobs)),
 		done:        make(chan struct{}),
-		refusedC:    make(chan struct{}, 1),
 		janitorStop: make(chan struct{}),
 	}
 	c.stats.Jobs = len(jobs)
@@ -121,7 +124,7 @@ func NewCoordinator(spec JobSpec, leaseTTL time.Duration, checkpointEvery uint64
 
 // janitor expires overdue leases. Connection hangups release leases
 // immediately (see session.close); the janitor covers workers that stall
-// while keeping their TCP connection alive.
+// while keeping their connection open.
 func (c *Coordinator) janitor() {
 	tick := time.NewTicker(c.ttl / 4)
 	defer tick.Stop()
@@ -142,32 +145,6 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// refuse reports a Hello refused as incompatible, then records it. A
-// refusal is counted only once reported, so whoever acts on the count
-// has seen every report it includes.
-func (c *Coordinator) refuse(worker string, err error) {
-	if c.onRefusal != nil {
-		c.onRefusal(worker, fmt.Errorf("handshake refused: %w", err))
-	}
-	c.mu.Lock()
-	c.refused++
-	if c.refusal == nil {
-		c.refusal = fmt.Errorf("worker %q: %w", worker, err)
-	}
-	c.mu.Unlock()
-	select {
-	case c.refusedC <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
-// refusals reports how many handshakes were refused, and the first.
-func (c *Coordinator) refusals() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.refused, c.refusal
-}
-
 // releaseLocked returns a leased job to the queue (lease expiry or owner
 // hangup). Caller holds mu.
 func (c *Coordinator) releaseLocked(i int) {
@@ -179,12 +156,6 @@ func (c *Coordinator) releaseLocked(i int) {
 	st.owner = nil
 	c.stats.Reassigned++
 }
-
-// Jobs returns the enumerated job count.
-func (c *Coordinator) Jobs() int { return len(c.jobs) }
-
-// Spec returns the coordinator's spec.
-func (c *Coordinator) Spec() JobSpec { return c.spec }
 
 // Done is closed once every job has an accepted result.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
@@ -210,23 +181,6 @@ func (c *Coordinator) Stats() Stats {
 // their connections close.
 func (c *Coordinator) Stop() {
 	close(c.janitorStop)
-}
-
-// WaitIdle waits (up to the timeout) for every worker connection to
-// close. Called after Done so workers observe the farm's completion —
-// their final Lease returns Done and they disconnect cleanly — before
-// the coordinator process tears the sockets down under them.
-func (c *Coordinator) WaitIdle(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		n := c.sessions
-		c.mu.Unlock()
-		if n == 0 || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // welcome builds the handshake reply (after compat validation).

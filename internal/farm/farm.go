@@ -1,227 +1,191 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
-	"sync"
 	"time"
 
 	"mcmsim/internal/runner"
 )
 
+// handshakeTimeout bounds how long the coordinator waits for a worker
+// connection to open, and then for its first accepted Hello. It is a
+// constant of the protocol; tests shorten it to meet a silent peer
+// quickly.
+var handshakeTimeout = 10 * time.Second
+
+// hangupGrace is how long a completed farm waits for its workers to see
+// the completion and hang up before it closes their connections.
+const hangupGrace = 2 * time.Second
+
 // Options configures a one-call farm run.
 type Options struct {
-	// Listen is the coordinator's address; "" serves on an ephemeral
-	// loopback port (pure-local farms, tests).
-	Listen string
-	// Advertise is the address invited daemons dial back; "" uses the
-	// listener's own address (fine on one host; multi-host fleets must
-	// set it to a reachable name).
-	Advertise string
-	// LocalWorkers is how many in-process workers to attach over loopback.
+	// LocalWorkers is how many in-process workers to run, each on its own
+	// in-memory connection.
 	LocalWorkers int
-	// Invite lists sweepd worker daemons (host:port) to attach.
-	Invite []string
+	// Daemons lists sweepd worker daemons (host:port) to dial.
+	Daemons []string
 	// LeaseTTL and CheckpointEvery parameterize NewCoordinator.
 	LeaseTTL        time.Duration
 	CheckpointEvery uint64
 	// OnProgress observes accepted completions (completion order).
 	OnProgress func(runner.Progress)
-	// OnWorkerError observes local worker failures and every worker the
-	// coordinator refuses at the handshake; nil logs nowhere.
+	// OnWorkerError observes every worker failure before the farm
+	// completes: each Hello the coordinator refuses, named by its worker,
+	// and each connection that fails to open, to greet in time or to stay
+	// up, named by its daemon address or local worker name. nil logs
+	// nowhere.
 	OnWorkerError func(name string, err error)
 }
 
 // Run executes the spec on a farm assembled from the options and returns
 // the results in enumeration order plus the coordinator's final counters.
-// With only local workers this is semantically `runner.Run` with extra
-// steps — and byte-identical output, which `make differential` gates.
+// The coordinator opens every worker connection: an in-memory pipe per
+// local worker and one TCP connection per daemon, whose worker loops share
+// it. With only local workers this is semantically `runner.Run` with
+// extra steps — and byte-identical output, which `make differential`
+// gates. Run never waits without bound: once every connection has closed
+// with the farm incomplete, it returns an error naming the first
+// connection's failure.
 func Run(spec JobSpec, opts Options) ([]runner.Result, Stats, error) {
 	coord, err := NewCoordinator(spec, opts.LeaseTTL, opts.CheckpointEvery)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer coord.Stop()
+	local := max(opts.LocalWorkers, 0)
+	links := local + len(opts.Daemons)
+	if links == 0 {
+		return nil, Stats{}, fmt.Errorf("farm: no workers: need LocalWorkers or Daemons")
+	}
+	report := func(name string, err error) {
+		if opts.OnWorkerError != nil {
+			opts.OnWorkerError(name, err)
+		}
+	}
 	coord.OnProgress = opts.OnProgress
-	coord.onRefusal = opts.OnWorkerError
+	coord.onRefusal = report
 
-	addr := opts.Listen
-	if addr == "" {
-		addr = "127.0.0.1:0"
+	// Every connection ends once, with the reason it ended.
+	type end struct {
+		name string
+		err  error
 	}
-	ln, err := coord.Listen(addr)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer ln.Close()
-
-	advertise := opts.Advertise
-	if advertise == "" {
-		advertise = ln.Addr().String()
-	}
-
-	if opts.LocalWorkers <= 0 && len(opts.Invite) == 0 && opts.Listen == "" {
-		// A loopback-only farm with no workers can never complete. An
-		// explicit Listen address means external workers will attach.
-		return nil, Stats{}, fmt.Errorf("farm: no workers: need LocalWorkers, Invite, or an explicit Listen address for external workers")
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, opts.LocalWorkers)
-	for i := 0; i < opts.LocalWorkers; i++ {
+	ends := make(chan end, links)
+	var conns []net.Conn
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i := 0; i < local; i++ {
 		name := fmt.Sprintf("local%d", i)
-		wg.Add(1)
+		conn, peer := net.Pipe()
+		conns = append(conns, conn)
+		worked := make(chan error, 1)
+		go func() { worked <- Work(peer, []*Worker{{Name: name}}) }()
 		go func() {
-			defer wg.Done()
-			if err := (&Worker{Name: name}).Run(advertise); err != nil {
-				if opts.OnWorkerError != nil {
-					opts.OnWorkerError(name, err)
-				}
-				errCh <- err
+			err := coord.serve(conn, handshakeTimeout)
+			if werr := <-worked; werr != nil {
+				err = werr // the worker knows best why it stopped
 			}
+			ends <- end{name, err}
 		}()
 	}
-	invited := 0
-	for _, daemon := range opts.Invite {
-		n, err := Invite(daemon, advertise)
+	for _, addr := range opts.Daemons {
+		conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 		if err != nil {
-			return nil, Stats{}, fmt.Errorf("farm: invite %s: %w", daemon, err)
+			ends <- end{addr, err}
+			continue
 		}
-		invited += n
+		conns = append(conns, conn)
+		go func() { ends <- end{addr, coord.serve(conn, handshakeTimeout)} }()
 	}
 
-	// With external workers possible (an invite, or an explicit listen
-	// address), the farm waits for completion however long it takes, unless
-	// the invited worker loops are all it has and the coordinator has
-	// refused every one of them at the handshake. A pure-loopback farm
-	// instead fails fast once its last worker exits with the farm
-	// incomplete. Either way, nothing else could ever finish it.
-	external := len(opts.Invite) > 0 || opts.Listen != ""
-	switch {
-	case opts.LocalWorkers <= 0 && opts.Listen == "":
-		for waiting := true; waiting; {
-			select {
-			case <-coord.Done():
-				waiting = false
-			case <-coord.refusedC:
-				if n, first := coord.refusals(); n >= invited {
-					return nil, coord.Stats(), fmt.Errorf("farm: all %d invited workers were refused at the handshake, first %w", n, first)
-				}
-			}
-		}
-	case opts.LocalWorkers > 0 && !external:
-		localsDone := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(localsDone)
-		}()
+	open := links
+	var first error
+	for open > 0 && !completed(coord) {
 		select {
 		case <-coord.Done():
-		case <-localsDone:
-			select {
-			case <-coord.Done():
-			default:
-				select {
-				case err := <-errCh:
-					return nil, coord.Stats(), fmt.Errorf("farm: all workers exited before completion: %w", err)
-				default:
-					return nil, coord.Stats(), fmt.Errorf("farm: all workers exited before completion")
-				}
+		case e := <-ends:
+			open--
+			if completed(coord) {
+				break // a worker hanging up after the last completion
+			}
+			if !errors.Is(e.err, errRefused) {
+				report(e.name, e.err) // refusals are reported as they happen
+			}
+			if first == nil {
+				first = fmt.Errorf("%s: %w", e.name, e.err)
 			}
 		}
-	default:
-		<-coord.Done()
 	}
-	results := coord.Results()
-	// Let attached workers observe completion (their next Lease returns
-	// Done) and hang up before the listener and process go away, so a
-	// clean farm leaves no worker with a reset connection.
-	coord.WaitIdle(2 * time.Second)
-	return results, coord.Stats(), nil
+	if !completed(coord) {
+		return nil, coord.Stats(), fmt.Errorf("farm: every worker connection closed before the farm completed; the first, %w", first)
+	}
+	// Let connected workers see the completion (their next Lease returns
+	// Done) and hang up, so a clean farm leaves no worker with a reset
+	// connection; the deferred close takes whatever is left.
+	grace := time.After(hangupGrace)
+	for ; open > 0; open-- {
+		select {
+		case <-ends:
+		case <-grace:
+			return coord.Results(), coord.Stats(), nil
+		}
+	}
+	return coord.Results(), coord.Stats(), nil
 }
 
-// AttachArgs invites a worker daemon to a coordinator.
-type AttachArgs struct {
-	Coordinator string // address the daemon's workers should dial
+// completed reports whether every job of c has an accepted result.
+func completed(c *Coordinator) bool {
+	select {
+	case <-c.Done():
+		return true
+	default:
+		return false
+	}
 }
 
-// AttachReply reports how many worker loops the daemon started.
-type AttachReply struct {
-	Workers int
-}
-
-// Daemon is the invited-worker service behind `sweepd -listen`:
-// it waits for Attach calls and runs a batch of worker loops against each
-// coordinator that invites it.
+// Daemon is the worker service behind `sweepd -listen`: it accepts
+// coordinators' connections and runs a batch of worker loops on each, as
+// RPC clients of the coordinator that dialed.
 type Daemon struct {
-	// Name prefixes the spawned workers' names.
+	// Name prefixes the worker loops' names.
 	Name string
-	// Workers is how many concurrent worker loops to run per Attach.
+	// Workers is how many concurrent worker loops to run per connection.
 	Workers int
-	// Logf, if non-nil, receives worker lifecycle messages.
+	// Logf, if non-nil, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
+}
+
+// Serve accepts coordinators' connections on ln until it fails (close ln
+// to stop) and works each farm on its own connection.
+func (d *Daemon) Serve(ln net.Listener) error {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		loops := make([]*Worker, max(d.Workers, 1))
+		for i := range loops {
+			loops[i] = &Worker{Name: fmt.Sprintf("%s%d", d.Name, i)}
+		}
+		go func() {
+			from := conn.RemoteAddr()
+			d.logf("coordinator %s: %d worker loops", from, len(loops))
+			if err := Work(conn, loops); err != nil {
+				d.logf("coordinator %s: %v", from, err)
+				return
+			}
+			d.logf("coordinator %s: farm drained", from)
+		}()
+	}
 }
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.Logf != nil {
 		d.Logf(format, args...)
 	}
-}
-
-// Attach starts the daemon's workers against the given coordinator. It
-// returns as soon as they are spawned; they drain the farm and exit on
-// their own.
-func (d *Daemon) Attach(a AttachArgs, reply *AttachReply) error {
-	n := d.Workers
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s%d", d.Name, i)
-		go func() {
-			d.logf("worker %s: attaching to %s", name, a.Coordinator)
-			if err := (&Worker{Name: name}).Run(a.Coordinator); err != nil {
-				d.logf("worker %s: %v", name, err)
-				return
-			}
-			d.logf("worker %s: farm drained", name)
-		}()
-	}
-	reply.Workers = n
-	return nil
-}
-
-// ListenAndServe serves the daemon's control service on addr until the
-// listener fails (never, in practice — kill the process to stop it).
-func (d *Daemon) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	d.logf("worker daemon listening on %s (%d workers per farm)", ln.Addr(), d.Workers)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		srv := rpc.NewServer()
-		_ = srv.RegisterName("Daemon", d)
-		go srv.ServeConn(conn)
-	}
-}
-
-// Invite asks the worker daemon at daemonAddr to attach its workers to
-// the coordinator at coordAddr, returning how many it started.
-func Invite(daemonAddr, coordAddr string) (int, error) {
-	client, err := rpc.Dial("tcp", daemonAddr)
-	if err != nil {
-		return 0, err
-	}
-	defer client.Close()
-	var reply AttachReply
-	if err := client.Call("Daemon.Attach", AttachArgs{Coordinator: coordAddr}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Workers, nil
 }

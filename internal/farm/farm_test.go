@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,9 +44,9 @@ func render(t *testing.T, results []runner.Result, format string) []byte {
 }
 
 // TestFarmSuiteByteIdentical is the headline gate: a coordinator plus two
-// loopback workers — checkpointing enabled, each worker building the
-// shared warmup in its own session cache — renders the exact bytes of a
-// local -j 2 run, in every output format.
+// in-process workers on pipes — checkpointing enabled, each worker
+// building the shared warmup in its own session cache — renders the exact
+// bytes of a local -j 2 run, in every output format.
 func TestFarmSuiteByteIdentical(t *testing.T) {
 	t.Parallel()
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization", "warmequal"}, Procs: 3, Seed: 7}
@@ -138,8 +139,8 @@ func TestFarmConcurrentSpecs(t *testing.T) {
 }
 
 // TestFleetLocalOnlyWorkersRejected asserts -j alone sizes the in-process
-// pool: a -workers list of local:N entries with no daemon and no -listen
-// is an error that names -j, and no job runs.
+// pool: a -workers list of local:N entries with no daemon is an error that
+// names -j, and no job runs.
 func TestFleetLocalOnlyWorkersRejected(t *testing.T) {
 	spec := JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}
 	for _, workers := range []string{"local:2", "local:1,local:3"} {
@@ -153,26 +154,26 @@ func TestFleetLocalOnlyWorkersRejected(t *testing.T) {
 	}
 }
 
-// dialCoord starts a coordinator on loopback and returns a raw RPC client
-// to it, for handshake- and protocol-level tests.
-func dialCoord(t *testing.T, spec JobSpec, ttl time.Duration, every uint64) (*Coordinator, *rpc.Client) {
+// pipe serves coord's Farm service on one end of an in-memory connection,
+// as farm.Run serves each worker, and returns the worker's end: wrap it in
+// rpc.NewClient for protocol-level calls, or hand it to Work.
+func pipe(t *testing.T, coord *Coordinator) net.Conn {
+	t.Helper()
+	conn, peer := net.Pipe()
+	go coord.serve(conn, handshakeTimeout)
+	t.Cleanup(func() { peer.Close() })
+	return peer
+}
+
+// newCoord builds a coordinator that the test stops when it ends.
+func newCoord(t *testing.T, spec JobSpec, ttl time.Duration, every uint64) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(spec, ttl, every)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Stop)
-	ln, err := coord.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	client, err := rpc.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	return coord, client
+	return coord
 }
 
 // TestFarmHandshakeVersionMismatch asserts a mismatched fleet member is
@@ -195,7 +196,8 @@ func TestFarmHandshakeVersionMismatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			coord, client := dialCoord(t, spec, 0, 0)
+			coord := newCoord(t, spec, 0, 0)
+			client := rpc.NewClient(pipe(t, coord))
 			h := Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Build: "", Worker: "mismatched"}
 			tc.prep(coord, &h)
 			var w Welcome
@@ -231,6 +233,15 @@ func TestFarmFingerprintMismatch(t *testing.T) {
 		{Kind: "conform", N: 1, Protocol: "moesi"},
 		{Kind: "conform", N: 1, Topo: "ring"},
 		{Kind: "conform", N: -1},
+		// Sizes past sim.Config.Resolve's 4096-node limit, and a batch
+		// too large to generate: a worker enumerates whatever spec it is
+		// sent, so each must be refused before anything is allocated.
+		{Kind: "sweep", Exps: []string{"equalization"}, Procs: 5000},
+		{Kind: "sweep", Exps: []string{"scale"}, Procs: 3, ScaleCPUs: []int{5000}},
+		{Kind: "sweep", Exps: []string{"scale"}, Procs: 3, ScaleCPUs: []int{16}, Topo: "mesh:4097x1"},
+		{Kind: "conform", N: 1, Procs: 5000},
+		{Kind: "conform", N: 1, PadCPUs: 5000},
+		{Kind: "conform", N: 1 << 50},
 	}
 	for _, spec := range bad {
 		if _, err := Enumerate(spec); err == nil {
@@ -242,7 +253,7 @@ func TestFarmFingerprintMismatch(t *testing.T) {
 	}
 
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3, Seed: 7}
-	_, client := dialCoord(t, spec, 0, 0)
+	client := rpc.NewClient(pipe(t, newCoord(t, spec, 0, 0)))
 	var w Welcome
 	if err := client.Call("Farm.Hello", Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Worker: "divergent"}, &w); err != nil {
 		t.Fatal(err)
@@ -257,43 +268,11 @@ func TestFarmFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// staleDaemon stands in for a sweepd from an older build: each worker loop
-// an Attach starts greets the coordinator with the previous farm protocol.
-type staleDaemon struct {
-	workers int
-	wg      sync.WaitGroup
-}
-
-func (d *staleDaemon) Attach(a AttachArgs, reply *AttachReply) error {
-	for i := 0; i < d.workers; i++ {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			client, err := rpc.Dial("tcp", a.Coordinator)
-			if err != nil {
-				return
-			}
-			defer client.Close()
-			hello := Hello{Protocol: ProtocolVersion - 1, Snapshot: sim.SnapshotVersion, Worker: fmt.Sprintf("stale%d", i)}
-			var w Welcome
-			_ = client.Call("Farm.Hello", hello, &w) // refused; the coordinator reports it
-		}()
-	}
-	reply.Workers = d.workers
-	return nil
-}
-
-// TestFarmInvitesAllRefused asserts a farm whose only workers are invited
-// daemons' loops, every one refused at the handshake, returns an error
-// naming the refusal instead of waiting forever, and reports each refused
-// worker through OnWorkerError.
-func TestFarmInvitesAllRefused(t *testing.T) {
-	d := &staleDaemon{workers: 2}
-	t.Cleanup(d.wg.Wait)
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Daemon", d); err != nil {
-		t.Fatal(err)
-	}
+// serveDaemon accepts connections on a fresh loopback listener and hands
+// each to handle, as a sweepd daemon would; it returns the address for
+// Options.Daemons.
+func serveDaemon(t *testing.T, handle func(net.Conn)) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -305,40 +284,170 @@ func TestFarmInvitesAllRefused(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			go handle(conn)
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	var mu sync.Mutex
-	var reported []string
+// runFarm runs the mshr sweep through farm.Run in the background and
+// returns its error, failing the test unless it returns within limit.
+func runFarm(t *testing.T, opts Options, limit time.Duration) error {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Run(JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}, Options{
-			Invite: []string{ln.Addr().String()},
-			OnWorkerError: func(name string, err error) {
-				mu.Lock()
-				reported = append(reported, name+": "+err.Error())
-				mu.Unlock()
-			},
-		})
+		_, _, err := Run(JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}, opts)
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "farm protocol v") {
-			t.Fatalf("farm.Run error = %v, want one naming the farm protocol refusal", err)
+		return err
+	case <-time.After(limit):
+		t.Fatalf("farm.Run still waiting after %v", limit)
+		return nil
+	}
+}
+
+// TestFarmDaemonByteIdentical runs TestFarmSuiteByteIdentical's spec on
+// one sweepd daemon whose two worker loops share the one connection the
+// coordinator dialed: the report must render the local pool's bytes.
+func TestFarmDaemonByteIdentical(t *testing.T) {
+	t.Parallel()
+	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization", "warmequal"}, Procs: 3, Seed: 7}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go (&Daemon{Name: "d", Workers: 2}).Serve(ln)
+
+	results, stats, err := Run(spec, Options{Daemons: []string{ln.Addr().String()}, CheckpointEvery: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != stats.Jobs || stats.Workers != 2 {
+		t.Fatalf("completed %d of %d jobs with %d handshakes, want every job and 2 handshakes", stats.Completed, stats.Jobs, stats.Workers)
+	}
+	for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
+		farm := render(t, results, format)
+		local := renderLocal(t, spec, 2, format)
+		if !bytes.Equal(farm, local) {
+			t.Errorf("%s output differs:\n--- farm ---\n%s--- local -j 2 ---\n%s", format, farm, local)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("farm.Run still waiting after every invited worker was refused")
+	}
+}
+
+// TestFarmInvitesAllRefused asserts a farm whose only workers are a
+// daemon's loops, every one refused at the handshake, returns an error
+// naming the refusal instead of waiting forever, and reports each refused
+// worker through OnWorkerError. The daemon stands in for a sweepd from an
+// older build: its two loops share the connection the coordinator dialed
+// and greet with the previous farm protocol.
+func TestFarmInvitesAllRefused(t *testing.T) {
+	const loops = 2
+	addr := serveDaemon(t, func(conn net.Conn) {
+		client := rpc.NewClient(conn)
+		defer client.Close()
+		var wg sync.WaitGroup
+		for i := 0; i < loops; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hello := Hello{Protocol: ProtocolVersion - 1, Snapshot: sim.SnapshotVersion, Worker: fmt.Sprintf("stale%d", i)}
+				var w Welcome
+				_ = client.Call("Farm.Hello", hello, &w) // refused; the coordinator reports it
+			}()
+		}
+		wg.Wait()
+	})
+
+	var mu sync.Mutex
+	var reported []string
+	err := runFarm(t, Options{
+		Daemons: []string{addr},
+		OnWorkerError: func(name string, err error) {
+			mu.Lock()
+			reported = append(reported, name+": "+err.Error())
+			mu.Unlock()
+		},
+	}, 20*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "farm protocol v") {
+		t.Fatalf("farm.Run error = %v, want one naming the farm protocol refusal", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(reported) != d.workers {
-		t.Errorf("OnWorkerError saw %d refusals, want %d: %q", len(reported), d.workers, reported)
+	if len(reported) != loops {
+		t.Errorf("OnWorkerError saw %d refusals, want %d: %q", len(reported), loops, reported)
 	}
 	for _, r := range reported {
 		if !strings.Contains(r, "farm protocol v") {
 			t.Errorf("refusal report %q does not name the protocol mismatch", r)
+		}
+	}
+}
+
+// TestFarmSilentPeer points a farm at a peer that accepts the connection
+// and never greets, as a daemon that itself waits to be called would. The
+// handshake deadline must end the farm with an error that names the peer
+// and the handshake, and report the peer through OnWorkerError.
+func TestFarmSilentPeer(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 200 * time.Millisecond
+	held := make(chan net.Conn, 1)
+	t.Cleanup(func() {
+		select {
+		case c := <-held:
+			c.Close()
+		default:
+		}
+	})
+	addr := serveDaemon(t, func(conn net.Conn) { held <- conn })
+
+	var reported []string
+	start := time.Now()
+	err := runFarm(t, Options{
+		Daemons:       []string{addr},
+		OnWorkerError: func(name string, err error) { reported = append(reported, name+": "+err.Error()) },
+	}, 20*time.Second)
+	if err == nil || !strings.Contains(err.Error(), addr) || !strings.Contains(err.Error(), "no handshake within") {
+		t.Fatalf("farm.Run error = %v, want one naming %s and the handshake", err, addr)
+	}
+	if took := time.Since(start); took < handshakeTimeout || took > 5*time.Second {
+		t.Errorf("farm.Run gave up after %v, want the %v handshake deadline", took, handshakeTimeout)
+	}
+	if len(reported) != 1 || !strings.Contains(reported[0], addr) {
+		t.Errorf("OnWorkerError saw %q, want the silent peer once", reported)
+	}
+}
+
+// TestFarmPeerHangsUp points a farm at a peer that accepts and closes the
+// connection at once, and at an address nothing listens on. The farm must
+// fail at once, well inside the handshake deadline, with an error naming
+// the first failure, and report both.
+func TestFarmPeerHangsUp(t *testing.T) {
+	addr := serveDaemon(t, func(conn net.Conn) { conn.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+
+	var reported []string
+	err = runFarm(t, Options{
+		Daemons:       []string{addr, closed},
+		OnWorkerError: func(name string, err error) { reported = append(reported, name+": "+err.Error()) },
+	}, handshakeTimeout/2)
+	if err == nil || !strings.Contains(err.Error(), "closed before the farm completed") ||
+		(!strings.Contains(err.Error(), addr) && !strings.Contains(err.Error(), closed)) {
+		t.Fatalf("farm.Run error = %v, want every connection closed and the first failure named", err)
+	}
+	if len(reported) != 2 {
+		t.Fatalf("OnWorkerError saw %q, want both daemons", reported)
+	}
+	for _, want := range []string{addr + ": connection closed before the handshake", closed + ": dial"} {
+		if !slices.ContainsFunc(reported, func(r string) bool { return strings.HasPrefix(r, want) }) {
+			t.Errorf("OnWorkerError saw %q, want a report starting %q", reported, want)
 		}
 	}
 }

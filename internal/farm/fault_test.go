@@ -3,7 +3,9 @@ package farm
 import (
 	"bytes"
 	"errors"
+	"net"
 	"net/rpc"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,13 +50,6 @@ func TestFarmWorkerDeathResumesFromCheckpoint(t *testing.T) {
 			if die < 0 {
 				t.Fatalf("%s enumerates no job %s", tc.exp, tc.die)
 			}
-			ln, err := coord.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			addr := ln.Addr().String()
-
 			// Worker A dies at its first checkpoint of the chosen job: the
 			// hook error abandons the job and terminates the worker, whose
 			// closing connection releases the lease (no TTL wait —
@@ -69,7 +64,7 @@ func TestFarmWorkerDeathResumesFromCheckpoint(t *testing.T) {
 				}
 				return injected
 			}}
-			if err := victim.Run(addr); !errors.Is(err, injected) {
+			if err := Work(pipe(t, coord), []*Worker{victim}); !errors.Is(err, injected) {
 				t.Fatalf("victim exited with %v, want the injected death", err)
 			}
 
@@ -82,7 +77,7 @@ func TestFarmWorkerDeathResumesFromCheckpoint(t *testing.T) {
 			}
 
 			// A healthy worker drains the farm, the victim's job included.
-			if err := (&Worker{Name: "healthy"}).Run(addr); err != nil {
+			if err := Work(pipe(t, coord), []*Worker{{Name: "healthy"}}); err != nil {
 				t.Fatal(err)
 			}
 			st = coord.Stats()
@@ -114,24 +109,10 @@ func TestFarmWorkerDeathResumesFromCheckpoint(t *testing.T) {
 // be byte-identical to a local run.
 func TestFarmLeaseExpiryReassigns(t *testing.T) {
 	spec := JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3, Seed: 7}
-	coord, err := NewCoordinator(spec, 100*time.Millisecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Stop()
-	ln, err := coord.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	coord := newCoord(t, spec, 100*time.Millisecond, 0)
 
 	// The staller leases a job over a raw connection and never heartbeats.
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := rpc.NewClient(pipe(t, coord))
 	var w Welcome
 	hello := Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Worker: "staller"}
 	if err := client.Call("Farm.Hello", hello, &w); err != nil {
@@ -147,7 +128,7 @@ func TestFarmLeaseExpiryReassigns(t *testing.T) {
 
 	// A healthy worker drains the farm; it has to Wait out the staller's
 	// TTL before the janitor hands it the stalled job.
-	if err := (&Worker{Name: "healthy"}).Run(addr); err != nil {
+	if err := Work(pipe(t, coord), []*Worker{{Name: "healthy"}}); err != nil {
 		t.Fatal(err)
 	}
 	st := coord.Stats()
@@ -268,5 +249,89 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Resumed != 1 || st.Reassigned != 1 {
 		t.Errorf("Resumed/Reassigned = %d/%d, want 1/1", st.Resumed, st.Reassigned)
+	}
+}
+
+// TestFarmLeaseTTLMinimum asserts the coordinator refuses a positive lease
+// TTL too short for its janitor to tick, instead of panicking, and still
+// reads a TTL of zero or less as the default.
+func TestFarmLeaseTTLMinimum(t *testing.T) {
+	spec := JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}
+	for _, ttl := range []time.Duration{time.Nanosecond, 3 * time.Nanosecond, time.Millisecond - 1} {
+		if _, err := NewCoordinator(spec, ttl, 0); err == nil || !strings.Contains(err.Error(), "lease TTL") {
+			t.Errorf("NewCoordinator(TTL %v) error = %v, want one naming the lease TTL", ttl, err)
+		}
+	}
+	for _, ttl := range []time.Duration{-time.Second, 0, time.Millisecond} {
+		coord, err := NewCoordinator(spec, ttl, 0)
+		if err != nil {
+			t.Errorf("NewCoordinator(TTL %v): %v", ttl, err)
+			continue
+		}
+		coord.Stop()
+	}
+}
+
+// fakeCoordinator is a Farm service that greets every worker with a fixed
+// Welcome and answers every Lease with a fixed reply: a coordinator that
+// may be broken or hostile.
+type fakeCoordinator struct {
+	welcome Welcome
+	lease   LeaseReply
+}
+
+func (f *fakeCoordinator) Hello(h Hello, reply *Welcome) error {
+	*reply = f.welcome
+	return nil
+}
+
+func (f *fakeCoordinator) Lease(a LeaseArgs, reply *LeaseReply) error {
+	*reply = f.lease
+	return nil
+}
+
+func (f *fakeCoordinator) Renew(a RenewArgs, reply *RenewReply) error {
+	reply.Held = true
+	return nil
+}
+
+func (f *fakeCoordinator) Complete(a CompleteArgs, reply *CompleteReply) error {
+	reply.Accepted = true
+	return nil
+}
+
+// TestWorkerRefusesHostileCoordinator drives a worker from a fake
+// coordinator whose replies no real one sends: a lease TTL too short to
+// heartbeat at, a job index outside the enumeration, and a spec too large
+// to enumerate. The worker must end its session with an error naming the
+// problem, never panic and take its daemon down.
+func TestWorkerRefusesHostileCoordinator(t *testing.T) {
+	spec := JobSpec{Kind: "sweep", Exps: []string{"mshr"}, Procs: 3}
+	valid := newCoord(t, spec, 0, 0).welcome()
+	for _, tc := range []struct {
+		name string
+		edit func(*fakeCoordinator)
+		want string
+	}{
+		{"zero lease TTL", func(f *fakeCoordinator) { f.welcome.LeaseTTL = 0 }, "lease TTL"},
+		{"2ns lease TTL", func(f *fakeCoordinator) { f.welcome.LeaseTTL = 2 * time.Nanosecond }, "lease TTL"},
+		{"job past the enumeration", func(f *fakeCoordinator) { f.lease.Job = 1 << 20 }, "leased job 1048576"},
+		{"negative job", func(f *fakeCoordinator) { f.lease.Job = -1 }, "leased job -1"},
+		{"oversized batch", func(f *fakeCoordinator) { f.welcome.Spec = JobSpec{Kind: "conform", N: 1 << 50} }, "program count"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := &fakeCoordinator{welcome: valid, lease: LeaseReply{Job: 0, Seq: 1}}
+			tc.edit(fake)
+			srv := rpc.NewServer()
+			if err := srv.RegisterName("Farm", fake); err != nil {
+				t.Fatal(err)
+			}
+			conn, peer := net.Pipe()
+			go srv.ServeConn(conn)
+			err := Work(peer, []*Worker{{Name: "w"}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Work error = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

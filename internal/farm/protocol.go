@@ -12,12 +12,15 @@ import (
 )
 
 // ProtocolVersion is the farm wire protocol. Bumped on any change to the
-// RPC methods or their argument and reply types; mixed fleets are
-// rejected at handshake. Version 2 dropped the warmup-store calls.
-const ProtocolVersion = 2
+// RPC methods, their argument and reply types, or who dials whom; mixed
+// fleets are rejected at handshake. Version 2 dropped the warmup-store
+// calls; version 3 has the coordinator dial every worker connection and
+// drops the daemon's Attach call and the Stats call.
+const ProtocolVersion = 3
 
-// Hello is the worker's side of the handshake, sent as the first call on a
-// new connection. The coordinator validates it before anything else moves.
+// Hello is the worker's side of the handshake, sent by each worker loop as
+// its first call on the connection the coordinator opened. The coordinator
+// validates it before anything else moves.
 type Hello struct {
 	Protocol int    // ProtocolVersion of the worker's build
 	Snapshot int    // sim.SnapshotVersion of the worker's build
@@ -112,12 +115,6 @@ type CompleteArgs struct {
 // was stale (the job was reassigned and another worker's result counts).
 type CompleteReply struct {
 	Accepted bool
-}
-
-// StatsReply is a snapshot of the coordinator's counters (the Stats RPC,
-// used by tests and the sweepd status line).
-type StatsReply struct {
-	Stats Stats
 }
 
 // BuildHash identifies the running binary by its VCS revision, with a

@@ -1,25 +1,63 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
 	"sync"
+	"time"
 )
 
 // session is one worker connection's view of the coordinator, registered
-// as the "Farm" RPC service on a per-connection rpc.Server. Tying the
-// service object to the connection is what makes failure detection cheap:
-// when ServeConn returns (hangup, reset, shutdown), close releases every
-// lease the connection held, immediately — the lease TTL only covers
-// workers that stall while keeping their socket open.
+// as the "Farm" RPC service on a per-connection rpc.Server. The worker
+// loops at the far end share the connection, and with it the session.
+// Tying the service object to the connection is what makes failure
+// detection cheap: when ServeConn returns (hangup, reset, shutdown),
+// close releases every lease the connection held, immediately — the
+// lease TTL only covers workers that stall while keeping their connection
+// open.
 type session struct {
 	coord *Coordinator
-	name  string
+	conn  net.Conn
 
 	mu      sync.Mutex
 	held    map[int]bool // job indices this connection is leasing
 	greeted bool
+	refusal error // the first refused Hello, naming its worker
+}
+
+// errRefused marks a Hello the coordinator refused as incompatible.
+var errRefused = errors.New("handshake refused")
+
+// serve runs one worker session on conn, which the coordinator opened:
+// the Farm service, until the connection ends. The peer must complete a
+// Hello within timeout, or the connection is closed. On return the
+// session's leases are released and conn is closed; the error says why
+// the session ended.
+func (c *Coordinator) serve(conn net.Conn, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	// Setting a deadline fails only on a closed conn, which ServeConn
+	// ends at once.
+	_ = conn.SetReadDeadline(deadline)
+	s := &session{coord: c, conn: conn, held: map[int]bool{}}
+	srv := rpc.NewServer()
+	// The method set is exactly the wire protocol; no error to check.
+	_ = srv.RegisterName("Farm", s)
+	srv.ServeConn(conn)
+	s.close()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.refusal != nil:
+		return s.refusal
+	case s.greeted:
+		return errors.New("connection closed")
+	case time.Now().After(deadline):
+		return fmt.Errorf("no handshake within %v", timeout)
+	}
+	return errors.New("connection closed before the handshake")
 }
 
 func (s *session) hold(i int) {
@@ -55,15 +93,26 @@ func (s *session) close() {
 }
 
 // Hello validates the worker's build and returns the spec. Every other
-// method refuses to serve a connection that has not completed it.
+// method refuses to serve a connection that has not completed it. The
+// first accepted Hello lifts the connection's handshake deadline.
 func (s *session) Hello(h Hello, reply *Welcome) error {
 	if err := compatible(h.Protocol, h.Snapshot, h.Build, s.coord.build); err != nil {
-		s.coord.refuse(h.Worker, err)
+		err = fmt.Errorf("%w: %w", errRefused, err)
+		if s.coord.onRefusal != nil {
+			s.coord.onRefusal(h.Worker, err)
+		}
+		s.mu.Lock()
+		if s.refusal == nil {
+			s.refusal = fmt.Errorf("worker %q %w", h.Worker, err)
+		}
+		s.mu.Unlock()
 		return fmt.Errorf("farm: worker %q rejected: %w", h.Worker, err)
 	}
 	s.mu.Lock()
+	if !s.greeted {
+		_ = s.conn.SetReadDeadline(time.Time{}) // fails only once conn is closed
+	}
 	s.greeted = true
-	s.name = h.Worker
 	s.mu.Unlock()
 	s.coord.mu.Lock()
 	s.coord.stats.Workers++
@@ -119,51 +168,4 @@ func (s *session) Complete(a CompleteArgs, reply *CompleteReply) error {
 	}
 	reply.Accepted = s.coord.complete(s, a)
 	return nil
-}
-
-// Stats reports the coordinator's counters.
-func (s *session) Stats(a struct{}, reply *StatsReply) error {
-	reply.Stats = s.coord.Stats()
-	return nil
-}
-
-// Serve accepts worker connections on ln until the listener closes. Each
-// connection gets its own session and rpc.Server; the call blocks, so run
-// it in a goroutine and close ln to stop accepting.
-func (c *Coordinator) Serve(ln net.Listener) {
-	var wg sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			break // listener closed
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.mu.Lock()
-			c.sessions++
-			c.mu.Unlock()
-			sess := &session{coord: c, held: map[int]bool{}}
-			srv := rpc.NewServer()
-			// The method set is exactly the wire protocol; no error to check.
-			_ = srv.RegisterName("Farm", sess)
-			srv.ServeConn(conn)
-			sess.close()
-			c.mu.Lock()
-			c.sessions--
-			c.mu.Unlock()
-		}()
-	}
-	wg.Wait()
-}
-
-// Listen starts serving on addr (":0" for an ephemeral test port) and
-// returns the listener; close it to stop accepting.
-func (c *Coordinator) Listen(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go c.Serve(ln)
-	return ln, nil
 }

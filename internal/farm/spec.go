@@ -56,10 +56,10 @@ type JobSpec struct {
 // Enumerate reproduces the spec's job list. Deterministic: the same spec
 // yields the same jobs in the same order on every fleet member (the
 // Fingerprint handshake enforces it). A spec no enumerator can build — an
-// unknown kind, protocol or experiment, a sweep without processors, a
-// negative processor or program count, a scale machine size below 1, a
-// topology sim.Config.Resolve rejects — is an error, never a panic,
-// whether it comes from a command line or over the wire.
+// unknown kind, protocol or experiment, a processor count, scale machine
+// size or topology sim.Config.Resolve rejects, a negative or oversized
+// program count — is an error, never a panic, whether it comes from a
+// command line or over the wire.
 func Enumerate(spec JobSpec) ([]runner.Job, error) {
 	switch spec.Kind {
 	case "sweep":
@@ -79,8 +79,8 @@ func sweepPlan(spec JobSpec) ([]experiments.Sweep, experiments.Params, error) {
 		ScaleCPUs: spec.ScaleCPUs,
 		ScaleTopo: spec.Topo,
 	}
-	if spec.Procs < 1 {
-		return nil, params, fmt.Errorf("bad processor count %d (want 1 or more)", spec.Procs)
+	if _, err := (sim.Config{Procs: spec.Procs}).Resolve(); err != nil {
+		return nil, params, err
 	}
 	switch spec.Protocol {
 	case "", "msi":
@@ -158,6 +158,10 @@ func SweepTables(spec JobSpec, rows []runner.Row) ([]runner.Table, error) {
 	return tables, nil
 }
 
+// maxConformPrograms bounds a conformance batch: the batch generates
+// every program before its first job runs.
+const maxConformPrograms = 1 << 20
+
 // ConformOptions validates a "conform" spec and translates it into the
 // checker's options.
 func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions, error) {
@@ -172,12 +176,12 @@ func ConformOptions(spec JobSpec) (conformance.Params, conformance.CheckOptions,
 		return conformance.Params{}, conformance.CheckOptions{},
 			fmt.Errorf("unknown conformance protocol axis %q (want both, msi, or mesi)", spec.Protocol)
 	}
-	if spec.N < 0 {
+	if spec.N < 0 || spec.N > maxConformPrograms {
 		return conformance.Params{}, conformance.CheckOptions{},
-			fmt.Errorf("bad program count %d (want 0 or more)", spec.N)
+			fmt.Errorf("bad program count %d (want 0 to %d)", spec.N, maxConformPrograms)
 	}
 	// The smallest generated program has 2 processors.
-	if _, err := (sim.Config{Procs: max(spec.PadCPUs, 2), Topo: spec.Topo}).Resolve(); err != nil {
+	if _, err := (sim.Config{Procs: max(spec.Procs, spec.PadCPUs, 2), Topo: spec.Topo}).Resolve(); err != nil {
 		return conformance.Params{}, conformance.CheckOptions{}, err
 	}
 	params := conformance.Params{Procs: spec.Procs, ProcOps: spec.Ops}

@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/rpc"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 const leaseWaitBackoff = 10 * time.Millisecond
 
 // Worker executes leased jobs against one coordinator. The zero value
-// plus a name is ready; Run does the rest.
+// plus a name is ready; Work does the rest.
 type Worker struct {
 	// Name labels the worker in coordinator stats and error messages.
 	Name string
@@ -30,20 +31,32 @@ type Worker struct {
 	CheckpointHook func(job int, cycle uint64) error
 }
 
-// Run connects to the coordinator at addr, performs the handshake, and
-// pulls jobs until the farm reports Done. It returns nil on a drained
-// farm and an error on incompatibility, a divergent enumeration, or a
-// connection failure.
-func (w *Worker) Run(addr string) error {
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("farm: worker %s: dial %s: %w", w.Name, addr, err)
-	}
+// Work runs the worker loops against the coordinator at the far end of
+// conn, the connection the coordinator opened. The loops are concurrent
+// RPC clients sharing one rpc.Client, which multiplexes their calls; each
+// performs its own handshake and pulls jobs until the farm reports Done.
+// The first loop to fail closes conn, which ends the session and releases
+// every lease it holds. Work returns that failure — incompatibility, a
+// divergent enumeration, a hostile reply, a connection failure — or nil
+// once every loop saw the farm drain.
+func Work(conn io.ReadWriteCloser, loops []*Worker) error {
+	client := rpc.NewClient(conn)
 	defer client.Close()
-	return w.run(client)
+	errs := make(chan error, len(loops))
+	for _, w := range loops {
+		go func() { errs <- w.run(client) }()
+	}
+	var first error
+	for range loops {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+			client.Close()
+		}
+	}
+	return first
 }
 
-// run is Run minus the dialing, for tests that inject a connection.
+// run performs the handshake and pulls jobs until the farm reports Done.
 func (w *Worker) run(client *rpc.Client) error {
 	var welcome Welcome
 	hello := Hello{
@@ -60,6 +73,9 @@ func (w *Worker) run(client *rpc.Client) error {
 	if err := compatible(welcome.Protocol, welcome.Snapshot, welcome.Build, hello.Build); err != nil {
 		return fmt.Errorf("farm: worker %s: coordinator rejected: %w", w.Name, err)
 	}
+	if welcome.LeaseTTL < minLeaseTTL {
+		return fmt.Errorf("farm: worker %s: coordinator rejected: lease TTL %v is below the minimum %v", w.Name, welcome.LeaseTTL, minLeaseTTL)
+	}
 	jobs, err := Enumerate(welcome.Spec)
 	if err != nil {
 		return err
@@ -70,7 +86,7 @@ func (w *Worker) run(client *rpc.Client) error {
 			w.Name, len(jobs), short(fp), welcome.Jobs, short(welcome.Fingerprint))
 	}
 
-	// One warmup cache per session: the session builds each declared
+	// One warmup cache per loop: the loop builds each declared
 	// warmup at most once, and every job restores from the snapshot.
 	warm := runner.NewWarmupCache()
 	for {
@@ -96,6 +112,9 @@ func (w *Worker) run(client *rpc.Client) error {
 // simulation fails completes with that error in its result, exactly like
 // the in-process pool.
 func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job, warm *runner.WarmupCache, lease LeaseReply) error {
+	if lease.Job < 0 || lease.Job >= len(jobs) {
+		return fmt.Errorf("farm: worker %s: leased job %d of a %d-job enumeration", w.Name, lease.Job, len(jobs))
+	}
 	job := jobs[lease.Job]
 
 	// Heartbeat for the lease while the job runs. lost flips when the

@@ -73,6 +73,12 @@ func TestResolve(t *testing.T) {
 		{name: "zero_processors", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 0, "mesh" }), wantErr: "at least 1 processor"},
 		{name: "bad_mesh", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 4, "mesh:bad" }), wantErr: "bad mesh dimensions"},
 		{name: "unknown_topology", in: realistic(func(c *sim.Config) { c.Topo = "torus" }), wantErr: "unknown topology"},
+		// Machines past the 4096-node limit, which holds for every
+		// configuration a command line, a farm spec or a snapshot names.
+		{name: "too_many_processors", in: realistic(func(c *sim.Config) { c.Procs = 4097 }), wantErr: "4097 processors exceed"},
+		{name: "too_many_homes", in: realistic(func(c *sim.Config) { c.Procs, c.MemModules = 4, 4097 }), wantErr: "4097 home modules exceed"},
+		{name: "too_many_tiles", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 4, "mesh:4097x1" }), wantErr: "limit of 4096 tiles"},
+		{name: "tile_count_overflow", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 4, "mesh:4294967296x4294967296" }), wantErr: "limit of 4096 tiles"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

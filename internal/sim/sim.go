@@ -123,20 +123,32 @@ const (
 	// point, where small synchronized sharing sets stay exact and wide
 	// read-sharing overflows to the coarse vector.
 	scaleDirPointers = 8
+	// maxNodes bounds processors, home modules and mesh tiles: far above
+	// any machine the experiments build, so a configuration from a
+	// command line, a farm spec or a snapshot cannot make New allocate
+	// without limit.
+	maxNodes = 4096
 )
 
 // Resolve returns the machine c describes with every default filled in:
 // 1-word lines, the cycle budget, a single home module, and the explicit
 // topology — "" for "" or "uniform" (whose mesh knobs are zeroed),
 // "mesh:WxH" for "mesh", with hop latency 10 and link gap 1 unless set.
-// It rejects a configuration no machine matches: fewer than one processor
-// or an unknown or malformed topology. Resolving a resolved configuration
-// changes nothing. New, Restore and the command lines build machines from
+// It rejects a configuration no machine matches: fewer than one processor,
+// an unknown or malformed topology, or more than 4096 processors, home
+// modules or mesh tiles. Resolving a resolved configuration changes
+// nothing. New, Restore and the command lines build machines from
 // resolved configurations, so a saved machine and a run header name the
 // machine actually built.
 func (c Config) Resolve() (Config, error) {
 	if c.Procs < 1 {
 		return Config{}, fmt.Errorf("sim: need at least 1 processor, got %d", c.Procs)
+	}
+	if c.Procs > maxNodes {
+		return Config{}, fmt.Errorf("sim: %d processors exceed the limit of %d", c.Procs, maxNodes)
+	}
+	if c.MemModules > maxNodes {
+		return Config{}, fmt.Errorf("sim: %d home modules exceed the limit of %d", c.MemModules, maxNodes)
 	}
 	if c.LineWords == 0 {
 		c.LineWords = 1
@@ -155,6 +167,9 @@ func (c Config) Resolve() (Config, error) {
 	w, h, err := meshDims(c.Topo, c.Procs)
 	if err != nil {
 		return Config{}, err
+	}
+	if w > maxNodes || h > maxNodes/w {
+		return Config{}, fmt.Errorf("sim: mesh %q exceeds the limit of %d tiles", c.Topo, maxNodes)
 	}
 	c.Topo = fmt.Sprintf("mesh:%dx%d", w, h)
 	if c.HopLatency == 0 {

@@ -98,10 +98,10 @@ func Restore(m *snapshot.Machine) (*System, error) {
 	return s, nil
 }
 
-// Bounds on a restored machine, far above any machine the experiments
-// build, so a hostile snapshot cannot make Restore allocate without limit.
+// Bounds on a restored machine beyond Resolve's node limit, far above any
+// machine the experiments build, so a hostile snapshot cannot make
+// Restore allocate without limit.
 const (
-	maxRestoreNodes    = 4096    // processors, home modules, mesh tiles
 	maxRestoreWidth    = 4096    // fetch/retire width, ROB size, MSHRs
 	maxRestoreSetSlots = 1 << 22 // sets × processors (4 bytes each)
 	maxRestoreWays     = 64
@@ -109,11 +109,11 @@ const (
 )
 
 func restore(m *snapshot.Machine) (*System, error) {
-	if err := checkConfig(m.Config); err != nil {
-		return nil, err
-	}
 	cfg, err := importConfig(m.Config).Resolve()
 	if err != nil {
+		return nil, err
+	}
+	if err := checkConfig(m.Config, cfg.Procs); err != nil {
 		return nil, err
 	}
 	if len(m.Procs) != cfg.Procs {
@@ -171,13 +171,12 @@ func restore(m *snapshot.Machine) (*System, error) {
 }
 
 // checkConfig bounds a snapshot configuration and rejects what New would
-// panic on that Resolve does not check, such as the cache geometry.
-func checkConfig(c snapshot.Config) error {
+// panic on that Resolve does not check, such as the cache geometry. procs
+// is the resolved processor count, at least 1.
+func checkConfig(c snapshot.Config, procs int) error {
 	bad := func(what string, v any) error { return fmt.Errorf("sim: snapshot config has %s %v", what, v) }
 	switch {
-	case c.Procs < 1 || c.Procs > maxRestoreNodes:
-		return bad("processor count", c.Procs)
-	case c.MemModules < 0 || c.MemModules > maxRestoreNodes:
+	case c.MemModules < 0:
 		return bad("home module count", c.MemModules)
 	case c.Model > core.RCsc:
 		return bad("consistency model", c.Model)
@@ -185,7 +184,7 @@ func checkConfig(c snapshot.Config) error {
 		return bad("protocol", c.Protocol)
 	case c.LineWords > maxRestoreLine || c.LineWords&(c.LineWords-1) != 0:
 		return bad("line size", c.LineWords)
-	case c.Cache.Sets < 1 || c.Cache.Sets&(c.Cache.Sets-1) != 0 || c.Cache.Sets > maxRestoreSetSlots/c.Procs:
+	case c.Cache.Sets < 1 || c.Cache.Sets&(c.Cache.Sets-1) != 0 || c.Cache.Sets > maxRestoreSetSlots/procs:
 		return bad("cache set count", c.Cache.Sets)
 	case c.Cache.Ways < 1 || c.Cache.Ways > maxRestoreWays:
 		return bad("cache associativity", c.Cache.Ways)
@@ -199,9 +198,6 @@ func checkConfig(c snapshot.Config) error {
 		return bad("reorder-buffer size", c.CPU.ROBSize)
 	case c.DirBandwidth < 0 || c.DirPointers < 0:
 		return bad("negative unit bound", []int{c.DirBandwidth, c.DirPointers})
-	}
-	if w, h, err := meshDims(c.Topo, c.Procs); err == nil && (w > maxRestoreNodes || h > maxRestoreNodes/w) {
-		return bad("mesh", c.Topo)
 	}
 	return nil
 }
