@@ -1,9 +1,10 @@
 # Pre-PR gate and convenience targets. `make check` is what every change
-# must pass before review (documented in README.md): vet, formatting,
-# build, the full test suite, the race-detector tier over every package,
-# the fast-forward differential tier, a conformance smoke batch against
-# the exact per-model oracles (internal/conformance), and the
-# exact-vs-legacy oracle differential.
+# must pass before review (documented in README.md): vet (of this module
+# and of the perfbench benchmark module), formatting, build, the full test
+# suite, the race-detector tier over every package, the fast-forward
+# differential tier, a conformance smoke batch against the exact per-model
+# oracles (internal/conformance), and the exact-vs-legacy oracle
+# differential.
 
 GO ?= go
 
@@ -12,8 +13,13 @@ GO ?= go
 check: vet fmtcheck build test race differential conform oracle-diff
 	@echo "check: OK"
 
+# perfbench is a module of its own, so ./... does not reach it. Vetting it
+# compile-checks its calls into this module. Its tests are left out: they
+# pin simulated results, which a simulator fix may legitimately move, and
+# only a change to the benchmark re-pins them.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
@@ -74,7 +80,7 @@ cover:
 # The native fuzz targets: arbitrary byte strings decode to litmus programs
 # that are checked against the oracle on the reduced (paper-timing) grid,
 # and arbitrary byte strings fed to snapshot.Read and sim.Restore must come
-# back as a machine or as a snapshot.ErrInvalid error, never a panic.
+# back as a machine or as a sim.ErrInvalidSnapshot error, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConformance -fuzztime 30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 30s -fuzzminimizetime 3s ./internal/sim

@@ -102,16 +102,24 @@ func BenchmarkFigure5Trace(b *testing.B) {
 	b.ReportMetric(float64(cycles), "cycles")
 }
 
+// sweepRows runs one sweep's jobs on the default worker pool and returns
+// its rows in job order.
+func sweepRows(b *testing.B, jobs []runner.Job) []runner.Row {
+	b.Helper()
+	rows, err := runner.Rows(runner.Run(jobs, runner.Options{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
 // BenchmarkEqualization regenerates experiment E1: the model x technique
 // grid on the data-race-free mixed workload, reporting the SC/RC cycle
 // ratio with both techniques (the §5 equalization claim; ~1.0 is perfect).
 func BenchmarkEqualization(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Equalization(3, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.EqualizationJobs(3, 7, coherence.ProtoInvalidate))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["model"]+"/"+r.Labels["tech"]] = r.Cycles
@@ -126,10 +134,7 @@ func BenchmarkEqualization(b *testing.B) {
 func BenchmarkLatencySweep(b *testing.B) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LatencySweep(3, 7, []uint64{400})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.LatencySweepJobs(3, 7, []uint64{400}, coherence.ProtoInvalidate))
 		for _, r := range rows {
 			if r.Labels["model"] == "SC" && r.Labels["tech"] == "pf+spec" {
 				cycles = r.Cycles
@@ -144,10 +149,7 @@ func BenchmarkLatencySweep(b *testing.B) {
 func BenchmarkContentionSweep(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ContentionSweep(3, 11, []float64{0.6})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.ContentionSweepJobs(3, 11, []float64{0.6}, coherence.ProtoInvalidate))
 		rate = rows[0].Extra["squash_rate"]
 	}
 	b.ReportMetric(rate, "squash-rate")
@@ -158,10 +160,7 @@ func BenchmarkContentionSweep(b *testing.B) {
 func BenchmarkLookaheadSweep(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LookaheadSweep([]int{64})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.LookaheadSweepJobs([]int{64}, coherence.ProtoInvalidate))
 		byTech := map[string]uint64{}
 		for _, r := range rows {
 			byTech[r.Labels["tech"]] = r.Cycles
@@ -177,10 +176,7 @@ func BenchmarkLookaheadSweep(b *testing.B) {
 func BenchmarkProtocolComparison(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ProtocolComparison(2, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.ProtocolComparisonJobs(2, 7))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["protocol"]+"/"+r.Labels["tech"]] = r.Cycles
@@ -195,10 +191,7 @@ func BenchmarkProtocolComparison(b *testing.B) {
 func BenchmarkAdveHill(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AdveHillComparison(32)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.AdveHillComparisonJobs(32, coherence.ProtoInvalidate))
 		byImpl := map[string]uint64{}
 		for _, r := range rows {
 			byImpl[r.Labels["impl"]] = r.Cycles
@@ -214,10 +207,7 @@ func BenchmarkAdveHill(b *testing.B) {
 func BenchmarkStenstromNST(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.StenstromComparison(32)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.StenstromComparisonJobs(32, coherence.ProtoInvalidate))
 		byImpl := map[string]uint64{}
 		for _, r := range rows {
 			byImpl[r.Labels["impl"]] = r.Cycles
@@ -385,10 +375,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkSoftwarePrefetch(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SoftwarePrefetchComparison([]int{4})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.SoftwarePrefetchComparisonJobs([]int{4}, coherence.ProtoInvalidate))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["prefetch"]] = r.Cycles
@@ -404,10 +391,7 @@ func BenchmarkSoftwarePrefetch(b *testing.B) {
 func BenchmarkSCDetection(b *testing.B) {
 	var det float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SCDetection()
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.SCDetectionJobs(coherence.ProtoInvalidate))
 		for _, r := range rows {
 			if r.Labels["program"] == "MP-racy" {
 				det = r.Extra["detections"]
@@ -423,10 +407,7 @@ func BenchmarkSCDetection(b *testing.B) {
 func BenchmarkDetectionPolicy(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DetectionPolicyComparison(3, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.DetectionPolicyComparisonJobs(3, 8, coherence.ProtoInvalidate))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["workload"]+"/"+r.Labels["policy"]] = r.Cycles
@@ -441,10 +422,7 @@ func BenchmarkDetectionPolicy(b *testing.B) {
 func BenchmarkBandwidth(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BandwidthComparison(8)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.BandwidthComparisonJobs(8, coherence.ProtoInvalidate))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["modules"]+"/"+r.Labels["bw"]] = r.Cycles
@@ -459,10 +437,7 @@ func BenchmarkBandwidth(b *testing.B) {
 func BenchmarkReissueOpt(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ReissueAblation(3, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := sweepRows(b, experiments.ReissueAblationJobs(3, 11, coherence.ProtoInvalidate))
 		byKey := map[string]uint64{}
 		for _, r := range rows {
 			byKey[r.Labels["policy"]] = r.Cycles

@@ -25,8 +25,6 @@
 //	-protocol coherence-protocol axis: both (default), msi, or mesi
 //	-quiet    suppress the progress line on stderr
 //	-out FILE write the report to FILE instead of stdout
-//	-notime   omit the elapsed-seconds figure from the OK line, making the
-//	          report byte-stable (what the farm-vs-local CI diff compares)
 //
 // Fleet flags, shared with cmd/sweep: -workers LIST (comma-separated
 // local:N in-process workers and host:port addresses of `sweepd -listen`
@@ -37,10 +35,10 @@
 //
 // Any violation is minimized to a 1-minimal reproducer and printed with
 // the failing cell, the observed outcome, and the oracle's allowed set;
-// the exit status is 1. Output is deterministic for every -j value. Every
-// cell runs on the sequential wake-scheduled loop; the sharded engine's
-// parity with it is a Go test (internal/parsim,
-// TestParallelEngineConformParity).
+// the exit status is 1. Output is deterministic for every -j value: wall
+// time appears only in the summary line on stderr. Every cell runs on the
+// sequential wake-scheduled loop; the sharded engine's parity with it is a
+// Go test (internal/parsim, TestParallelEngineConformParity).
 package main
 
 import (
@@ -57,18 +55,17 @@ import (
 
 func main() {
 	var (
-		seed   = flag.Int64("seed", 1, "first generator seed")
-		n      = flag.Int("n", 64, "number of programs to check")
-		procs  = flag.Int("procs", 0, "processors per program (0 = random 2-3)")
-		ops    = flag.Int("ops", 0, "max operations per processor (0 = default)")
-		jobs   = flag.Int("j", runtime.NumCPU(), "worker-pool size (<=0 means all CPUs)")
-		quick  = flag.Bool("quick", false, "paper timing only instead of the full timing axis")
-		cpus   = flag.Int("cpus", 0, "pad the machine to this many processors (extra CPUs halt immediately; 0 = program size)")
-		topo   = flag.String("topo", "", "interconnect for every cell: uniform (default), mesh, or mesh:WxH")
-		proto  = flag.String("protocol", "both", "coherence-protocol axis: both, msi, or mesi")
-		quiet  = flag.Bool("quiet", false, "suppress progress on stderr")
-		outF   = flag.String("out", "", "write the report to this file instead of stdout")
-		notime = flag.Bool("notime", false, "omit elapsed seconds from the OK line (byte-stable output)")
+		seed  = flag.Int64("seed", 1, "first generator seed")
+		n     = flag.Int("n", 64, "number of programs to check")
+		procs = flag.Int("procs", 0, "processors per program (0 = random 2-3)")
+		ops   = flag.Int("ops", 0, "max operations per processor (0 = default)")
+		jobs  = flag.Int("j", runtime.NumCPU(), "worker-pool size (<=0 means all CPUs)")
+		quick = flag.Bool("quick", false, "paper timing only instead of the full timing axis")
+		cpus  = flag.Int("cpus", 0, "pad the machine to this many processors (extra CPUs halt immediately; 0 = program size)")
+		topo  = flag.String("topo", "", "interconnect for every cell: uniform (default), mesh, or mesh:WxH")
+		proto = flag.String("protocol", "both", "coherence-protocol axis: both, msi, or mesi")
+		quiet = flag.Bool("quiet", false, "suppress progress on stderr")
+		outF  = flag.String("out", "", "write the report to this file instead of stdout")
 	)
 	fleet := farm.FleetFlags(flag.CommandLine)
 	flag.Parse()
@@ -96,12 +93,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "conform:", err)
 		os.Exit(2)
 	}
-	elapsed := time.Since(start)
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "%d programs in %s (%s)\n", len(results), elapsed.Round(time.Millisecond), summary)
-	}
-	if *notime {
-		elapsed = -1
+		fmt.Fprintf(os.Stderr, "%d programs in %s (%s)\n", len(results), time.Since(start).Round(time.Millisecond), summary)
 	}
 	rep := conformance.BatchReport(spec.Seed, spec.N, params, results)
 
@@ -115,7 +108,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if !conformance.Summarize(w, rep, spec.Seed, spec.N, opts, elapsed) {
+	if !conformance.Summarize(w, rep, spec.Seed, spec.N, opts) {
 		os.Exit(1)
 	}
 }

@@ -13,11 +13,14 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/experiments"
+	"mcmsim/internal/runner"
 )
 
 func main() {
-	rows, err := experiments.Equalization(3, 7)
+	jobs := experiments.EqualizationJobs(3, 7, coherence.ProtoInvalidate)
+	rows, err := runner.Rows(runner.Run(jobs, runner.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

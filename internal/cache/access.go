@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/network"
 )
 
@@ -46,7 +47,7 @@ func (c *Cache) Access(req Request, now uint64) Result {
 		}
 		return c.startMiss(req, lineAddr, false, false, now)
 	case ReqWrite, ReqRMW, ReqReadEx:
-		if c.proto == ProtoUpdate {
+		if c.proto == coherence.ProtoUpdate {
 			if req.Kind == ReqReadEx {
 				panic("cache: ReqReadEx is not available under the update protocol")
 			}
@@ -84,7 +85,7 @@ func (c *Cache) Access(req Request, now uint64) Result {
 // sufficient permission or already being fetched; otherwise start a fill
 // with no waiters.
 func (c *Cache) accessPrefetch(req Request, lineAddr uint64, l *line, m *mshr, now uint64) Result {
-	if c.proto == ProtoUpdate && req.Kind == ReqPrefetchEx {
+	if c.proto == coherence.ProtoUpdate && req.Kind == ReqPrefetchEx {
 		// Read-exclusive prefetch is not possible under an update protocol
 		// (paper §3.1); treat as dropped so the issuer wastes no request.
 		c.prefetchDropped.Inc()
@@ -234,7 +235,7 @@ func (c *Cache) finishHit(req Request, now uint64) {
 	l := c.lookup(lineAddr)
 	needsEx := req.Kind == ReqWrite || req.Kind == ReqRMW || req.Kind == ReqReadEx
 	lost := l == nil
-	if !lost && needsEx && c.proto != ProtoUpdate && !writableState(l.state) {
+	if !lost && needsEx && c.proto != coherence.ProtoUpdate && !writableState(l.state) {
 		lost = true
 	}
 	if lost {

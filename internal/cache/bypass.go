@@ -34,7 +34,7 @@ func (c *Cache) UncachedAccess(req Request, now uint64) Result {
 func (c *Cache) bypassAccess(req Request, now uint64) Result {
 	// The FIFO network plays the role of the next-sequence-number table:
 	// requests arrive at the module in issue order, so no explicit sequence
-	// numbers are needed. SeqNo carries only the RMW wire encoding.
+	// numbers are needed. SeqNo carries only an atomic's 1+isa.RMWKind.
 	var m network.Message
 	home := c.homeFor(c.geom.LineOf(req.Addr))
 	switch req.Kind {
@@ -52,7 +52,7 @@ func (c *Cache) bypassAccess(req Request, now uint64) Result {
 		m = network.Message{
 			Type: network.MsgMemWrite, Src: c.ID, Dst: home,
 			Word: req.Addr, Value: req.Data, Tag: req.ID,
-			SeqNo: uint64(req.RMW) + 1, // RMW wire encoding
+			SeqNo: uint64(req.RMW) + 1,
 		}
 	case ReqPrefetch, ReqPrefetchEx:
 		// Nothing to prefetch into; drop.

@@ -15,6 +15,7 @@ package cache
 import (
 	"fmt"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/memsys"
 	"mcmsim/internal/network"
@@ -253,7 +254,7 @@ type Cache struct {
 	net    network.Port
 	geom   memsys.Geometry
 	cfg    Config
-	proto  Protocol
+	proto  coherence.Protocol
 	client Client
 
 	// setOf maps a set index to 1 + the set's position in setTab, or 0 for
@@ -292,26 +293,13 @@ type Cache struct {
 	prefetchesIssued, prefetchDropped, mshrBlocked, wbStalls stats.CounterRef
 }
 
-// Protocol mirrors coherence.Protocol; redeclared to keep the cache free of
-// a dependency on the coherence package (they communicate only via network
-// messages). The numeric values must match.
-type Protocol uint8
-
-// Protocol values (must match coherence.ProtoInvalidate / ProtoUpdate /
-// ProtoMESI).
-const (
-	ProtoInvalidate Protocol = iota
-	ProtoUpdate
-	ProtoMESI
-)
-
 type ackKey struct {
 	lineAddr uint64
 	tag      uint64
 }
 
 // New creates a cache attached to the network.
-func New(id, dirID network.NodeID, net *network.Network, geom memsys.Geometry, cfg Config, proto Protocol, client Client) *Cache {
+func New(id, dirID network.NodeID, net *network.Network, geom memsys.Geometry, cfg Config, proto coherence.Protocol, client Client) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets must be a power of two, got %d", cfg.Sets))
 	}
@@ -364,7 +352,7 @@ func (c *Cache) lookup(lineAddr uint64) *line {
 }
 
 // Proto returns the coherence protocol the cache participates in.
-func (c *Cache) Proto() Protocol { return c.proto }
+func (c *Cache) Proto() coherence.Protocol { return c.proto }
 
 // SetClient rebinds the completion/event listener; used when a fresh
 // load/store unit is attached to a warmed cache between program phases.

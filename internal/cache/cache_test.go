@@ -68,7 +68,7 @@ func newHarness(t *testing.T, nCaches int, cfg cache.Config, lineWords uint64, p
 	for i := 0; i < nCaches; i++ {
 		cl := &client{}
 		h.clients = append(h.clients, cl)
-		h.caches = append(h.caches, cache.New(network.NodeID(i), dirID, h.net, geom, cfg, cache.Protocol(proto), cl))
+		h.caches = append(h.caches, cache.New(network.NodeID(i), dirID, h.net, geom, cfg, proto, cl))
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/network"
 )
 
@@ -109,7 +110,7 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 		// Under MESI an exclusive grant installs clean; the first store
 		// upgrades it to Modified in place (below, or in finishHit). Under
 		// MSI the grant installs dirty as before.
-		if c.proto == ProtoMESI {
+		if c.proto == coherence.ProtoMESI {
 			state = Exclusive
 		} else {
 			state = Modified
@@ -193,7 +194,7 @@ func (c *Cache) installFill(ms *mshr, now uint64) {
 			}
 			c.client.AccessComplete(req.ID, l.data[off], now)
 		case ReqWrite:
-			if c.proto == ProtoUpdate {
+			if c.proto == coherence.ProtoUpdate {
 				// Write-allocate fill finished; now send the word update.
 				c.sendUpdateReq(req, now)
 				continue
@@ -258,7 +259,7 @@ func (c *Cache) notifySupersededDeferred(ms *mshr, now uint64) {
 		case network.MsgUpdate:
 			c.client.CoherenceEvent(ms.lineAddr, EvUpdate, now)
 		case network.MsgRecallShare, network.MsgRecallInv:
-			if c.proto != ProtoMESI {
+			if c.proto != coherence.ProtoMESI {
 				panic(fmt.Sprintf("cache %d: dropping deferred recall tag=%d grant=%d line=%#x", c.ID, ev.tag, ms.grantVer, ms.lineAddr))
 			}
 			c.Stats.Counter("superseded_recalls").Inc()
@@ -527,7 +528,7 @@ func (c *Cache) respondRecall(lineAddr uint64, typ network.MsgType, tag uint64, 
 		}, now)
 		return
 	}
-	if c.proto == ProtoMESI {
+	if c.proto == coherence.ProtoMESI {
 		// The recall found nothing: our Exclusive copy was silently evicted
 		// (it was clean, so memory is current). Answer "no copy" — nil data
 		// tells the directory to skip the memory write, AckCount=0 that no

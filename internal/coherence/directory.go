@@ -18,6 +18,7 @@ package coherence
 import (
 	"fmt"
 
+	"mcmsim/internal/isa"
 	"mcmsim/internal/memsys"
 	"mcmsim/internal/network"
 	"mcmsim/internal/stats"
@@ -231,8 +232,8 @@ func (d *Directory) dispatch(m *network.Message, now uint64) bool {
 		d.Stats.Counter("nst_writes").Inc()
 		old := d.mem.ReadWord(m.Word)
 		newVal := m.Value
-		if m.SeqNo != 0 { // RMW flag, same encoding as UpdateReq
-			newVal = rmwKindFromWire(m.SeqNo).Apply(old, m.Value)
+		if m.SeqNo != 0 { // an atomic: SeqNo carries 1+isa.RMWKind
+			newVal = isa.RMWKind(m.SeqNo-1).Apply(old, m.Value)
 		}
 		d.mem.WriteWord(m.Word, newVal)
 		d.net.PostAfter(network.Message{
@@ -419,9 +420,8 @@ func (d *Directory) processUpdate(l *dirLine, m *network.Message, now uint64) bo
 func (d *Directory) finishUpdate(l *dirLine, m *network.Message, now uint64) {
 	old := d.mem.ReadWord(m.Word)
 	newVal := m.Value
-	if m.SeqNo != 0 { // RMW flag: SeqNo carries 1+kind for atomic updates
-		kind := rmwKindFromWire(m.SeqNo)
-		newVal = kind.Apply(old, m.Value)
+	if m.SeqNo != 0 { // an atomic: SeqNo carries 1+isa.RMWKind
+		newVal = isa.RMWKind(m.SeqNo-1).Apply(old, m.Value)
 	}
 	d.mem.WriteWord(m.Word, newVal)
 	l.ver++
@@ -590,32 +590,5 @@ func (d *Directory) StateOf(lineAddr uint64) string {
 		return fmt.Sprintf("shared(x%d)", l.sharers.count(d.sharerCfg))
 	default:
 		return fmt.Sprintf("exclusive(%d)", l.owner)
-	}
-}
-
-// rmwWireEncode encodes an RMW kind into the SeqNo field of an UpdateReq;
-// zero means "plain write".
-func rmwWireEncode(kind int) uint64 { return uint64(kind) + 1 }
-
-type rmwApplier interface{ Apply(old, src int64) int64 }
-
-// rmwKindFromWire decodes the RMW kind from an UpdateReq SeqNo.
-func rmwKindFromWire(wire uint64) wireRMW { return wireRMW(wire - 1) }
-
-// wireRMW mirrors isa.RMWKind without importing package isa (coherence sits
-// below the ISA layer). The numeric values must match isa.RMWKind.
-type wireRMW uint64
-
-// Apply mirrors isa.RMWKind.Apply for the three atomic flavours.
-func (k wireRMW) Apply(old, src int64) int64 {
-	switch k {
-	case 0: // test-and-set
-		return 1
-	case 1: // fetch-add
-		return old + src
-	case 2: // swap
-		return src
-	default:
-		return old
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
@@ -469,18 +468,14 @@ func CheckBatch(seed int64, n int, params Params, workers int, opts CheckOptions
 
 // Summarize renders a batch report exactly as cmd/conform prints it: the
 // one-line OK summary, or the violation list with a 1-minimal reproducer
-// per failing program. A negative elapsed omits the wall-clock figure —
-// the form the farm's byte-comparison gates use, wall time being the one
-// nondeterministic field. Returns true when the report is clean.
-func Summarize(w io.Writer, rep Report, seed int64, n int, opts CheckOptions, elapsed time.Duration) bool {
+// per failing program. The report holds no wall time, so it is
+// byte-identical for every worker count and on a farm. Returns true when
+// the report is clean.
+func Summarize(w io.Writer, rep Report, seed int64, n int, opts CheckOptions) bool {
 	if len(rep.Violations) == 0 {
-		fmt.Fprintf(w, "conform: OK — %d programs, %d grid cells (%d relaxed outcomes, %d detector hits), seeds %d..%d",
+		fmt.Fprintf(w, "conform: OK — %d programs, %d grid cells (%d relaxed outcomes, %d detector hits), seeds %d..%d\n",
 			rep.Programs, rep.Stats.Cells, rep.Stats.Relaxed, rep.Stats.Detections,
 			seed, seed+int64(n)-1)
-		if elapsed >= 0 {
-			fmt.Fprintf(w, ", %.1fs", elapsed.Seconds())
-		}
-		fmt.Fprintln(w)
 		return true
 	}
 	fmt.Fprintf(w, "conform: %d violation(s) across %d programs\n\n", len(rep.Violations), rep.Programs)

@@ -1,8 +1,17 @@
 package core
 
 import (
+	"slices"
+
 	"mcmsim/internal/cache"
+	"mcmsim/internal/coherence"
 )
+
+// uncached reports whether addr is one of Config.UncachedRMW's words.
+func (u *LSU) uncached(addr uint64) bool {
+	_, ok := slices.BinarySearch(u.cfg.UncachedRMW, addr)
+	return ok
+}
 
 // predicateOK evaluates the conventional delay arcs of Figure 1 for entry
 // e: it reports whether every older incomplete access permits e to issue
@@ -64,7 +73,7 @@ func (u *LSU) computeAddresses(now uint64) {
 			// part at all (Appendix A).
 			e.inStoreBuf = true
 			u.storeBuf = append(u.storeBuf, e)
-			if u.cfg.Tech.SpecLoad && u.cache.Proto() != cache.ProtoUpdate && !u.cfg.UncachedRMW[e.Addr] {
+			if u.cfg.Tech.SpecLoad && u.cache.Proto() != coherence.ProtoUpdate && !u.uncached(e.Addr) {
 				u.loadQ = append(u.loadQ, e)
 			}
 		}
@@ -234,7 +243,7 @@ func (u *LSU) loadEligible(e *Entry) *Entry {
 		if !u.olderStoresIssued(e) {
 			return nil
 		}
-	} else if u.cfg.UncachedRMW[e.Addr] {
+	} else if u.uncached(e.Addr) {
 		if !u.allOlderDone(e) {
 			return nil
 		}
@@ -272,7 +281,7 @@ func (u *LSU) nextStoreCandidate() *Entry {
 		if u.cfg.NST {
 			return e // memory-side ordering; no processor-side delays
 		}
-		if u.cfg.UncachedRMW[e.Addr] {
+		if u.uncached(e.Addr) {
 			// Appendix A: an access to a non-cached location is delayed
 			// until everything older has performed, under every model.
 			if !u.allOlderDone(e) {
@@ -320,7 +329,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 		return true, false
 	}
 
-	if u.cfg.UncachedRMW[e.Addr] && e.Class != ClassRMW {
+	if u.uncached(e.Addr) && e.Class != ClassRMW {
 		// Non-cached location: read it at the memory module, conventionally
 		// ordered (the candidate filter already held it back).
 		req := cache.Request{Kind: cache.ReqRead, ID: u.newID(e, roleDemand), Addr: e.Addr}
@@ -387,7 +396,7 @@ func (u *LSU) issueStore(e *Entry, now uint64) (usedPort, blocked bool) {
 		kind = cache.ReqRMW
 	}
 	req := cache.Request{Kind: kind, ID: u.newID(e, roleDemand), Addr: e.Addr, Data: e.data, RMW: e.RMW}
-	if u.cfg.UncachedRMW[e.Addr] {
+	if u.uncached(e.Addr) {
 		// Perform at the memory module, never caching the line.
 		u.cache.UncachedAccess(req, now)
 		e.issued = true

@@ -53,8 +53,9 @@ type Config struct {
 	// complete by the consistency model have completed. Thus, there is no
 	// speculative load for non-cached read-modify-write accesses."). Every
 	// access to such a word — the atomic, the releasing store, any read —
-	// bypasses the cache and performs at the module.
-	UncachedRMW map[uint64]bool
+	// bypasses the cache and performs at the module. The list is
+	// ascending, without duplicates (sim.Config.Resolve sorts it).
+	UncachedRMW []uint64
 }
 
 // entryRole distinguishes cache-access completions for the same entry.

@@ -12,7 +12,7 @@ import (
 // renders the result table exactly as cmd/sweep would.
 func renderSweep(t *testing.T, name string, jobs []runner.Job, workers int) []byte {
 	t.Helper()
-	rows, err := runner.Execute(jobs, workers)
+	rows, err := runner.Rows(runner.Run(jobs, runner.Options{Workers: workers}))
 	if err != nil {
 		t.Fatalf("%s (j=%d): %v", name, workers, err)
 	}

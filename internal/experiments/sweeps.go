@@ -11,21 +11,6 @@ import (
 	"mcmsim/internal/workload"
 )
 
-// Row is one measurement of a sweep: a labelled configuration and its
-// cycle count plus selected rates. It is an alias for runner.Row — the
-// sweeps enumerate runner jobs and the runner owns the result currency.
-type Row = runner.Row
-
-// Every sweep below comes in two forms: XxxJobs enumerates the sweep's
-// configuration grid as independent runner jobs (each job constructs its
-// own sim.System on whatever worker picks it up), and Xxx executes that
-// job list on the default worker pool and returns the rows in enumeration
-// order. The Jobs form is what cmd/sweep and the determinism tests feed to
-// a shared pool; the plain form keeps the historical call sites (tests,
-// benchmarks, examples) unchanged. Jobs forms whose machines have no
-// protocol axis of their own take the base protocol (Params.Protocol);
-// the plain forms run MSI.
-
 // paperConfig and realisticConfig are sim.PaperConfig and
 // sim.RealisticConfig on the suite's base coherence protocol
 // (Params.Protocol). Every sweep without a protocol axis of its own builds
@@ -52,8 +37,8 @@ func simJob(name string, labels map[string]string, build func() *sim.System, ext
 	return runner.Job{
 		Name:      name,
 		Configure: func() (*sim.System, error) { return build(), nil },
-		Measure: func(s *sim.System, cycles uint64) (Row, error) {
-			row := Row{Labels: labels, Cycles: cycles}
+		Measure: func(s *sim.System, cycles uint64) (runner.Row, error) {
+			row := runner.Row{Labels: labels, Cycles: cycles}
 			if extra != nil {
 				row.Extra = extra(s)
 			}
@@ -97,11 +82,6 @@ func EqualizationJobs(nprocs int, seed int64, proto coherence.Protocol) []runner
 	return jobs
 }
 
-// Equalization executes E1 and returns its rows.
-func Equalization(nprocs int, seed int64) ([]Row, error) {
-	return runner.Execute(EqualizationJobs(nprocs, seed, coherence.ProtoInvalidate), 0)
-}
-
 // LatencySweepJobs enumerates E2: miss latency varied, SC and RC measured
 // with and without the techniques on the mixed workload — the gap between
 // models grows with latency conventionally and stays narrow with the
@@ -127,11 +107,6 @@ func LatencySweepJobs(nprocs int, seed int64, latencies []uint64, proto coherenc
 		}
 	}
 	return jobs
-}
-
-// LatencySweep executes E2 and returns its rows.
-func LatencySweep(nprocs int, seed int64, latencies []uint64) ([]Row, error) {
-	return runner.Execute(LatencySweepJobs(nprocs, seed, latencies, coherence.ProtoInvalidate), 0)
 }
 
 // specStats sums the speculative-load counters across load/store units.
@@ -180,11 +155,6 @@ func ContentionSweepJobs(nprocs int, seed int64, shareFracs []float64, proto coh
 	return jobs
 }
 
-// ContentionSweep executes E3 and returns its rows.
-func ContentionSweep(nprocs int, seed int64, shareFracs []float64) ([]Row, error) {
-	return runner.Execute(ContentionSweepJobs(nprocs, seed, shareFracs, coherence.ProtoInvalidate), 0)
-}
-
 // LookaheadSweepJobs enumerates E4: the reorder-buffer size varied under
 // SC. §3.2 notes that hardware prefetching is limited by the instruction
 // lookahead window, so small windows should blunt the techniques.
@@ -206,11 +176,6 @@ func LookaheadSweepJobs(robSizes []int, proto coherence.Protocol) []runner.Job {
 		}
 	}
 	return jobs
-}
-
-// LookaheadSweep executes E4 and returns its rows.
-func LookaheadSweep(robSizes []int) ([]Row, error) {
-	return runner.Execute(LookaheadSweepJobs(robSizes, coherence.ProtoInvalidate), 0)
 }
 
 // ProtocolComparisonJobs enumerates E5: invalidation versus update
@@ -242,11 +207,6 @@ func ProtocolComparisonJobs(nprocs int, seed int64) []runner.Job {
 		}
 	}
 	return jobs
-}
-
-// ProtocolComparison executes E5 and returns its rows.
-func ProtocolComparison(nprocs int, seed int64) ([]Row, error) {
-	return runner.Execute(ProtocolComparisonJobs(nprocs, seed), 0)
 }
 
 // sharedWriterWarmup builds the E6 warmup: processor 1 reads n lines so
@@ -323,17 +283,12 @@ func AdveHillComparisonJobs(nStores int, proto coherence.Protocol) []runner.Job 
 					return nil
 				},
 			},
-			Measure: func(s *sim.System, cycles uint64) (Row, error) {
-				return Row{Labels: map[string]string{"impl": v.name}, Cycles: cycles}, nil
+			Measure: func(s *sim.System, cycles uint64) (runner.Row, error) {
+				return runner.Row{Labels: map[string]string{"impl": v.name}, Cycles: cycles}, nil
 			},
 		})
 	}
 	return jobs
-}
-
-// AdveHillComparison executes E6 and returns its rows.
-func AdveHillComparison(nStores int) ([]Row, error) {
-	return runner.Execute(AdveHillComparisonJobs(nStores, coherence.ProtoInvalidate), 0)
 }
 
 // warmedGridLines is the warmed-array footprint of experiment E15: large
@@ -428,18 +383,13 @@ func WarmedEqualizationJobs(proto coherence.Protocol) []runner.Job {
 						return nil
 					},
 				},
-				Measure: func(s *sim.System, cycles uint64) (Row, error) {
-					return Row{Labels: map[string]string{"model": m.String(), "tech": tc.name}, Cycles: cycles}, nil
+				Measure: func(s *sim.System, cycles uint64) (runner.Row, error) {
+					return runner.Row{Labels: map[string]string{"model": m.String(), "tech": tc.name}, Cycles: cycles}, nil
 				},
 			})
 		}
 	}
 	return jobs
-}
-
-// WarmedEqualization executes E15 and returns its rows.
-func WarmedEqualization() ([]Row, error) {
-	return runner.Execute(WarmedEqualizationJobs(coherence.ProtoInvalidate), 0)
 }
 
 // StenstromComparisonJobs enumerates E7: cached SC — conventional and with
@@ -489,11 +439,6 @@ func StenstromComparisonJobs(n int, proto coherence.Protocol) []runner.Job {
 	return jobs
 }
 
-// StenstromComparison executes E7 and returns its rows.
-func StenstromComparison(n int) ([]Row, error) {
-	return runner.Execute(StenstromComparisonJobs(n, coherence.ProtoInvalidate), 0)
-}
-
 // SoftwarePrefetchComparisonJobs enumerates E9: hardware-controlled
 // prefetching against compiler-inserted software prefetches across
 // instruction-window sizes, under SC. §6: "the prefetching window [of the
@@ -535,11 +480,6 @@ func SoftwarePrefetchComparisonJobs(robSizes []int, proto coherence.Protocol) []
 	return jobs
 }
 
-// SoftwarePrefetchComparison executes E9 and returns its rows.
-func SoftwarePrefetchComparison(robSizes []int) ([]Row, error) {
-	return runner.Execute(SoftwarePrefetchComparisonJobs(robSizes, coherence.ProtoInvalidate), 0)
-}
-
 // SCDetectionJobs enumerates E10, the §6 extension (the paper's reference
 // [6]): running on release-consistent hardware with the detector on, a
 // data-race-free program certifies as sequentially consistent (zero
@@ -556,9 +496,9 @@ func SCDetectionJobs(proto coherence.Protocol) []runner.Job {
 			Configure: func() (*sim.System, error) {
 				return litmusSystem(mp, core.RC, detect, coherence.ProtoInvalidate)
 			},
-			Measure: func(s *sim.System, cycles uint64) (Row, error) {
+			Measure: func(s *sim.System, cycles uint64) (runner.Row, error) {
 				cell := litmusCell(mp, core.RC, detect, s, cycles)
-				return Row{
+				return runner.Row{
 					Labels: map[string]string{"program": "MP-racy", "relaxed": fmt.Sprint(cell.Relaxed)},
 					Cycles: cell.Cycles,
 					Extra:  map[string]float64{"detections": float64(cell.Detections)},
@@ -576,8 +516,8 @@ func SCDetectionJobs(proto coherence.Protocol) []runner.Job {
 				prod, cons := workload.ProducerConsumer(8)
 				return sim.New(cfg, []*isa.Program{prod, cons}), nil
 			},
-			Measure: func(s *sim.System, cycles uint64) (Row, error) {
-				return Row{
+			Measure: func(s *sim.System, cycles uint64) (runner.Row, error) {
+				return runner.Row{
 					Labels: map[string]string{"program": "producer-consumer-DRF", "relaxed": "false"},
 					Cycles: cycles,
 					Extra:  map[string]float64{"detections": float64(scViolations(s))},
@@ -585,11 +525,6 @@ func SCDetectionJobs(proto coherence.Protocol) []runner.Job {
 			},
 		},
 	}
-}
-
-// SCDetection executes E10 and returns its rows.
-func SCDetection() ([]Row, error) {
-	return runner.Execute(SCDetectionJobs(coherence.ProtoInvalidate), 0)
 }
 
 // DetectionPolicyComparisonJobs enumerates E11, ablating the two detection
@@ -671,11 +606,6 @@ func DetectionPolicyComparisonJobs(nprocs, writes int, proto coherence.Protocol)
 	return jobs
 }
 
-// DetectionPolicyComparison executes E11 and returns its rows.
-func DetectionPolicyComparison(nprocs, writes int) ([]Row, error) {
-	return runner.Execute(DetectionPolicyComparisonJobs(nprocs, writes, coherence.ProtoInvalidate), 0)
-}
-
 // BandwidthComparisonJobs enumerates E12, measuring memory-module
 // pressure: once the techniques let every processor stream requests, a
 // single bounded-service home module saturates and interleaving lines
@@ -723,11 +653,6 @@ func BandwidthComparisonJobs(nprocs int, proto coherence.Protocol) []runner.Job 
 	return jobs
 }
 
-// BandwidthComparison executes E12 and returns its rows.
-func BandwidthComparison(nprocs int) ([]Row, error) {
-	return runner.Execute(BandwidthComparisonJobs(nprocs, coherence.ProtoInvalidate), 0)
-}
-
 // MSHRSweepJobs enumerates E13: the number of lockup-free-cache MSHRs
 // varied under SC with both techniques. §3.2/§4.1 require "a
 // high-bandwidth pipelined memory system, including lockup-free caches, to
@@ -751,11 +676,6 @@ func MSHRSweepJobs(mshrs []int, proto coherence.Protocol) []runner.Job {
 		}
 	}
 	return jobs
-}
-
-// MSHRSweep executes E13 and returns its rows.
-func MSHRSweep(mshrs []int) ([]Row, error) {
-	return runner.Execute(MSHRSweepJobs(mshrs, coherence.ProtoInvalidate), 0)
 }
 
 // ReissueAblationJobs enumerates E14, isolating §4.2's second-case
@@ -800,9 +720,4 @@ func ReissueAblationJobs(nprocs int, seed int64, proto coherence.Protocol) []run
 			}))
 	}
 	return jobs
-}
-
-// ReissueAblation executes E14 and returns its rows.
-func ReissueAblation(nprocs int, seed int64) ([]Row, error) {
-	return runner.Execute(ReissueAblationJobs(nprocs, seed, coherence.ProtoInvalidate), 0)
 }

@@ -11,7 +11,18 @@ import (
 	"mcmsim/internal/workload"
 )
 
-func rowsByLabel(rows []Row, keys ...string) map[string]uint64 {
+// sweepRows runs one sweep's jobs on the default worker pool and returns
+// its rows in job order.
+func sweepRows(t *testing.T, jobs []runner.Job) []runner.Row {
+	t.Helper()
+	rows, err := runner.Rows(runner.Run(jobs, runner.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func rowsByLabel(rows []runner.Row, keys ...string) map[string]uint64 {
 	out := make(map[string]uint64, len(rows))
 	for _, r := range rows {
 		k := ""
@@ -27,10 +38,7 @@ func rowsByLabel(rows []Row, keys ...string) map[string]uint64 {
 // noticeably slower than RC, and with both techniques the gap between the
 // strictest and the most relaxed model shrinks substantially.
 func TestEqualization(t *testing.T) {
-	rows, err := Equalization(3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, EqualizationJobs(3, 7, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "model", "tech")
 	scConv, rcConv := c["SC/conv/"], c["RC/conv/"]
 	scBoth, rcBoth := c["SC/pf+spec/"], c["RC/pf+spec/"]
@@ -58,10 +66,7 @@ func TestEqualization(t *testing.T) {
 // with miss latency; the with-techniques gap stays small at every point.
 func TestLatencySweep(t *testing.T) {
 	lats := []uint64{20, 100, 400}
-	rows, err := LatencySweep(3, 7, lats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, LatencySweepJobs(3, 7, lats, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "miss", "model", "tech")
 	var prevGap float64
 	for i, lat := range lats {
@@ -83,10 +88,7 @@ func TestLatencySweep(t *testing.T) {
 
 // TestContentionSweep checks E3: the squash rate rises with write sharing.
 func TestContentionSweep(t *testing.T) {
-	rows, err := ContentionSweep(3, 11, []float64{0.05, 0.4, 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, ContentionSweepJobs(3, 11, []float64{0.05, 0.4, 0.8}, coherence.ProtoInvalidate))
 	lo := rows[0].Extra["squash_rate"]
 	hi := rows[len(rows)-1].Extra["squash_rate"]
 	if hi <= lo {
@@ -100,10 +102,7 @@ func TestContentionSweep(t *testing.T) {
 // TestLookaheadSweep checks E4: with a tiny instruction window the
 // techniques gain little; the benefit grows with the reorder buffer.
 func TestLookaheadSweep(t *testing.T) {
-	rows, err := LookaheadSweep([]int{2, 8, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, LookaheadSweepJobs([]int{2, 8, 64}, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "rob", "tech")
 	speedup := func(rob int) float64 {
 		return float64(c[fmt.Sprintf("%d/conv/", rob)]) / float64(c[fmt.Sprintf("%d/pf+spec/", rob)])
@@ -120,10 +119,7 @@ func TestLookaheadSweep(t *testing.T) {
 // prefetches are issued and the prefetch benefit shrinks versus the
 // invalidation protocol.
 func TestProtocolComparison(t *testing.T) {
-	rows, err := ProtocolComparison(2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, ProtocolComparisonJobs(2, 7))
 	c := rowsByLabel(rows, "protocol", "tech")
 	invGain := float64(c["invalidate/conv/"]) / float64(c["invalidate/pf/"])
 	updGain := float64(c["update/conv/"]) / float64(c["update/pf/"])
@@ -141,10 +137,7 @@ func TestProtocolComparison(t *testing.T) {
 // TestAdveHillComparison checks E6: the ownership optimization helps SC a
 // little; the paper's techniques help much more.
 func TestAdveHillComparison(t *testing.T) {
-	rows, err := AdveHillComparison(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, AdveHillComparisonJobs(16, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "impl")
 	conv, ah, both := c["conv/"], c["advehill/"], c["pf+spec/"]
 	if ah > conv {
@@ -166,10 +159,7 @@ func TestAdveHillComparison(t *testing.T) {
 // TestStenstromComparison checks E7: cached SC beats the cacheless NST
 // scheme on a workload with reuse.
 func TestStenstromComparison(t *testing.T) {
-	rows, err := StenstromComparison(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, StenstromComparisonJobs(16, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "impl")
 	if c["cached-SC/"] >= c["stenstrom-NST/"] {
 		t.Errorf("cached SC (%d) should beat NST (%d) on reuse", c["cached-SC/"], c["stenstrom-NST/"])
@@ -183,10 +173,7 @@ func TestStenstromComparison(t *testing.T) {
 // insensitive to the instruction window; hardware prefetching degrades as
 // the window shrinks; combined is at least as good as software alone.
 func TestSoftwarePrefetchComparison(t *testing.T) {
-	rows, err := SoftwarePrefetchComparison([]int{4, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, SoftwarePrefetchComparisonJobs([]int{4, 64}, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "rob", "prefetch")
 	if c["4/sw/"] != c["64/sw/"] {
 		t.Errorf("software prefetch should be window-independent: rob4=%d rob64=%d", c["4/sw/"], c["64/sw/"])
@@ -210,10 +197,7 @@ func TestSoftwarePrefetchComparison(t *testing.T) {
 // actually violates SC, and certifies the data-race-free producer/consumer
 // (zero detections means the execution was sequentially consistent).
 func TestSCDetection(t *testing.T) {
-	rows, err := SCDetection()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, SCDetectionJobs(coherence.ProtoInvalidate))
 	for _, r := range rows {
 		det := r.Extra["detections"]
 		switch r.Labels["program"] {
@@ -235,18 +219,15 @@ func TestSCDetection(t *testing.T) {
 // 2) and runs faster; under true sharing the policies do not diverge in
 // the wrong direction.
 func TestDetectionPolicyComparison(t *testing.T) {
-	rows, err := DetectionPolicyComparison(3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(wl, pol string) Row {
+	rows := sweepRows(t, DetectionPolicyComparisonJobs(3, 8, coherence.ProtoInvalidate))
+	get := func(wl, pol string) runner.Row {
 		for _, r := range rows {
 			if r.Labels["workload"] == wl && r.Labels["policy"] == pol {
 				return r
 			}
 		}
 		t.Fatalf("row %s/%s missing", wl, pol)
-		return Row{}
+		return runner.Row{}
 	}
 	fsCons, fsReval := get("false-sharing", "conservative"), get("false-sharing", "revalidate")
 	if fsCons.Extra["squashes"] == 0 {
@@ -271,10 +252,7 @@ func TestDetectionPolicyComparison(t *testing.T) {
 // single home saturates under streaming misses; interleaving lines across
 // four modules recovers most of the unlimited-bandwidth performance.
 func TestBandwidthComparison(t *testing.T) {
-	rows, err := BandwidthComparison(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, BandwidthComparisonJobs(8, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "modules", "bw")
 	single, inf := c["1/1/"], c["1/inf/"]
 	four := c["4/1/"]
@@ -295,10 +273,7 @@ func TestBandwidthComparison(t *testing.T) {
 // TestMSHRSweep checks E13: the techniques need multiple outstanding
 // requests; one MSHR strangles them, and the benefit grows with MSHRs.
 func TestMSHRSweep(t *testing.T) {
-	rows, err := MSHRSweep([]int{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, MSHRSweepJobs([]int{1, 4, 16}, coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "mshrs", "tech")
 	speedup := func(m int) float64 {
 		return float64(c[fmt.Sprintf("%d/conv/", m)]) / float64(c[fmt.Sprintf("%d/pf+spec/", m)])
@@ -321,7 +296,7 @@ func TestMSHRSweep(t *testing.T) {
 // compares protocols itself, so its rows must not move.
 func TestSuiteProtocol(t *testing.T) {
 	t.Parallel()
-	rows := func(name string, proto coherence.Protocol) []Row {
+	rows := func(name string, proto coherence.Protocol) []runner.Row {
 		t.Helper()
 		sw, ok := SweepByName(name)
 		if !ok {
@@ -329,11 +304,7 @@ func TestSuiteProtocol(t *testing.T) {
 		}
 		p := DefaultParams()
 		p.Protocol = proto
-		rows, err := runner.Execute(sw.Jobs(p), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
+		return sweepRows(t, sw.Jobs(p))
 	}
 	for _, want := range []struct {
 		proto        coherence.Protocol
@@ -376,11 +347,8 @@ func TestUpdateProtocolPreservesModels(t *testing.T) {
 // TestReissueAblation checks E14: §4.2's second-case optimization converts
 // some pipeline flushes into bare load reissues and never loses time.
 func TestReissueAblation(t *testing.T) {
-	rows, err := ReissueAblation(3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := map[string]Row{}
+	rows := sweepRows(t, ReissueAblationJobs(3, 11, coherence.ProtoInvalidate))
+	c := map[string]runner.Row{}
 	for _, r := range rows {
 		c[r.Labels["policy"]] = r
 	}
@@ -407,10 +375,7 @@ func TestReissueAblation(t *testing.T) {
 // sharpest form. The sweep exists to exercise the warmup-snapshot cache:
 // all ten grid points declare the same warmup key.
 func TestWarmedEqualization(t *testing.T) {
-	rows, err := WarmedEqualization()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweepRows(t, WarmedEqualizationJobs(coherence.ProtoInvalidate))
 	c := rowsByLabel(rows, "model", "tech")
 	scConv, scBoth := c["SC/conv/"], c["SC/pf+spec/"]
 	rcConv, rcBoth := c["RC/conv/"], c["RC/pf+spec/"]

@@ -68,7 +68,7 @@ func TestFarmSuiteByteIdentical(t *testing.T) {
 
 // TestFarmConformParity runs a conformance batch through the farm and
 // asserts the reassembled report renders byte-identically to the local
-// CheckBatch path (wall time omitted — the one nondeterministic field).
+// CheckBatch path.
 func TestFarmConformParity(t *testing.T) {
 	t.Parallel()
 	spec := JobSpec{Kind: "conform", Seed: 1, N: 4, Quick: true}
@@ -83,11 +83,11 @@ func TestFarmConformParity(t *testing.T) {
 	}
 	farmRep := conformance.BatchReport(spec.Seed, spec.N, params, results)
 	var farmOut bytes.Buffer
-	farmOK := conformance.Summarize(&farmOut, farmRep, spec.Seed, spec.N, opts, -1)
+	farmOK := conformance.Summarize(&farmOut, farmRep, spec.Seed, spec.N, opts)
 
 	localRep := conformance.CheckBatch(spec.Seed, spec.N, params, 2, opts, nil)
 	var localOut bytes.Buffer
-	localOK := conformance.Summarize(&localOut, localRep, spec.Seed, spec.N, opts, -1)
+	localOK := conformance.Summarize(&localOut, localRep, spec.Seed, spec.N, opts)
 
 	if farmOK != localOK {
 		t.Errorf("farm verdict %v, local verdict %v", farmOK, localOK)

@@ -165,7 +165,7 @@ func compatible(protocol, snapVersion int, build, selfBuild string) error {
 
 // encodeMachine serializes a machine snapshot in the versioned on-disk
 // framing, so both ends validate magic and format version on decode.
-func encodeMachine(m *snapshot.Machine) ([]byte, error) {
+func encodeMachine(m *sim.Machine) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, m); err != nil {
 		return nil, err
@@ -174,7 +174,7 @@ func encodeMachine(m *snapshot.Machine) ([]byte, error) {
 }
 
 // decodeMachine validates and decodes a shipped snapshot.
-func decodeMachine(b []byte) (*snapshot.Machine, error) {
+func decodeMachine(b []byte) (*sim.Machine, error) {
 	return snapshot.Read(bytes.NewReader(b))
 }
 

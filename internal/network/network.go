@@ -108,7 +108,7 @@ type Message struct {
 	Value     int64   // single-word payload (updates, NST reads/writes)
 	AckCount  int     // invalidation/update acks the requester must collect
 	Requester NodeID  // node acks should be sent to (Inv/Update forwards)
-	SeqNo     uint64  // per-processor sequence number (NST comparator)
+	SeqNo     uint64  // 1+isa.RMWKind on an atomic MemWrite or UpdateReq, else 0
 	Tag       uint64  // opaque request tag echoed in responses
 
 	seq      uint64 // global arbitration order, assigned at send

@@ -29,7 +29,7 @@
 // Usage:
 //
 //	jobs := experiments.EqualizationJobs(3, 7, coherence.ProtoInvalidate)
-//	rows, err := runner.Execute(jobs, 8) // 8 workers
+//	rows, err := runner.Rows(runner.Run(jobs, runner.Options{Workers: 8}))
 //
 // Progress (jobs done / total, per-job wall time and simulated cycles) is
 // observable via Options.OnProgress; cmd/sweep prints it to stderr so the

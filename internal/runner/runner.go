@@ -244,9 +244,3 @@ func Rows(results []Result) ([]Row, error) {
 	}
 	return rows, nil
 }
-
-// Execute is the common enumerate-then-collect path: run the jobs with the
-// given worker bound and return the rows in job order.
-func Execute(jobs []Job, workers int) ([]Row, error) {
-	return Rows(Run(jobs, Options{Workers: workers}))
-}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mcmsim/internal/sim"
-	"mcmsim/internal/snapshot"
 )
 
 // WarmupSpec declares a job's warmup phase so the pool can deduplicate it:
@@ -35,7 +34,7 @@ type WarmupSpec struct {
 type WarmupSource interface {
 	// Machine returns the warmup snapshot for key, invoking build to
 	// simulate the warmup if no other consumer has produced it yet.
-	Machine(key string, build func() (*sim.System, error)) (*snapshot.Machine, error)
+	Machine(key string, build func() (*sim.System, error)) (*sim.Machine, error)
 }
 
 // WarmupCache memoizes warmup phases across the jobs of one Run by key:
@@ -53,7 +52,7 @@ type WarmupCache struct {
 
 type warmEntry struct {
 	ready chan struct{} // closed once snap/err are set
-	snap  *snapshot.Machine
+	snap  *sim.Machine
 	err   error
 }
 
@@ -72,7 +71,7 @@ func (c *WarmupCache) Stats() (hits, misses uint64) {
 
 // Machine returns the snapshot for a warmup key, simulating the warmup via
 // build exactly once per key (other callers wait for the builder).
-func (c *WarmupCache) Machine(key string, build func() (*sim.System, error)) (*snapshot.Machine, error) {
+func (c *WarmupCache) Machine(key string, build func() (*sim.System, error)) (*sim.Machine, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {

@@ -14,24 +14,19 @@ import (
 // the warmup programs, and the memory preload. Two declarations with equal
 // keys simulate to identical quiescent machines, because the simulator is
 // deterministic and the key covers every input New/Preload/Run consume.
-// The key deliberately over-distinguishes — any config field difference
-// splits the key even if it could not affect the warmup — because a
-// duplicate warmup only costs time, while a wrong share would corrupt the
-// measurement.
+// The key deliberately over-distinguishes — any difference between the
+// resolved configs splits the key even if it could not affect the
+// warmup — because a duplicate warmup only costs time, while a wrong share
+// would corrupt the measurement.
 func WarmupKey(cfg sim.Config, progs []*isa.Program, preload map[uint64]int64) string {
 	var b strings.Builder
-	// The config's only map field is listed sorted; the rest of the struct
-	// (plain values and nested plain structs) prints deterministically.
-	rmw := make([]uint64, 0, len(cfg.UncachedRMW))
-	for a, on := range cfg.UncachedRMW {
-		if on {
-			rmw = append(rmw, a)
-		}
+	// A resolved config prints deterministically (plain values, nested
+	// plain structs, a sorted UncachedRMW). One that does not resolve
+	// fails its build anyway.
+	if r, err := cfg.Resolve(); err == nil {
+		cfg = r
 	}
-	sort.Slice(rmw, func(i, j int) bool { return rmw[i] < rmw[j] })
-	flat := cfg
-	flat.UncachedRMW = nil
-	fmt.Fprintf(&b, "cfg:%+v rmw:%v\n", flat, rmw)
+	fmt.Fprintf(&b, "cfg:%+v\n", cfg)
 	for i, p := range progs {
 		fmt.Fprintf(&b, "prog%d:%v\n", i, p.Instrs)
 	}

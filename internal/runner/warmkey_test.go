@@ -50,7 +50,7 @@ func TestWarmupKeySplitsArchitecturalFields(t *testing.T) {
 		{"mem-modules", func(c *sim.Config) { c.MemModules = 2 }},
 		{"dir-bandwidth", func(c *sim.Config) { c.DirBandwidth = 1 }},
 		{"procs", func(c *sim.Config) { c.Procs = 3 }},
-		{"uncached-rmw", func(c *sim.Config) { c.UncachedRMW = map[uint64]bool{64: true} }},
+		{"uncached-rmw", func(c *sim.Config) { c.UncachedRMW = []uint64{64} }},
 		{"dense-loop", func(c *sim.Config) { c.DenseLoop = true }},
 	}
 	for _, m := range mutations {
@@ -62,26 +62,22 @@ func TestWarmupKeySplitsArchitecturalFields(t *testing.T) {
 	}
 }
 
-// TestWarmupKeyCanonicalForm asserts the key's canonicalization: Go map
-// fields (UncachedRMW, preload) must key by content, not iteration or
-// insertion order, and disabled UncachedRMW entries must not count.
+// TestWarmupKeyCanonicalForm asserts the key's canonicalization: the
+// UncachedRMW set and the preload map must key by content, not by list
+// order, duplicates or map insertion order.
 func TestWarmupKeyCanonicalForm(t *testing.T) {
 	progs := warmProgs()
 
-	// Same RMW set, adversarial insertion orders, plus a disabled entry.
+	// Same RMW set in adversarial orders, once with duplicates.
 	addrs := []uint64{8, 64, 16, 512, 128, 0, 1024, 32}
 	cfgA := baseWarmCfg()
-	cfgA.UncachedRMW = map[uint64]bool{}
-	for _, a := range addrs {
-		cfgA.UncachedRMW[a] = true
-	}
+	cfgA.UncachedRMW = addrs
 	cfgB := baseWarmCfg()
-	cfgB.UncachedRMW = map[uint64]bool{2048: false} // disabled: no effect
 	for i := len(addrs) - 1; i >= 0; i-- {
-		cfgB.UncachedRMW[addrs[i]] = true
+		cfgB.UncachedRMW = append(cfgB.UncachedRMW, addrs[i], addrs[i])
 	}
 	if WarmupKey(cfgA, progs, nil) != WarmupKey(cfgB, progs, nil) {
-		t.Error("UncachedRMW key depends on insertion order or disabled entries")
+		t.Error("UncachedRMW key depends on list order or duplicates")
 	}
 
 	// Same preload content, different insertion orders.
@@ -115,7 +111,7 @@ func TestWarmupKeyCanonicalForm(t *testing.T) {
 
 // TestWarmupKeyDeterministic is the property sweep: random preloads and
 // RMW sets, built twice in independent random orders, must agree — 200
-// trials of the map-canonicalization property with adversarial shapes.
+// trials of the canonicalization property with adversarial shapes.
 func TestWarmupKeyDeterministic(t *testing.T) {
 	progs := warmProgs()
 	rng := rand.New(rand.NewSource(11))
@@ -129,10 +125,9 @@ func TestWarmupKeyDeterministic(t *testing.T) {
 		}
 		build := func(order []int) (sim.Config, map[uint64]int64) {
 			cfg := baseWarmCfg()
-			cfg.UncachedRMW = map[uint64]bool{}
 			pre := map[uint64]int64{}
 			for _, i := range order {
-				cfg.UncachedRMW[addrs[i]] = true
+				cfg.UncachedRMW = append(cfg.UncachedRMW, addrs[i])
 				pre[addrs[i]] = vals[i]
 			}
 			return cfg, pre

@@ -18,9 +18,9 @@ import (
 // fuzzSeedMachines are small machines captured mid-flight, so the seed
 // snapshots carry reorder buffers, LSU entries, buffer rows, MSHRs,
 // in-flight messages and histograms for the fuzzer to mutate.
-func fuzzSeedMachines(t testing.TB) []*snapshot.Machine {
+func fuzzSeedMachines(t testing.TB) []*sim.Machine {
 	t.Helper()
-	var out []*snapshot.Machine
+	var out []*sim.Machine
 	add := func(cfg sim.Config, progs []*isa.Program, at uint64) {
 		s := sim.New(cfg, progs)
 		if _, err := s.RunUntil(at); err != nil {
@@ -50,7 +50,7 @@ func fuzzSeedMachines(t testing.TB) []*snapshot.Machine {
 	return out
 }
 
-func encodeMachine(t testing.TB, m *snapshot.Machine) []byte {
+func encodeMachine(t testing.TB, m *sim.Machine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, m); err != nil {
@@ -61,7 +61,7 @@ func encodeMachine(t testing.TB, m *snapshot.Machine) []byte {
 
 // FuzzRestore feeds arbitrary bytes through snapshot.Read and sim.Restore,
 // the path a checkpoint upload or a snapshot file takes: every input must
-// come back as a machine or as an error wrapping snapshot.ErrInvalid,
+// come back as a machine or as an error wrapping sim.ErrInvalidSnapshot,
 // never as a panic or a runaway allocation.
 func FuzzRestore(f *testing.F) {
 	for _, m := range fuzzSeedMachines(f) {
@@ -70,23 +70,23 @@ func FuzzRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := snapshot.Read(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, snapshot.ErrInvalid) {
-				t.Fatalf("Read error does not wrap ErrInvalid: %v", err)
+			if !errors.Is(err, sim.ErrInvalidSnapshot) {
+				t.Fatalf("Read error does not wrap ErrInvalidSnapshot: %v", err)
 			}
 			return
 		}
-		if _, err := sim.Restore(m); err != nil && !errors.Is(err, snapshot.ErrInvalid) {
-			t.Fatalf("Restore error does not wrap ErrInvalid: %v", err)
+		if _, err := sim.Restore(m); err != nil && !errors.Is(err, sim.ErrInvalidSnapshot) {
+			t.Fatalf("Restore error does not wrap ErrInvalidSnapshot: %v", err)
 		}
 	})
 }
 
 // TestRestoreRejectsInvalidState breaks one invariant at a time in a valid
-// mid-flight machine; Restore must refuse each with ErrInvalid, and accept
-// the unbroken machine.
+// mid-flight machine; Restore must refuse each with ErrInvalidSnapshot,
+// and accept the unbroken machine.
 func TestRestoreRejectsInvalidState(t *testing.T) {
 	seed := fuzzSeedMachines(t)[0]
-	fresh := func() *snapshot.Machine {
+	fresh := func() *sim.Machine {
 		m, err := snapshot.Read(bytes.NewReader(encodeMachine(t, seed)))
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 	if len(seed.Procs[0].CPU.ROB) < 2 {
 		t.Fatal("seed machine has fewer than two reorder-buffer entries")
 	}
-	lsuHist := func(t *testing.T, m *snapshot.Machine) *stats.HistogramState {
+	lsuHist := func(t *testing.T, m *sim.Machine) *stats.HistogramState {
 		for _, p := range m.Procs {
 			for i := range p.LSU.Stats.Histograms {
 				if h := &p.LSU.Stats.Histograms[i]; len(h.Values) >= 2 {
@@ -112,56 +112,56 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name   string
-		mutate func(t *testing.T, m *snapshot.Machine)
+		mutate func(t *testing.T, m *sim.Machine)
 	}{
-		{"rob ids descend", func(t *testing.T, m *snapshot.Machine) {
+		{"rob ids descend", func(t *testing.T, m *sim.Machine) {
 			rob := m.Procs[0].CPU.ROB
 			rob[0].ID, rob[1].ID = rob[1].ID, rob[0].ID
 		}},
-		{"rob id at NextID", func(t *testing.T, m *snapshot.Machine) {
+		{"rob id at NextID", func(t *testing.T, m *sim.Machine) {
 			rob := m.Procs[0].CPU.ROB
 			m.Procs[0].CPU.NextID = rob[len(rob)-1].ID
 		}},
-		{"rob over ROBSize", func(t *testing.T, m *snapshot.Machine) {
+		{"rob over ROBSize", func(t *testing.T, m *sim.Machine) {
 			m.Config.CPU.ROBSize = len(m.Procs[0].CPU.ROB) - 1
 		}},
-		{"operand register out of range", func(t *testing.T, m *snapshot.Machine) {
+		{"operand register out of range", func(t *testing.T, m *sim.Machine) {
 			m.Procs[0].CPU.ROB[0].Src.Reg = isa.NumRegs
 		}},
-		{"histogram values unsorted", func(t *testing.T, m *snapshot.Machine) {
+		{"histogram values unsorted", func(t *testing.T, m *sim.Machine) {
 			h := lsuHist(t, m)
 			h.Values[0], h.Values[1] = h.Values[1], h.Values[0]
 		}},
-		{"histogram empty bucket", func(t *testing.T, m *snapshot.Machine) {
+		{"histogram empty bucket", func(t *testing.T, m *sim.Machine) {
 			lsuHist(t, m).Counts[0] = 0
 		}},
-		{"histogram count overflow", func(t *testing.T, m *snapshot.Machine) {
+		{"histogram count overflow", func(t *testing.T, m *sim.Machine) {
 			h := lsuHist(t, m)
 			h.Counts[0], h.Counts[1] = math.MaxUint64/2+1, math.MaxUint64/2+1
 		}},
-		{"histogram shape", func(t *testing.T, m *snapshot.Machine) {
+		{"histogram shape", func(t *testing.T, m *sim.Machine) {
 			h := lsuHist(t, m)
 			h.Counts = h.Counts[:1]
 		}},
-		{"huge machine", func(t *testing.T, m *snapshot.Machine) {
+		{"huge machine", func(t *testing.T, m *sim.Machine) {
 			m.Config.Procs = 1 << 30
 		}},
-		{"huge cache", func(t *testing.T, m *snapshot.Machine) {
+		{"huge cache", func(t *testing.T, m *sim.Machine) {
 			m.Config.Cache.Sets = 1 << 40
 		}},
-		{"bad topology", func(t *testing.T, m *snapshot.Machine) {
+		{"bad topology", func(t *testing.T, m *sim.Machine) {
 			m.Config.Topo = "mesh:0x0"
 		}},
-		{"bad instruction", func(t *testing.T, m *snapshot.Machine) {
+		{"bad instruction", func(t *testing.T, m *sim.Machine) {
 			m.Procs[0].Prog.Instrs[0].Dst = 200
 		}},
-		{"message to a missing node", func(t *testing.T, m *snapshot.Machine) {
+		{"message to a missing node", func(t *testing.T, m *sim.Machine) {
 			if len(m.Net.InFlight) == 0 {
 				t.Fatal("seed machine has no message in flight")
 			}
 			m.Net.InFlight[0].Dst = network.NodeID(m.Config.Procs + 99)
 		}},
-		{"short cache line", func(t *testing.T, m *snapshot.Machine) {
+		{"short cache line", func(t *testing.T, m *sim.Machine) {
 			for _, set := range m.Caches[0].Sets {
 				for i := range set {
 					if len(set[i].Data) > 0 {
@@ -172,7 +172,7 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 			}
 			t.Fatal("seed machine has no resident cache line")
 		}},
-		{"sharer out of range", func(t *testing.T, m *snapshot.Machine) {
+		{"sharer out of range", func(t *testing.T, m *sim.Machine) {
 			for i := range m.Dirs[0].Lines {
 				if l := &m.Dirs[0].Lines[i]; len(l.Sharers) > 0 {
 					l.Sharers[0] = network.NodeID(m.Config.Procs)
@@ -185,8 +185,8 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := fresh()
 			c.mutate(t, m)
-			if _, err := sim.Restore(m); !errors.Is(err, snapshot.ErrInvalid) {
-				t.Errorf("Restore = %v, want an ErrInvalid error", err)
+			if _, err := sim.Restore(m); !errors.Is(err, sim.ErrInvalidSnapshot) {
+				t.Errorf("Restore = %v, want an ErrInvalidSnapshot error", err)
 			}
 		})
 	}

@@ -249,7 +249,7 @@ func TestUncachedRMWLocks(t *testing.T) {
 			cfg.Procs = nprocs
 			cfg.Model = model
 			cfg.Tech = tech
-			cfg.UncachedRMW = map[uint64]bool{0x1000: true} // the lock word
+			cfg.UncachedRMW = []uint64{0x1000} // the lock word
 			progs := make([]*isa.Program, nprocs)
 			for p := 0; p < nprocs; p++ {
 				progs[p] = workload.CriticalSection(p, nprocs, rounds, updates, 1)

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +70,14 @@ func TestResolve(t *testing.T) {
 			})},
 		{name: "scaled_explicit_grid", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 64, "mesh:4x16" }), scaled: true,
 			want: scaledMesh(64, "mesh:4x16", 8)},
+		// The uncached RMW words come back ascending and distinct, in an
+		// array of Resolve's own; an empty list becomes nil.
+		{name: "uncached_rmw_sorted", in: realistic(func(c *sim.Config) { c.UncachedRMW = []uint64{0x40, 0x8, 0x40, 0x10, 0x8} }),
+			want: realistic(func(c *sim.Config) { c.MemModules, c.UncachedRMW = 1, []uint64{0x8, 0x10, 0x40} })},
+		{name: "uncached_rmw_already_sorted", in: realistic(func(c *sim.Config) { c.UncachedRMW = []uint64{0x8, 0x10} }),
+			want: realistic(func(c *sim.Config) { c.MemModules, c.UncachedRMW = 1, []uint64{0x8, 0x10} })},
+		{name: "uncached_rmw_empty", in: realistic(func(c *sim.Config) { c.UncachedRMW = []uint64{} }),
+			want: realistic(func(c *sim.Config) { c.MemModules = 1 })},
 		// Configurations no machine matches.
 		{name: "zero_processors", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 0, "mesh" }), wantErr: "at least 1 processor"},
 		{name: "bad_mesh", in: realistic(func(c *sim.Config) { c.Procs, c.Topo = 4, "mesh:bad" }), wantErr: "bad mesh dimensions"},
@@ -86,7 +95,14 @@ func TestResolve(t *testing.T) {
 			if c.scaled {
 				resolve = sim.Config.ResolveScaled
 			}
+			callers := slices.Clone(c.in.UncachedRMW)
 			got, err := resolve(c.in)
+			if !slices.Equal(c.in.UncachedRMW, callers) {
+				t.Errorf("Resolve rewrote the caller's UncachedRMW to %v", c.in.UncachedRMW)
+			}
+			if len(got.UncachedRMW) > 0 && len(c.in.UncachedRMW) > 0 && &got.UncachedRMW[0] == &c.in.UncachedRMW[0] {
+				t.Error("the resolved UncachedRMW shares the caller's array")
+			}
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("error = %v, want one naming %q", err, c.wantErr)

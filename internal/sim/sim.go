@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mcmsim/internal/cache"
@@ -64,8 +65,9 @@ type Config struct {
 	NST bool
 
 	// UncachedRMW lists word addresses whose RMWs bypass the cache
-	// (Appendix A's non-cached synchronization locations).
-	UncachedRMW map[uint64]bool
+	// (Appendix A's non-cached synchronization locations). Resolve sorts
+	// it and drops duplicates.
+	UncachedRMW []uint64
 
 	// MemModules interleaves lines across this many home directory/memory
 	// modules (0 or 1 = a single home). DASH-style distributed memory.
@@ -81,7 +83,8 @@ type Config struct {
 	// DenseLoop disables the wake schedule: Run calls Step, which ticks
 	// every node on every cycle even when all of them are provably inert.
 	// The reference for debugging and for the differential tests that
-	// prove the schedule changes nothing. The shard engine ignores it.
+	// prove the schedule changes nothing. The shard engine ignores it,
+	// and Snapshot does not record it.
 	DenseLoop bool
 }
 
@@ -131,9 +134,11 @@ const (
 )
 
 // Resolve returns the machine c describes with every default filled in:
-// 1-word lines, the cycle budget, a single home module, and the explicit
-// topology — "" for "" or "uniform" (whose mesh knobs are zeroed),
-// "mesh:WxH" for "mesh", with hop latency 10 and link gap 1 unless set.
+// 1-word lines, the cycle budget, a single home module, the uncached RMW
+// words ascending and distinct (nil if none, never sharing c's array), and
+// the explicit topology — "" for "" or "uniform" (whose mesh knobs are
+// zeroed), "mesh:WxH" for "mesh", with hop latency 10 and link gap 1
+// unless set.
 // It rejects a configuration no machine matches: fewer than one processor,
 // an unknown or malformed topology, or more than 4096 processors, home
 // modules or mesh tiles. Resolving a resolved configuration changes
@@ -158,6 +163,13 @@ func (c Config) Resolve() (Config, error) {
 	}
 	if c.MemModules <= 0 {
 		c.MemModules = 1
+	}
+	if len(c.UncachedRMW) == 0 {
+		c.UncachedRMW = nil
+	} else {
+		rmw := slices.Clone(c.UncachedRMW)
+		slices.Sort(rmw)
+		c.UncachedRMW = slices.Compact(rmw)
 	}
 	if c.Topo == "" || c.Topo == "uniform" {
 		c.Topo = ""
@@ -307,7 +319,7 @@ func New(cfg Config, progs []*isa.Program) *System {
 	s.Caches = make([]*cache.Cache, cfg.Procs)
 	for i := range s.Caches {
 		// The cache's client is the LSU, which LoadPrograms binds.
-		c := cache.New(network.NodeID(i), homes[0], net, geom, cfg.Cache, cache.Protocol(cfg.Protocol), nil)
+		c := cache.New(network.NodeID(i), homes[0], net, geom, cfg.Cache, cfg.Protocol, nil)
 		if cfg.MemModules > 1 {
 			c.SetHomes(homes)
 		}

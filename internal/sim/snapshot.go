@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,18 +9,90 @@ import (
 	"mcmsim/internal/cache"
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
+	"mcmsim/internal/cpu"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/memsys"
 	"mcmsim/internal/network"
-	"mcmsim/internal/snapshot"
 )
 
-// SnapshotVersion is the machine-snapshot format version this build reads
-// and writes (re-exported from internal/snapshot so consumers that hold a
-// *System never import the serialization package). The farm handshake
-// exchanges it: a fleet whose members disagree on SnapshotVersion cannot
-// ship warmup snapshots or checkpoints and is rejected before any
-// deserialization is attempted.
-const SnapshotVersion = snapshot.FormatVersion
+// SnapshotVersion identifies the machine-snapshot layout (Machine and
+// everything it holds) that this build reads and writes. Readers reject
+// snapshots of another version instead of misinterpreting them, and the
+// farm handshake exchanges it, so a fleet whose members disagree cannot
+// ship checkpoints and is rejected before any decoding is attempted.
+//
+// History:
+//
+//	1 — quiescent-only machines (all transient sections absent).
+//	2 — mid-flight machines: in-flight messages, MSHR/ROB/LSU/directory
+//	    transients, pending scheduled writes; ProcState.LSU widened from
+//	    bare statistics to the full load/store-unit state.
+//	3 — histograms as buckets: stats.HistogramState carries one count
+//	    per distinct value in ascending order (Values/Counts) instead of
+//	    the raw Samples, so the bytes no longer depend on whether a
+//	    report sorted the samples first.
+//	4 — one message type fewer (the shard engine's scheduled-write
+//	    self-delivery is gone), so network.State.Hops is one entry
+//	    shorter; the config no longer records DenseLoop, so a restored
+//	    machine runs the wake schedule.
+//	5 — the config no longer records the store-buffer forwarding latency
+//	    or a per-cycle bound on the address unit, which no machine set: a
+//	    forward takes one cycle and the address unit is unbounded.
+//	6 — the machine holds Config and ScheduledWrite, not copies, so the
+//	    config's fields follow Config's order; Snapshot zeroes DenseLoop.
+const SnapshotVersion = 6
+
+// ErrInvalidSnapshot marks every failure to read or restore a snapshot: a
+// foreign or corrupt stream, another format version, or a machine state
+// that violates the invariants the simulator relies on. Callers test for
+// it with errors.Is.
+var ErrInvalidSnapshot = errors.New("snapshot: invalid")
+
+// Machine is the complete serialized state of a machine, mid-flight
+// included (Snapshot lists what it captures); internal/snapshot writes and
+// reads it. No Go map appears anywhere in it, since gob iterates maps in
+// random order: every keyed collection is a slice sorted by its key, so
+// identical machines encode to identical bytes.
+type Machine struct {
+	Config Config
+
+	Cycle         uint64
+	BaseCycle     uint64
+	FastForwarded uint64
+
+	Net    network.State
+	Mem    memsys.State
+	Dirs   []coherence.State
+	Caches []cache.SavedState
+	Procs  []ProcState
+
+	// PendingWrites are the scheduled external writes still due, in
+	// schedule order; AgentOutstanding counts writes sent but not yet
+	// acknowledged by the directory. Both are zero at quiescence.
+	PendingWrites    []ScheduledWrite
+	AgentOutstanding int
+}
+
+// ProcState bundles one processor's serialized state: its program, its
+// pipeline state (reorder buffer included) and its load/store unit
+// (queues, speculative buffers and statistics).
+type ProcState struct {
+	Prog ProgramState
+	CPU  cpu.State
+	LSU  core.LSUState
+}
+
+// ProgramState is one processor's program.
+type ProgramState struct {
+	Instrs []isa.Instruction
+	Labels []Label
+}
+
+// Label is one program label (the isa.Program Labels map, sorted by name).
+type Label struct {
+	Name   string
+	Target int
+}
 
 // Snapshot serializes the machine's complete state between two cycles,
 // mid-flight included: besides the architectural state (memory image,
@@ -29,14 +102,15 @@ const SnapshotVersion = snapshot.FormatVersion
 // speculative-load buffers, pending scheduled writes. Restore rebuilds a
 // system that is byte-identical to this one for every subsequent output.
 // Snapshot must not be called mid-cycle (from a trace hook).
-func (s *System) Snapshot() (*snapshot.Machine, error) {
-	m := &snapshot.Machine{
-		Config:        exportConfig(s.Cfg),
+func (s *System) Snapshot() (*Machine, error) {
+	m := &Machine{
+		Config:        s.Cfg,
 		Cycle:         s.Cycle,
 		BaseCycle:     s.baseCycle,
 		FastForwarded: s.FastForwarded,
 		Mem:           s.Mem.ExportState(),
 	}
+	m.Config.DenseLoop = false // a restored machine runs the wake schedule
 	var err error
 	if m.Net, err = s.Net.ExportState(); err != nil {
 		return nil, err
@@ -64,15 +138,13 @@ func (s *System) Snapshot() (*snapshot.Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Procs = append(m.Procs, snapshot.ProcState{
+		m.Procs = append(m.Procs, ProcState{
 			Prog: exportProgram(p.Program()),
 			CPU:  cpuSt,
 			LSU:  lsuSt,
 		})
 	}
-	for _, w := range s.writes[s.nextWrite:] {
-		m.PendingWrites = append(m.PendingWrites, snapshot.ScheduledWriteState{Cycle: w.Cycle, Addr: w.Addr, Value: w.Value})
-	}
+	m.PendingWrites = slices.Clone(s.writes[s.nextWrite:])
 	m.AgentOutstanding = s.agent.outstanding
 	return m, nil
 }
@@ -88,12 +160,12 @@ func (s *System) Snapshot() (*snapshot.Machine, error) {
 // A snapshot may come from a file or from the network, so Restore checks
 // it before building anything: the configuration must describe a machine
 // New can build within the bounds below, and every component validates
-// its own section. Every failure wraps snapshot.ErrInvalid; no input
+// its own section. Every failure wraps ErrInvalidSnapshot; no input
 // panics.
-func Restore(m *snapshot.Machine) (*System, error) {
+func Restore(m *Machine) (*System, error) {
 	s, err := restore(m)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", snapshot.ErrInvalid, err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSnapshot, err)
 	}
 	return s, nil
 }
@@ -108,8 +180,8 @@ const (
 	maxRestoreLine     = 1024 // words per line
 )
 
-func restore(m *snapshot.Machine) (*System, error) {
-	cfg, err := importConfig(m.Config).Resolve()
+func restore(m *Machine) (*System, error) {
+	cfg, err := m.Config.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +232,7 @@ func restore(m *snapshot.Machine) (*System, error) {
 			return nil, err
 		}
 	}
-	for _, w := range m.PendingWrites {
-		s.writes = append(s.writes, ScheduledWrite{Cycle: w.Cycle, Addr: w.Addr, Value: w.Value})
-	}
+	s.writes = slices.Clone(m.PendingWrites)
 	s.agent.outstanding = m.AgentOutstanding
 	s.Cycle = m.Cycle
 	s.baseCycle = m.BaseCycle
@@ -173,7 +243,7 @@ func restore(m *snapshot.Machine) (*System, error) {
 // checkConfig bounds a snapshot configuration and rejects what New would
 // panic on that Resolve does not check, such as the cache geometry. procs
 // is the resolved processor count, at least 1.
-func checkConfig(c snapshot.Config, procs int) error {
+func checkConfig(c Config, procs int) error {
 	bad := func(what string, v any) error { return fmt.Errorf("sim: snapshot config has %s %v", what, v) }
 	switch {
 	case c.MemModules < 0:
@@ -207,7 +277,7 @@ func checkConfig(c snapshot.Config, procs int) error {
 // line read: every message's type and endpoints, the directories' sharers
 // and owners, and every array that holds a cache line. cfg is the built
 // machine's (normalized) configuration.
-func checkRefs(m *snapshot.Machine, cfg Config) error {
+func checkRefs(m *Machine, cfg Config) error {
 	nodes := network.NodeID(cfg.Procs + cfg.MemModules + 1) // CPUs, homes, write agent
 	cpus := network.NodeID(cfg.Procs)
 	node := func(id network.NodeID) bool { return id >= 0 && id < nodes }
@@ -272,7 +342,7 @@ func checkRefs(m *snapshot.Machine, cfg Config) error {
 
 // checkProgram rejects instructions the pipeline cannot decode: unknown
 // opcodes or atomics, and registers outside the register file.
-func checkProgram(p snapshot.ProgramState) error {
+func checkProgram(p ProgramState) error {
 	for pc, in := range p.Instrs {
 		if in.Op > isa.OpHalt || in.RMW > isa.RMWSwap ||
 			in.Dst >= isa.NumRegs || in.Src >= isa.NumRegs || in.Src2 >= isa.NumRegs || in.Base >= isa.NumRegs {
@@ -282,77 +352,17 @@ func checkProgram(p snapshot.ProgramState) error {
 	return nil
 }
 
-// exportConfig converts the live configuration to the snapshot's map-free
-// mirror.
-func exportConfig(c Config) snapshot.Config {
-	out := snapshot.Config{
-		Procs:        c.Procs,
-		Model:        c.Model,
-		Tech:         c.Tech,
-		Protocol:     c.Protocol,
-		LineWords:    c.LineWords,
-		NetLatency:   c.NetLatency,
-		MemLatency:   c.MemLatency,
-		Topo:         c.Topo,
-		HopLatency:   c.HopLatency,
-		LinkGap:      c.LinkGap,
-		Cache:        c.Cache,
-		CPU:          c.CPU,
-		NST:          c.NST,
-		MemModules:   c.MemModules,
-		DirBandwidth: c.DirBandwidth,
-		DirPointers:  c.DirPointers,
-		MaxCycles:    c.MaxCycles,
-	}
-	for a, on := range c.UncachedRMW {
-		if on {
-			out.UncachedRMW = append(out.UncachedRMW, a)
-		}
-	}
-	sort.Slice(out.UncachedRMW, func(i, j int) bool { return out.UncachedRMW[i] < out.UncachedRMW[j] })
-	return out
-}
-
-func importConfig(c snapshot.Config) Config {
-	out := Config{
-		Procs:        c.Procs,
-		Model:        c.Model,
-		Tech:         c.Tech,
-		Protocol:     c.Protocol,
-		LineWords:    c.LineWords,
-		NetLatency:   c.NetLatency,
-		MemLatency:   c.MemLatency,
-		Topo:         c.Topo,
-		HopLatency:   c.HopLatency,
-		LinkGap:      c.LinkGap,
-		Cache:        c.Cache,
-		CPU:          c.CPU,
-		NST:          c.NST,
-		MemModules:   c.MemModules,
-		DirBandwidth: c.DirBandwidth,
-		DirPointers:  c.DirPointers,
-		MaxCycles:    c.MaxCycles,
-	}
-	if len(c.UncachedRMW) > 0 {
-		out.UncachedRMW = make(map[uint64]bool, len(c.UncachedRMW))
-		for _, a := range c.UncachedRMW {
-			out.UncachedRMW[a] = true
-		}
-	}
-	return out
-}
-
-func exportProgram(p *isa.Program) snapshot.ProgramState {
-	st := snapshot.ProgramState{Instrs: make([]isa.Instruction, len(p.Instrs))}
+func exportProgram(p *isa.Program) ProgramState {
+	st := ProgramState{Instrs: make([]isa.Instruction, len(p.Instrs))}
 	copy(st.Instrs, p.Instrs)
 	for name, target := range p.Labels {
-		st.Labels = append(st.Labels, snapshot.Label{Name: name, Target: target})
+		st.Labels = append(st.Labels, Label{Name: name, Target: target})
 	}
 	sort.Slice(st.Labels, func(i, j int) bool { return st.Labels[i].Name < st.Labels[j].Name })
 	return st
 }
 
-func importProgram(st snapshot.ProgramState) *isa.Program {
+func importProgram(st ProgramState) *isa.Program {
 	p := &isa.Program{Instrs: make([]isa.Instruction, len(st.Instrs))}
 	copy(p.Instrs, st.Instrs)
 	if len(st.Labels) > 0 {

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
+	"mcmsim/internal/network"
 	"mcmsim/internal/parsim"
 	"mcmsim/internal/sim"
 	"mcmsim/internal/snapshot"
@@ -340,6 +342,83 @@ func TestSnapshotMidFlight(t *testing.T) {
 	}
 }
 
+// TestSnapshotUncachedRMWMidFlight cuts TestUncachedRMWLocks's machine at
+// the first cycle at which an atomic performed at the memory module is in
+// flight. The snapshot, whose config carries the uncached word, must
+// encode, decode and re-encode to the same bytes, and the restored run
+// must end with the uncut run's statistics.
+func TestSnapshotUncachedRMWMidFlight(t *testing.T) {
+	const nprocs, rounds, updates = 3, 2, 2
+	for _, tech := range []core.Technique{{}, {Prefetch: true, SpecLoad: true, ReissueOpt: true}} {
+		t.Run(fmt.Sprint(tech), func(t *testing.T) {
+			cfg := sim.RealisticConfig()
+			cfg.Procs = nprocs
+			cfg.Tech = tech
+			cfg.UncachedRMW = []uint64{0x1000} // the lock word
+			build := func() *sim.System {
+				progs := make([]*isa.Program, nprocs)
+				for p := range progs {
+					progs[p] = workload.CriticalSection(p, nprocs, rounds, updates, 1)
+				}
+				return sim.New(cfg, progs)
+			}
+			uncut := build()
+			if _, err := uncut.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			s := build()
+			var snap *sim.Machine
+			for snap == nil {
+				done, err := s.RunUntil(s.Cycle + 1)
+				if err != nil || done {
+					t.Fatalf("no atomic reached the memory module in flight (done=%v, err=%v)", done, err)
+				}
+				m, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.ContainsFunc(m.Net.InFlight, func(ms network.MessageState) bool {
+					return ms.Type == network.MsgMemWrite && ms.SeqNo != 0
+				}) {
+					snap = m
+				}
+			}
+			var buf1, buf2 bytes.Buffer
+			if err := snapshot.Write(&buf1, snap); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := snapshot.Read(bytes.NewReader(buf1.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snapshot.Write(&buf2, decoded); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
+				t.Fatalf("cycle %d: encode/decode/re-encode changed the bytes", snap.Cycle)
+			}
+			restored, err := sim.Restore(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := restored.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := restored.StatsReport(), uncut.StatsReport(); got != want {
+				t.Errorf("cut at cycle %d: restored stats differ:\n--- uncut ---\n%s--- restored ---\n%s", snap.Cycle, want, got)
+			}
+			var uncached uint64
+			for _, u := range restored.LSUs {
+				uncached += u.Stats.Counter("uncached_rmws").Value()
+			}
+			if uncached == 0 {
+				t.Error("no uncached RMWs performed")
+			}
+		})
+	}
+}
+
 // TestSnapshotVersionMismatch pins the format-version gate: a snapshot
 // stamped with a foreign version must be rejected with an error naming
 // both versions, never misinterpreted.
@@ -362,16 +441,16 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	// into the raw structure is not exposed, so patch the version byte via
 	// the public API instead — write with a build that disagrees is what we
 	// simulate by checking the error text contract on a crafted stream.
-	for _, version := range []int{3, 4, snapshot.FormatVersion + 40} {
+	for _, version := range []int{3, 4, 5, sim.SnapshotVersion + 40} {
 		stale := gobEnvelopeWithVersion(t, snap, version)
 		_, err = snapshot.Read(bytes.NewReader(stale))
 		if err == nil {
 			t.Fatalf("Read accepted a snapshot of format version %d", version)
 		}
-		if !errors.Is(err, snapshot.ErrInvalid) {
-			t.Errorf("version %d: error %q does not wrap snapshot.ErrInvalid", version, err)
+		if !errors.Is(err, sim.ErrInvalidSnapshot) {
+			t.Errorf("version %d: error %q does not wrap sim.ErrInvalidSnapshot", version, err)
 		}
-		want := fmt.Sprintf("format version %d, this build reads %d", version, snapshot.FormatVersion)
+		want := fmt.Sprintf("format version %d, this build reads %d", version, sim.SnapshotVersion)
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("version mismatch error %q does not name both versions (want %q)", err, want)
 		}
@@ -412,13 +491,13 @@ func TestSnapshotBytesIndependentOfReports(t *testing.T) {
 
 // gobEnvelopeWithVersion re-frames a machine under a different format
 // version, simulating a snapshot written by another build of the tool.
-func gobEnvelopeWithVersion(t *testing.T, m *snapshot.Machine, version int) []byte {
+func gobEnvelopeWithVersion(t *testing.T, m *sim.Machine, version int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	env := struct {
 		Magic   string
 		Version int
-		Machine snapshot.Machine
+		Machine sim.Machine
 	}{"mcmsim-snapshot", version, *m}
 	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
 		t.Fatal(err)
