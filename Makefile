@@ -54,9 +54,12 @@ race:
 # the same bar: a farmed suite and conformance batch must be
 # byte-identical to the local pool, through worker deaths, lease expiries,
 # checkpoint resumes, and two farms on different specs sharing one
-# process.
+# process. TestReadyListComplete holds the processor's operand wakeup to
+# the whole-reorder-buffer sweep it replaced, after every stepped cycle of
+# conformance programs 1-64 across the grid, a mispredicting loop and
+# machines restored mid-flight.
 differential:
-	$(GO) test -run 'TestFastForward|TestParallelEngine|TestSnapshot|TestWarmupCache|TestFarm' ./internal/sim ./internal/experiments ./internal/parsim ./internal/runner ./internal/farm
+	$(GO) test -run 'TestFastForward|TestParallelEngine|TestSnapshot|TestWarmupCache|TestFarm|TestReadyListComplete' ./internal/sim ./internal/experiments ./internal/parsim ./internal/runner ./internal/farm ./internal/cpu
 
 # The conformance tier: a smoke batch of generated litmus programs checked
 # against the exact per-model oracles across the model x technique x

@@ -7,9 +7,12 @@
 // implements the paper's two techniques.
 //
 // The model is architectural, not structural: reservation stations are
-// folded into the reorder-buffer entries (operands are resolved by polling
-// producers), which is behaviourally equivalent and keeps the simulator
-// deterministic and simple.
+// folded into the reorder-buffer entries, which is behaviourally
+// equivalent and keeps the simulator deterministic and simple. As in
+// Johnson's design, a waiting operand is captured when its producer
+// delivers the result: the consumer sits on the producer's waiter list
+// until then, and the delivery moves it to the processor's ready list,
+// the only entries the execute stage visits.
 package cpu
 
 import (
@@ -68,36 +71,53 @@ func RealisticConfig() Config {
 // producer's ROB id and the pooled entry (slot) that held it at decode; it
 // counts only while that slot is live with the same id (see producerAt).
 type operand struct {
-	ready    bool
 	value    int64
 	producer uint64    // ROB id, when !ready
 	slot     *robEntry // the producer's entry at decode, when !ready
 	reg      isa.Reg
+	ready    bool
 }
 
+// names reports whether o still refers to producer e for its value.
+func (o *operand) names(e *robEntry) bool {
+	return !o.ready && o.slot == e && o.producer == e.id
+}
+
+// robEntry is one reorder-buffer entry. The pointer and word fields come
+// first and the flags last, so the entry packs without padding holes.
 type robEntry struct {
 	id    uint64
 	pc    int
 	instr isa.Instruction
-	live  bool // in the reorder buffer (false once back in the pool)
 
-	src, src2 operand // ALU/branch sources; store data uses src
+	// src and src2 are the ALU/branch sources; a memory instruction's base
+	// address is src and its store (or RMW) data src2.
+	src, src2 operand
 
+	execAt     uint64
+	value      int64 // result (ALU, or load value delivered by the LSU)
+	predTarget int
+
+	// waiters heads the list of entries with an operand waiting for this
+	// entry's result, and waitNext[k] continues the list this entry's
+	// operand k waits on (see linkOf). readyNext links the ready list.
+	waiters   *robEntry
+	waitNext  [2]*robEntry
+	readyNext *robEntry
+	nextFree  *robEntry // pool link while the entry is not live
+
+	live     bool // in the reorder buffer (false once back in the pool)
 	isMem    bool
 	executed bool // ALU computed / branch resolved
-	execAt   uint64
 	execSet  bool
-	value    int64 // result (ALU, or load value delivered by the LSU)
-	complete bool  // memory access performed
+	complete bool // memory access performed
 
 	baseSent bool // base operand pushed to the LSU
 	dataSent bool // store-data operand pushed to the LSU
 
 	storeSignaled bool // StoreAtHead issued
 	predTaken     bool
-	predTarget    int
-
-	nextFree *robEntry // pool link while the entry is not live
+	onReady       bool // on the ready list
 }
 
 type ratEntry struct {
@@ -120,6 +140,14 @@ type Proc struct {
 	rob    []*robEntry
 	free   *robEntry
 	nextID uint64
+
+	// ready lists, in ascending id order, the live entries TickExecute
+	// has work for: an ALU op or branch whose operands have all arrived
+	// and that has not executed, or a memory instruction with an operand
+	// it can now push to the LSU. Every other entry that still needs an
+	// operand is on the waiters list of that operand's producer, and the
+	// producer's result moves it here (see wake).
+	ready, readyTail *robEntry
 
 	rat     [isa.NumRegs]ratEntry
 	regfile [isa.NumRegs]int64
@@ -217,7 +245,8 @@ func producerValue(e *robEntry) (int64, bool) {
 	return 0, false
 }
 
-// resolve re-polls an operand against the current pipeline state.
+// resolve captures an operand's value once its producer has delivered it
+// (or retired), caching it in the operand.
 func (p *Proc) resolve(o *operand) bool {
 	if o.ready {
 		return true
@@ -270,7 +299,9 @@ func (p *Proc) entry(id uint64) *robEntry {
 }
 
 // newEntry takes an entry from the free list (allocating only while the
-// buffer grows past its largest occupancy so far) and initializes it.
+// buffer grows past its largest occupancy so far) and resets it in place:
+// every field a decoded entry reads before writing it. The list links are
+// always written before they are read, so they keep their stale values.
 func (p *Proc) newEntry(id uint64, pc int, in isa.Instruction) *robEntry {
 	e := p.free
 	if e != nil {
@@ -278,7 +309,13 @@ func (p *Proc) newEntry(id uint64, pc int, in isa.Instruction) *robEntry {
 	} else {
 		e = new(robEntry)
 	}
-	*e = robEntry{id: id, pc: pc, instr: in, live: true}
+	e.id, e.pc, e.instr, e.live = id, pc, in, true
+	e.src, e.src2 = operand{}, operand{}
+	e.execAt, e.value, e.predTarget = 0, 0, 0
+	e.waiters = nil
+	e.isMem, e.executed, e.execSet, e.complete = false, false, false, false
+	e.baseSent, e.dataSent, e.storeSignaled = false, false, false
+	e.predTaken, e.onReady = false, false
 	return e
 }
 

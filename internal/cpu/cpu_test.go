@@ -245,3 +245,20 @@ func TestROBSnapshotShowsPending(t *testing.T) {
 		t.Error("ROB not empty after halt")
 	}
 }
+
+// TestBranchWaitsOnlyForItsCondition checks that a conditional branch
+// reads one register and nothing else: a mispredicted branch on r0 must
+// resolve in its first cycle, not wait for the load ahead of it, so the
+// program halts as soon as the load's 100-cycle miss retires.
+func TestBranchWaitsOnlyForItsCondition(t *testing.T) {
+	_, cycles := run(t, func(b *isa.Builder) {
+		b.LoadAbs(isa.R1, 0x100)
+		b.Beqz(isa.R0, "t") // predicted not taken, taken
+		b.Li(isa.R2, 5)
+		b.Label("t")
+		b.Li(isa.R3, 7)
+	})
+	if cycles != 100 {
+		t.Errorf("halted at cycle %d, want 100", cycles)
+	}
+}

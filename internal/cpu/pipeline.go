@@ -36,10 +36,7 @@ func (p *Proc) TickFrontend(now uint64) {
 			p.pc = int(in.Imm)
 		case isa.OpBeqz, isa.OpBnez:
 			e.src = p.readReg(in.Src)
-			// A branch has no second source, but its src2 is the zero
-			// operand, a reference to ROB id 0: the branch waits for the
-			// machine's very first instruction if that is still in flight.
-			e.src2 = operand{slot: p.entry(0)}
+			e.src2 = operand{ready: true}
 			e.predTaken = p.predictTaken(p.pc)
 			if e.predTaken {
 				e.predTarget = int(in.Imm)
@@ -70,6 +67,7 @@ func (p *Proc) TickFrontend(now uint64) {
 			}
 			p.pc++
 		}
+		p.schedule(e)
 		if in.WritesReg() {
 			p.rat[in.Dst] = ratEntry{producer: e.id, slot: e, valid: true}
 		}
@@ -122,58 +120,72 @@ func (p *Proc) counter(pc int) *uint8 {
 
 // TickExecute runs the functional units: ALU operations and branch
 // resolution for entries whose operands are available, and forwards late
-// operands to the load/store unit. With zero-latency units the loop
-// iterates to a fixpoint so same-cycle dependence chains resolve, matching
-// the paper's abstract timing.
+// operands to the load/store unit. It visits only the ready list, in one
+// ascending pass: a result wakes its consumers onto the list behind the
+// producer, and every producer is older than its consumers, so with
+// zero-latency units a same-cycle dependence chain resolves within the
+// pass, matching the paper's abstract timing.
 func (p *Proc) TickExecute(now uint64) {
-	for progress := true; progress; {
-		progress = false
-		for _, e := range p.rob {
-			if e.isMem {
-				if !e.baseSent && p.resolve(&e.src) {
-					e.baseSent = true
-					p.lsu.SetBaseOperand(e.id, e.src.value)
-					progress = true
-				}
-				if !e.dataSent && p.resolve(&e.src2) {
-					e.dataSent = true
-					p.lsu.SetDataOperand(e.id, e.src2.value)
-					progress = true
-				}
-				continue
+	var prev *robEntry
+	for e := p.ready; e != nil; {
+		keep, flushed := p.execute(e, now)
+		if flushed {
+			// A misprediction squashed everything after the branch; the
+			// pass already visited the survivors. The squash rebuilt the
+			// list without the branch unless nothing followed it.
+			if e.onReady {
+				p.dropReady(e, prev)
 			}
-			if e.executed {
-				continue
-			}
-			if !p.resolve(&e.src) || !p.resolve(&e.src2) {
-				continue
-			}
-			lat := p.cfg.ALULatency
-			if e.instr.IsBranch() {
-				lat = p.cfg.BranchLatency
-			}
-			if !e.execSet {
-				e.execSet = true
-				e.execAt = now + lat
-			}
-			if now < e.execAt {
-				continue
-			}
-			if e.instr.IsBranch() {
-				if p.resolveBranch(e, now) {
-					// Misprediction flushed everything after the branch;
-					// restart the scan against the truncated buffer.
-					progress = false
-					break
-				}
-				progress = true
-				continue
-			}
-			e.value = alu(e.instr, e.src.value, e.src2.value)
-			e.executed = true
-			progress = true
+			return
 		}
+		next := e.readyNext
+		if keep {
+			prev = e
+		} else {
+			p.dropReady(e, prev)
+		}
+		e = next
 	}
+}
+
+// execute gives one ready entry its turn. It reports whether the entry
+// stays on the ready list (an operation waiting out its latency) and
+// whether a mispredicted branch flushed the pipeline. An entry that
+// leaves the list with an operand still missing is on that operand's
+// producer's waiters.
+func (p *Proc) execute(e *robEntry, now uint64) (keep, flushed bool) {
+	if e.isMem {
+		if !e.baseSent && p.resolve(&e.src) {
+			e.baseSent = true
+			p.lsu.SetBaseOperand(e.id, e.src.value)
+		}
+		if !e.dataSent && p.resolve(&e.src2) {
+			e.dataSent = true
+			p.lsu.SetDataOperand(e.id, e.src2.value)
+		}
+		return false, false
+	}
+	if e.executed || !p.resolve(&e.src) || !p.resolve(&e.src2) {
+		return false, false
+	}
+	lat := p.cfg.ALULatency
+	if e.instr.IsBranch() {
+		lat = p.cfg.BranchLatency
+	}
+	if !e.execSet {
+		e.execSet = true
+		e.execAt = now + lat
+	}
+	if now < e.execAt {
+		return true, false
+	}
+	if e.instr.IsBranch() {
+		return false, p.resolveBranch(e, now)
+	}
+	e.value = alu(e.instr, e.src.value, e.src2.value)
+	e.executed = true
+	p.wake(e)
+	return false, false
 }
 
 // alu computes an integer operation.
@@ -236,12 +248,14 @@ func (p *Proc) resolveBranch(e *robEntry, now uint64) bool {
 }
 
 // TickRetire commits completed instructions in order from the head of the
-// reorder buffer, up to RetireWidth per cycle. Stores are signaled to the
-// store buffer when they reach the head (the precise-interrupt gate of
-// §4.2); under SC a store stays at the head until it completes.
+// reorder buffer, up to RetireWidth per cycle, and removes them from the
+// buffer in one step. Stores are signaled to the store buffer when they
+// reach the head (the precise-interrupt gate of §4.2); under SC a store
+// stays at the head until it completes.
 func (p *Proc) TickRetire(now uint64) {
-	for retired := 0; retired < p.cfg.RetireWidth && len(p.rob) > 0; retired++ {
-		e := p.rob[0]
+	n := 0 // entries retired so far; p.rob[n] is the current head
+	for n < p.cfg.RetireWidth && n < len(p.rob) {
+		e := p.rob[n]
 		in := e.instr
 
 		// Signal the store buffer the first time a store or RMW is at the
@@ -251,19 +265,19 @@ func (p *Proc) TickRetire(now uint64) {
 			p.lsu.StoreAtHead(e.id)
 		}
 
-		if !p.canRetire(e) {
-			return
-		}
-
 		if in.Op == isa.OpHalt {
-			if !p.lsu.Drained() {
-				return
+			// The halt retires once it is the last entry left (canRetire's
+			// condition) and the LSU drained.
+			if n == len(p.rob)-1 && p.lsu.Drained() {
+				n++
+				p.halted = true
+				p.HaltCycle = now
+				p.retired.Inc()
 			}
-			p.popHead()
-			p.halted = true
-			p.HaltCycle = now
-			p.retired.Inc()
-			return
+			break
+		}
+		if !p.canRetire(e) {
+			break
 		}
 		if in.WritesReg() {
 			p.regfile[in.Dst] = e.value
@@ -274,8 +288,19 @@ func (p *Proc) TickRetire(now uint64) {
 		if e.isMem {
 			p.lsu.MarkRetired(e.id)
 		}
-		p.popHead()
+		if e.waiters != nil {
+			// An entry retires with waiters only if it never delivers a
+			// value: a store or prefetch that a branch restored from a
+			// snapshot of an earlier build names as its second source
+			// (ROB id 0). The waiters read the register file now.
+			p.wake(e)
+		}
+		n++
 		p.retired.Inc()
+	}
+	if n > 0 {
+		p.release(p.rob[:n])
+		p.rob = p.rob[:copy(p.rob, p.rob[n:])]
 	}
 }
 
@@ -305,12 +330,6 @@ func (p *Proc) canRetire(e *robEntry) bool {
 	}
 }
 
-func (p *Proc) popHead() {
-	p.release(p.rob[:1])
-	copy(p.rob, p.rob[1:])
-	p.rob = p.rob[:len(p.rob)-1]
-}
-
 // LoadComplete implements core.CPU: the LSU delivers a load/RMW value. The
 // result becomes visible to dependents immediately — before retirement —
 // which is what lets speculative loads overlap with consistency delays.
@@ -318,13 +337,16 @@ func (p *Proc) LoadComplete(rob uint64, value int64, now uint64) {
 	if e := p.entry(rob); e != nil {
 		e.value = value
 		e.complete = true
+		p.wake(e)
 	}
 }
 
-// StoreComplete implements core.CPU.
+// StoreComplete implements core.CPU. An RMW's consumers may be waiting
+// for it.
 func (p *Proc) StoreComplete(rob uint64, now uint64) {
 	if e := p.entry(rob); e != nil {
 		e.complete = true
+		p.wake(e)
 	}
 }
 
@@ -379,19 +401,9 @@ func (p *Proc) squashAfter(id uint64, target int, now uint64, penalty uint64) {
 }
 
 // truncate removes reorder-buffer entries from index idx onward and rebuilds
-// the register alias table from the survivors.
+// the register alias table and the operand lists from the survivors.
 func (p *Proc) truncate(idx int) {
 	p.release(p.rob[idx:])
 	p.rob = p.rob[:idx]
-	p.rebuildRAT()
-}
-
-// rebuildRAT points every register at its youngest in-flight writer.
-func (p *Proc) rebuildRAT() {
-	p.rat = [isa.NumRegs]ratEntry{}
-	for _, e := range p.rob {
-		if e.instr.WritesReg() {
-			p.rat[e.instr.Dst] = ratEntry{producer: e.id, slot: e, valid: true}
-		}
-	}
+	p.rebuild()
 }

@@ -8,29 +8,16 @@ import (
 	"mcmsim/internal/memsys"
 )
 
-// TestROBPoolAndTagLookup drives a branchy ALU program whose data-dependent
+// TestROBPoolAndTagLookup drives MispredictingLoop, whose data-dependent
 // branch mispredicts every other iteration, so squashes leave gaps in the
 // buffer's ids. Every cycle the pool must stay within ROBSize entries in
 // total, ids must strictly ascend, and the id lookup the LSU callbacks use
 // must agree with a linear scan for every id around the buffer.
 func TestROBPoolAndTagLookup(t *testing.T) {
-	b := isa.NewBuilder()
-	b.Li(isa.R1, 200) // iterations
-	b.Li(isa.R3, 0)   // accumulator
-	b.Li(isa.R4, 1)
-	b.Label("loop")
-	b.And(isa.R2, isa.R1, isa.R4)
-	b.Beqz(isa.R2, "even")
-	b.AddI(isa.R3, isa.R3, 3)
-	b.Label("even")
-	b.AddI(isa.R3, isa.R3, 1)
-	b.AddI(isa.R1, isa.R1, -1)
-	b.Bnez(isa.R1, "loop")
-	b.Halt()
 	cfg := RealisticConfig()
 	cfg.ROBSize = 16
 	lsu := core.NewLSU(0, core.Config{}, nil, memsys.NewGeometry(1))
-	p := New(0, cfg, b.Build(), lsu)
+	p := New(0, cfg, MispredictingLoop(), lsu)
 	mispredicts := 0
 	for now := uint64(0); !p.Halted(); now++ {
 		if now > 100000 {

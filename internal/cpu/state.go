@@ -159,17 +159,19 @@ func (p *Proc) RestoreState(st State) error {
 	}
 	// Operand references bind to the producer's slot by id; a producer that
 	// is no longer in flight has committed, and the reference falls back to
-	// the register file exactly as it would have live.
+	// the register file exactly as it would have live. Only an older entry
+	// can be a producer, which is what lets one ascending pass find every
+	// consumer its producer woke.
 	for _, e := range p.rob {
-		for _, o := range []*operand{&e.src, &e.src2} {
-			if !o.ready {
+		for _, o := range [2]*operand{&e.src, &e.src2} {
+			if !o.ready && o.producer < e.id {
 				o.slot = p.entry(o.producer)
 			}
 		}
 	}
-	// Rebuild the renaming table from the survivors; behaviourally identical
-	// to the live table (see the State doc comment).
-	p.rebuildRAT()
+	// Rebuild the renaming table and the operand lists from the survivors;
+	// behaviourally identical to the live ones (see the State doc comment).
+	p.rebuild()
 	p.predictor = append(p.predictor[:0], st.Predictor...)
 	return p.Stats.RestoreState(st.Stats)
 }

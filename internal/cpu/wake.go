@@ -7,9 +7,13 @@ import "mcmsim/internal/isa"
 // without mutating any pipeline state: would TickFrontend, TickExecute or
 // TickRetire change anything at cycle `now`, and if not, at which future
 // cycle could they? Every condition below mirrors the corresponding tick's
-// gate exactly; a verdict that is too optimistic would skip a cycle the
-// dense loop would have used and silently change cycle counts, so when in
-// doubt the answer is "busy now" (which merely costs a dense step).
+// gate exactly. The execute term reads only the ready list (ready.go),
+// which holds every entry TickExecute could move, so it costs the list's
+// length, not the reorder buffer's. A verdict that is too optimistic would
+// skip a cycle the dense loop would have used and silently change cycle
+// counts, so when in doubt the answer is "busy now" (which merely costs a
+// dense step). TestReadyListComplete holds the list and this answer to a
+// scan of the whole buffer after every stepped cycle.
 
 // NextWake reports the next cycle at which the processor can make progress
 // on its own (ok=false when it is fully event-driven or halted: it then
@@ -34,10 +38,12 @@ func (p *Proc) NextWake(now uint64) (uint64, bool) {
 	// Execute: an entry whose operands just became available makes progress
 	// this cycle (operand capture for memory ops, ALU/branch scheduling for
 	// the rest); an already-scheduled ALU/branch op wakes at its execAt.
-	for _, e := range p.rob {
+	// Every other entry waits for a producer's delivery, which is some
+	// other component's event, so only the ready list needs a look.
+	for e := p.ready; e != nil; e = e.readyNext {
 		if e.isMem {
-			if (!e.baseSent && p.operandReady(&e.src)) ||
-				(!e.dataSent && p.operandReady(&e.src2)) {
+			if (!e.baseSent && waitsFor(&e.src) == nil) ||
+				(!e.dataSent && waitsFor(&e.src2) == nil) {
 				return now, true
 			}
 			continue
@@ -45,7 +51,7 @@ func (p *Proc) NextWake(now uint64) (uint64, bool) {
 		if e.executed {
 			continue
 		}
-		if !p.operandReady(&e.src) || !p.operandReady(&e.src2) {
+		if waitsFor(&e.src) != nil || waitsFor(&e.src2) != nil {
 			continue
 		}
 		if !e.execSet || e.execAt <= now {
@@ -76,19 +82,4 @@ func (p *Proc) NextWake(now uint64) (uint64, bool) {
 		}
 	}
 	return wake, ok
-}
-
-// operandReady reports whether resolve would succeed for o, without the
-// mutation (NextWake must leave operand state untouched so the dense and
-// fast-forward schedules stay identical).
-func (p *Proc) operandReady(o *operand) bool {
-	if o.ready {
-		return true
-	}
-	e := producerAt(o.slot, o.producer)
-	if e == nil {
-		return true // producer retired; register file holds the value
-	}
-	_, ready := producerValue(e)
-	return ready
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
 	"mcmsim/internal/coherence"
+	"mcmsim/internal/conformance"
 	"mcmsim/internal/runner"
 )
 
@@ -37,5 +39,23 @@ func TestSuiteOutputPinned(t *testing.T) {
 				t.Errorf("suite CSV hashes to %s, pinned %s: simulated results changed", got, c.want)
 			}
 		})
+	}
+}
+
+// TestConformOutputPinned pins the conformance report the same way: the
+// 64-program batch at seed 1 over the full grid, rendered as `conform
+// -seed 1 -n 64 -quiet` prints it, must hash to the recorded value. A
+// change that moves it re-pins it with `go run ./cmd/conform -seed 1 -n
+// 64 -quiet | sha256sum` and says why the results moved.
+func TestConformOutputPinned(t *testing.T) {
+	const seed, n, want = 1, 64, "69f9490173f173dc"
+	var params conformance.Params
+	var opts conformance.CheckOptions
+	results := runner.Run(conformance.BatchJobs(seed, n, params, opts), runner.Options{})
+	var out bytes.Buffer
+	conformance.Summarize(&out, conformance.BatchReport(seed, n, params, results), seed, n, opts)
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:])[:16]; got != want {
+		t.Errorf("conformance report hashes to %s, pinned %s: simulated results changed\n%s", got, want, out.Bytes())
 	}
 }

@@ -245,6 +245,40 @@ func TestStepZeroAllocFlowing(t *testing.T) {
 	}
 }
 
+// TestHeapFlatOverLongRun pins that memory stays bounded as a run gets
+// longer: on the flowing private phase of TestStepZeroAllocFlowing, made
+// long enough to last 10·N cycles, the heap in use after a collection at
+// cycle 10·N must equal the heap at cycle N within a fixed slack. By then
+// about 140 000 more instructions have retired per processor, so even a
+// byte kept per instruction, a pool that leaks entries or an operand list
+// that grows with the run would show tenfold over the slack.
+func TestHeapFlatOverLongRun(t *testing.T) {
+	const n, slack = 8000, 16 << 10
+	cfg := sim.RealisticConfig()
+	cfg.Procs = 4
+	cfg.Model = core.RC
+	cfg.Tech = core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true}
+	progs := make([]*isa.Program, cfg.Procs)
+	for p := range progs {
+		progs[p] = workload.BarrierPhases(p, cfg.Procs, 1, 40960)
+	}
+	s := sim.New(cfg, progs)
+	heapAt := func(cycle uint64) uint64 {
+		if done, err := s.RunUntil(cycle); err != nil || done {
+			t.Fatalf("run to cycle %d: done=%v, err=%v", cycle, done, err)
+		}
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		runtime.KeepAlive(s) // the machine is what is measured
+		return m.HeapAlloc
+	}
+	at1, at10 := heapAt(n), heapAt(10*n)
+	if at10 > at1+slack {
+		t.Errorf("heap in use grew from %d bytes at cycle %d to %d at cycle %d, more than the %d-byte slack", at1, n, at10, 10*n, slack)
+	}
+}
+
 // benchmarkE2Row runs the E2 latency-sweep row at its most expensive point
 // (miss=400): both models of interest under conventional and combined
 // techniques, exactly as `sweep -exp latency` enumerates them. ns/op is
