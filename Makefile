@@ -40,12 +40,12 @@ race:
 	$(GO) test -race ./...
 
 # The differential tier: the node wake schedule, the parallel shard
-# engine (conservative and speculative rollback windows), machine
+# engine (down to its shortest, 8-cycle windows), machine
 # snapshot/restore, and the warmup-snapshot cache must all be
 # observationally identical to the plain sequential cold-start run —
 # across the model x technique grid, every execution engine, shard-worker
 # counts {2,4,8}, the full experiment suite in every output format with
-# the cache on and off, generated programs on a low-lookahead mesh
+# the cache on and off, generated programs on an 8-cycle-hop mesh
 # (TestParallelEngineGeneratedPrograms), and the Figure 5 cycle-level
 # trace. TestParallelEngineConformParity re-checks conformance batches
 # with every cell sharded — the full grid, 128 quick programs, and 64

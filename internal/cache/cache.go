@@ -277,12 +277,6 @@ type Cache struct {
 	// they retry each Tick.
 	retryInstalls []*mshr
 
-	// mshrPool / wbPool are RestoreState scratch: the discarded state's
-	// objects, collected for in-place reuse (rollback restores once per
-	// mis-speculated window, so this path must stay off the allocator).
-	mshrPool []*mshr
-	wbPool   []*wbEntry
-
 	// NST bypass mode (paper §6 Stenstrom comparator).
 	bypass         bool
 	nstOutstanding int
@@ -339,6 +333,16 @@ func (c *Cache) set(idx int) []*line {
 		return c.setTab[k-1]
 	}
 	return nil
+}
+
+// newSet allocates a set of n Invalid ways (the zero state) in one block.
+func newSet(n int) []*line {
+	set := make([]*line, n)
+	ways := make([]line, n)
+	for i := range set {
+		set[i] = &ways[i]
+	}
+	return set
 }
 
 // lookup returns the resident line, or nil.

@@ -299,11 +299,7 @@ func (c *Cache) victimize(lineAddr uint64, now uint64) bool {
 	idx := c.setIndex(lineAddr)
 	set := c.set(idx)
 	if set == nil {
-		set = make([]*line, c.cfg.Ways)
-		ways := make([]line, c.cfg.Ways) // Invalid is the zero state
-		for i := range set {
-			set[i] = &ways[i]
-		}
+		set = newSet(c.cfg.Ways)
 		c.setTab = append(c.setTab, set)
 		c.setOf[idx] = int32(len(c.setTab))
 	}

@@ -96,10 +96,6 @@ type Directory struct {
 	// Counters bumped per serviced message or request, resolved once.
 	serviced, gets, getx, invalidations stats.CounterRef
 
-	// linePool is RestoreState scratch: the discarded table's dirLine
-	// objects, collected for in-place reuse on the rollback path.
-	linePool []*dirLine
-
 	// sharerCfg selects exact vs limited-pointer/coarse sharer tracking
 	// (ConfigureSharers); the zero value is the seed's unbounded exact list.
 	sharerCfg sharerConfig

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcmsim/internal/network"
@@ -44,95 +45,51 @@ type State struct {
 }
 
 // ExportState captures the directory state, busy transactions included.
-func (d *Directory) ExportState() (State, error) {
-	var st State
-	if err := d.ExportStateInto(&st); err != nil {
-		return State{}, err
-	}
-	return st, nil
-}
-
-// ExportStateInto captures the directory into st, reusing st's backing
-// storage (per-window engine checkpoints call this on every dispatched home
-// shard). Reused inner buffers are read out of the previous capture's slot
-// before append overwrites that slot of the shared backing array.
-func (d *Directory) ExportStateInto(st *State) error {
-	d.Stats.ExportStateInto(&st.Stats)
-	prev := st.Lines
-	st.Lines = st.Lines[:0]
-	li := 0
+func (d *Directory) ExportState() State {
+	st := State{Stats: d.Stats.ExportState()}
 	for addr, l := range d.lines {
-		var sharerBuf []network.NodeID
-		var waitBuf []network.MessageState
-		if li < len(prev) {
-			sharerBuf, waitBuf = prev[li].Sharers[:0], prev[li].WaitQ[:0]
-		}
-		li++
 		ls := LineState{
 			Addr: addr, State: uint8(l.state), Owner: l.owner, Ver: l.ver,
-			Coarse: l.sharers.coarse,
-			Busy:   l.busy, RecallTag: l.recallTag,
+			Sharers: slices.Clone(l.sharers.ptrs), // already ascending
+			Coarse:  l.sharers.coarse,
+			Busy:    l.busy, RecallTag: l.recallTag,
 		}
-		ls.Sharers = append(sharerBuf, l.sharers.ptrs...) // already ascending
 		if l.pendingReq != nil {
 			ms := network.ExportMessage(l.pendingReq)
 			ls.PendingReq = &ms
 		}
-		ls.WaitQ = waitBuf
 		for _, m := range l.waitQ {
 			ls.WaitQ = append(ls.WaitQ, network.ExportMessage(m))
 		}
 		st.Lines = append(st.Lines, ls)
 	}
 	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Addr < st.Lines[j].Addr })
-	st.Ingress = st.Ingress[:0]
 	for _, m := range d.ingress {
 		st.Ingress = append(st.Ingress, network.ExportMessage(m))
 	}
-	return nil
+	return st
 }
 
 // RestoreState replaces the directory's entire state — line table, busy
-// transactions, ingress queue and statistics — with the exported one. Any
-// in-progress state the directory held is discarded (the shard engine's
-// rollback path); retained messages are materialized as fresh
-// allocations, since the originals may have been recycled. The directory
-// recycles them like any retained message once served.
+// transactions, ingress queue and statistics — with the exported one,
+// after validating it (a snapshot may come from the network). Retained
+// messages are materialized as fresh allocations; the directory recycles
+// them like any retained message once served.
 func (d *Directory) RestoreState(st State) error {
-	// Rollback restores once per mis-speculated window; reuse the discarded
-	// table's dirLine objects and inner buffers in place (*dirLine never
-	// escapes the package).
-	d.linePool = d.linePool[:0]
-	for _, l := range d.lines {
-		d.linePool = append(d.linePool, l)
+	if err := d.validateState(&st); err != nil {
+		return err
 	}
-	if d.lines == nil {
-		d.lines = make(map[uint64]*dirLine, len(st.Lines))
-	} else {
-		clear(d.lines)
-	}
-	for i, ls := range st.Lines {
-		var l *dirLine
-		if i < len(d.linePool) {
-			l = d.linePool[i]
-		} else {
-			l = new(dirLine)
-		}
-		ptrBuf, waitBuf := l.sharers.ptrs[:0], l.waitQ[:0]
-		*l = dirLine{state: dirState(ls.State), owner: ls.Owner, ver: ls.Ver, busy: ls.Busy, recallTag: ls.RecallTag}
+	d.lines = make(map[uint64]*dirLine, len(st.Lines))
+	for _, ls := range st.Lines {
+		l := &dirLine{state: dirState(ls.State), owner: ls.Owner, ver: ls.Ver, busy: ls.Busy, recallTag: ls.RecallTag}
 		if ls.Coarse != 0 {
-			if d.sharerCfg.pointers <= 0 {
-				return fmt.Errorf("coherence: coarse-vector line %#x restored into an exact-tracking directory", ls.Addr)
-			}
 			l.sharers.coarse = ls.Coarse
 		} else {
-			l.sharers.ptrs = append(ptrBuf, ls.Sharers...)
-			sort.Slice(l.sharers.ptrs, func(i, j int) bool { return l.sharers.ptrs[i] < l.sharers.ptrs[j] })
+			l.sharers.ptrs = slices.Clone(ls.Sharers)
 		}
 		if ls.PendingReq != nil {
 			l.pendingReq = ls.PendingReq.Instantiate()
 		}
-		l.waitQ = waitBuf
 		for _, ms := range ls.WaitQ {
 			l.waitQ = append(l.waitQ, ms.Instantiate())
 		}
@@ -143,4 +100,34 @@ func (d *Directory) RestoreState(st State) error {
 		d.ingress = append(d.ingress, ms.Instantiate())
 	}
 	return d.Stats.RestoreState(st.Stats)
+}
+
+// validateState checks the line invariants the protocol handlers rely on:
+// a known state, exact-mode sharers strictly ascending (as ExportState
+// writes them), coarse vectors only where limited-pointer tracking can
+// produce them, a pending request behind every busy line, and an owner
+// behind every exclusive line. The snapshot's node-range checks bound
+// owners and sharers above.
+func (d *Directory) validateState(st *State) error {
+	for _, ls := range st.Lines {
+		bad := func(what string) error {
+			return fmt.Errorf("coherence: directory %d line %#x %s", d.ID, ls.Addr, what)
+		}
+		switch {
+		case dirState(ls.State) > dirExclusive:
+			return bad(fmt.Sprintf("has unknown state %d", ls.State))
+		case ls.Coarse != 0 && d.sharerCfg.pointers <= 0:
+			return bad("has a coarse vector in an exact-tracking directory")
+		case ls.Busy && ls.PendingReq == nil:
+			return bad("is busy with no pending request")
+		case dirState(ls.State) == dirExclusive && ls.Owner < 0:
+			return bad("is exclusive with no owner")
+		}
+		for i := 1; i < len(ls.Sharers); i++ {
+			if ls.Sharers[i] <= ls.Sharers[i-1] {
+				return bad("has sharers out of ascending order")
+			}
+		}
+	}
+	return nil
 }

@@ -50,6 +50,23 @@ func litmusCorpus() []litmusCase {
 			},
 		},
 		{
+			// SB with acquiring loads: an acquire may bypass the processor's
+			// older plain store only where nothing orders a write before a
+			// later acquire. SC orders everything, and WC orders every
+			// access with a synchronization access; PC lets a read pass an
+			// older write, and RCsc and RC order an acquire only with what
+			// follows it. The one shape here that separates WC from RCsc.
+			name: "SB+acq",
+			prog: Program{NAddr: 2, Ops: [][]Op{
+				{{Kind: KStore, Addr: 0, Val: 2}, {Kind: KAcquire, Addr: 1}},
+				{{Kind: KStore, Addr: 1, Val: 3}, {Kind: KAcquire, Addr: 0}},
+			}},
+			relaxed: out([][]int64{{0}, {0}}, []int64{2, 3}),
+			allowed: map[core.Model]bool{
+				core.SC: false, core.PC: true, core.WC: false, core.RCsc: true, core.RC: true,
+			},
+		},
+		{
 			// Message passing, unsynchronized: flag observed but data stale.
 			// PC forbids it too: writes stay ordered and reads stay ordered.
 			name: "MP",

@@ -162,21 +162,7 @@ func exportSpecRow(s *specEntry) SpecRowState {
 
 // ExportState captures the LSU, mid-flight work included.
 func (u *LSU) ExportState() (LSUState, error) {
-	var st LSUState
-	if err := u.ExportStateInto(&st); err != nil {
-		return LSUState{}, err
-	}
-	return st, nil
-}
-
-// ExportStateInto captures the LSU into st, reusing st's backing storage.
-// Per-window engine checkpoints call this on every dispatched processor
-// shard, so the capture must stay off the allocator once the buffers have
-// grown to steady state.
-func (u *LSU) ExportStateInto(st *LSUState) error {
-	u.Stats.ExportStateInto(&st.Stats)
-	st.NextID = u.nextID
-	st.Entries = st.Entries[:0]
+	st := LSUState{Stats: u.Stats.ExportState(), NextID: u.nextID}
 	inEntries := make(map[uint64]bool, len(u.entries))
 	for _, e := range u.entries {
 		st.Entries = append(st.Entries, exportEntry(e))
@@ -188,8 +174,8 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 			orphans[e.Seq] = e
 		}
 	}
-	seqs := func(buf []uint64, es []*Entry) []uint64 {
-		buf = buf[:0]
+	seqs := func(es []*Entry) []uint64 {
+		var buf []uint64
 		for _, e := range es {
 			if !inEntries[e.Seq] {
 				return nil // caught below with a precise error
@@ -201,32 +187,29 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 	for name, q := range map[string][]*Entry{"rs": u.rs, "loadQ": u.loadQ, "storeBuf": u.storeBuf, "swpfQ": u.swpfQ} {
 		for _, e := range q {
 			if !inEntries[e.Seq] {
-				return fmt.Errorf("core: lsu%d %s references seq %d outside the live window", u.Proc, name, e.Seq)
+				return LSUState{}, fmt.Errorf("core: lsu%d %s references seq %d outside the live window", u.Proc, name, e.Seq)
 			}
 		}
 	}
-	st.RS, st.LoadQ, st.StoreBuf, st.SwpfQ = seqs(st.RS, u.rs), seqs(st.LoadQ, u.loadQ), seqs(st.StoreBuf, u.storeBuf), seqs(st.SwpfQ, u.swpfQ)
+	st.RS, st.LoadQ, st.StoreBuf, st.SwpfQ = seqs(u.rs), seqs(u.loadQ), seqs(u.storeBuf), seqs(u.swpfQ)
 	for _, e := range u.entries {
 		// A load can keep its forwarding link after the source store
 		// retired and was pruned (the link is only ever compared against
 		// still-buffered stores, but it must survive a round trip).
 		noteOrphan(e.fwdFrom)
 	}
-	st.Spec = st.Spec[:0]
 	for _, s := range u.spec {
 		if !inEntries[s.e.Seq] {
-			return fmt.Errorf("core: lsu%d spec row references seq %d outside the live window", u.Proc, s.e.Seq)
+			return LSUState{}, fmt.Errorf("core: lsu%d spec row references seq %d outside the live window", u.Proc, s.e.Seq)
 		}
 		noteOrphan(s.storeTag)
 		st.Spec = append(st.Spec, exportSpecRow(s))
 	}
-	st.Monitor = st.Monitor[:0]
 	for _, s := range u.monitor {
 		noteOrphan(s.e)
 		noteOrphan(s.storeTag)
 		st.Monitor = append(st.Monitor, exportSpecRow(s))
 	}
-	st.IDs = st.IDs[:0]
 	for id, t := range u.ids {
 		if !inEntries[t.e.Seq] {
 			noteOrphan(t.e)
@@ -234,12 +217,10 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 		st.IDs = append(st.IDs, IDState{ID: id, Seq: t.e.Seq, Role: uint8(t.role)})
 	}
 	sort.Slice(st.IDs, func(i, j int) bool { return st.IDs[i].ID < st.IDs[j].ID })
-	st.RevalSeq = st.RevalSeq[:0]
 	for seq := range u.revalBySeq {
 		st.RevalSeq = append(st.RevalSeq, seq)
 	}
 	sort.Slice(st.RevalSeq, func(i, j int) bool { return st.RevalSeq[i] < st.RevalSeq[j] })
-	st.Forwards = st.Forwards[:0]
 	for _, f := range u.forwards {
 		st.Forwards = append(st.Forwards, ForwardState{At: f.at, ID: f.id, Value: f.value})
 	}
@@ -256,19 +237,18 @@ func (u *LSU) ExportStateInto(st *LSUState) error {
 			}
 		}
 	}
-	st.MonitorOrphans = st.MonitorOrphans[:0]
 	for _, e := range orphans {
 		st.MonitorOrphans = append(st.MonitorOrphans, exportEntry(e))
 	}
 	sort.Slice(st.MonitorOrphans, func(i, j int) bool { return st.MonitorOrphans[i].Seq < st.MonitorOrphans[j].Seq })
-	return nil
+	return st, nil
 }
 
 // RestoreState replaces the LSU's entire state — entries, queues, buffers,
-// ids and statistics — with the exported one. Any in-progress state is
-// discarded (the shard engine's rollback path). The cached histogram
-// pointers are dropped: Stats.RestoreState drops histograms absent from the
-// state, so stale pointers would record into orphaned metrics.
+// ids and statistics — with the exported one; any in-progress state is
+// discarded. The cached histogram pointers are dropped:
+// Stats.RestoreState drops histograms absent from the state, so stale
+// pointers would record into orphaned metrics.
 func (u *LSU) RestoreState(st LSUState) error {
 	if err := u.validateState(&st); err != nil {
 		return err

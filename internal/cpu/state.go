@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmsim/internal/isa"
 	"mcmsim/internal/stats"
@@ -83,30 +84,18 @@ func (p *Proc) Program() *isa.Program { return p.prog }
 
 // ExportState captures the processor state, in-flight instructions
 // included.
-func (p *Proc) ExportState() (State, error) {
-	var st State
-	if err := p.ExportStateInto(&st); err != nil {
-		return State{}, err
+func (p *Proc) ExportState() State {
+	st := State{
+		PC:            p.pc,
+		FetchResumeAt: p.fetchResumeAt,
+		HaltFetched:   p.haltFetched,
+		Halted:        p.halted,
+		HaltCycle:     p.HaltCycle,
+		NextID:        p.nextID,
+		Regfile:       slices.Clone(p.regfile[:]),
+		Predictor:     slices.Clone(p.predictor),
+		Stats:         p.Stats.ExportState(),
 	}
-	return st, nil
-}
-
-// ExportStateInto captures the processor state into st, reusing st's
-// backing storage (a speculative shard window checkpoints every dispatched
-// shard).
-func (p *Proc) ExportStateInto(st *State) error {
-	st.PC = p.pc
-	st.FetchResumeAt = p.fetchResumeAt
-	st.HaltFetched = p.haltFetched
-	st.Halted = p.halted
-	st.HaltCycle = p.HaltCycle
-	st.NextID = p.nextID
-	if cap(st.Regfile) < int(isa.NumRegs) {
-		st.Regfile = make([]int64, isa.NumRegs)
-	}
-	st.Regfile = st.Regfile[:isa.NumRegs]
-	copy(st.Regfile, p.regfile[:])
-	st.ROB = st.ROB[:0]
 	for _, e := range p.rob {
 		st.ROB = append(st.ROB, ROBEntryState{
 			ID: e.id, PC: e.pc,
@@ -119,19 +108,17 @@ func (p *Proc) ExportStateInto(st *State) error {
 			PredTaken:     e.predTaken, PredTarget: e.predTarget,
 		})
 	}
-	st.Predictor = append(st.Predictor[:0], p.predictor...)
-	p.Stats.ExportStateInto(&st.Stats)
-	return nil
+	return st
 }
 
 // RestoreState replaces the processor's entire state — architectural
 // registers, reorder buffer, renaming table, predictor and statistics —
-// with the exported one. Any in-flight instructions the processor held are
-// discarded (the shard engine's rollback path). The state is validated
-// first, since a snapshot may arrive from the network: the reorder buffer
-// must fit ROBSize and hold strictly ascending ids below NextID (the tag
-// lookup relies on the order), and every entry must name an instruction
-// of the program with in-range operand registers.
+// with the exported one; any in-flight instructions the processor held are
+// discarded. The state is validated first, since a snapshot may arrive
+// from the network: the reorder buffer must fit ROBSize and hold strictly
+// ascending ids below NextID (the tag lookup relies on the order), and
+// every entry must name an instruction of the program with in-range
+// operand registers.
 func (p *Proc) RestoreState(st State) error {
 	if err := p.validateState(&st); err != nil {
 		return err

@@ -27,27 +27,16 @@ type WordState struct {
 
 // ExportState captures the memory image.
 func (m *Memory) ExportState() State {
-	var st State
-	m.ExportStateInto(&st)
-	return st
-}
-
-// ExportStateInto captures the memory image into st, reusing its backing
-// storage (a speculative shard window checkpoints memory whenever a home
-// shard is dispatched in it).
-func (m *Memory) ExportStateInto(st *State) {
-	if cap(st.Banks) < len(m.banks) {
-		st.Banks = make([]BankState, len(m.banks))
-	}
-	st.Banks = st.Banks[:len(m.banks)]
+	st := State{Banks: make([]BankState, len(m.banks))}
 	for i, b := range m.banks {
-		words := st.Banks[i].Words[:0]
+		var words []WordState
 		for a, v := range b {
 			words = append(words, WordState{Addr: a, Value: v})
 		}
 		sort.Slice(words, func(x, y int) bool { return words[x].Addr < words[y].Addr })
 		st.Banks[i].Words = words
 	}
+	return st
 }
 
 // RestoreState replaces the memory contents with the exported image. The

@@ -97,10 +97,6 @@ type Endpoint struct {
 	out   []pendingSend
 	free  freeList
 
-	// scratch is Rollback's staging area for the leftover inbox pointers it
-	// reuses while rebuilding the inbox from a checkpoint.
-	scratch []*Message
-
 	ctx sendKey // ambient (cycle, phase, major); ord appended per send
 	ord uint64
 
@@ -251,8 +247,8 @@ func (x *Exchange) Endpoint(id NodeID, rank uint64, h Handler) *Endpoint {
 // here too, by one topology Arrival call per message in the sorted order —
 // the same call sequence the sequential engine makes at Send time, so
 // link-contention state (and with it every delivery time) is byte-for-byte
-// engine-independent. Returns the number of messages routed.
-func (x *Exchange) Barrier() int {
+// engine-independent.
+func (x *Exchange) Barrier() {
 	x.scratch = x.scratch[:0]
 	for _, ep := range x.eps {
 		x.scratch = append(x.scratch, ep.out...)
@@ -274,9 +270,7 @@ func (x *Exchange) Barrier() int {
 		}
 		heap.Push(&dst.inbox, m)
 	}
-	n := len(x.scratch)
-	x.Exchanged += uint64(n)
-	return n
+	x.Exchanged += uint64(len(x.scratch))
 }
 
 // PendingTotal reports undelivered messages across all inboxes (the

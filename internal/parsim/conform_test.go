@@ -55,16 +55,16 @@ func TestParallelEngineConformParity(t *testing.T) {
 	}
 }
 
-// TestParallelEngineGeneratedPrograms carries speculation over generated
-// litmus programs. No conformance timing reaches a lookahead below 8
-// cycles, so the batch runs here instead: conformance.Generate programs
-// padded to 4 CPUs on a 1-cycle-hop mesh, sequentially and through the
-// engine at 2 and 4 workers. Halt cycle, clock, stats report and memory
-// image must be identical, and the batch must roll back.
+// TestParallelEngineGeneratedPrograms carries generated litmus programs
+// through the engine's shortest windows. No conformance timing has a
+// lookahead as short as 8 cycles, so the batch runs here instead:
+// conformance.Generate programs padded to 4 CPUs on an 8-cycle-hop mesh,
+// sequentially and through the engine at 2 and 4 workers. runPar requires
+// the engine to run every cell; halt cycle, clock, stats report and memory
+// image must be identical.
 func TestParallelEngineGeneratedPrograms(t *testing.T) {
 	const cpus = 4
 	idle := isa.NewBuilder().Halt().Build()
-	var rollbacks uint64
 	for seed := int64(1); seed <= 64; seed++ {
 		progs := conformance.Generate(seed, conformance.Params{}).Build()
 		for len(progs) < cpus {
@@ -77,16 +77,13 @@ func TestParallelEngineGeneratedPrograms(t *testing.T) {
 				cfg.Model = m
 				cfg.Tech = tc.tech
 				cfg.Topo = "mesh"
-				cfg.HopLatency = 1
+				cfg.HopLatency = twinLookahead
 				cfg.MemModules = cpus
 				seq := runSeq(t, cfg, progs)
 				for _, par := range []int{2, 4} {
-					r := runPar(t, cfg, progs, par)
-					rollbacks += r.rollbacks
-					diffResults(t, fmt.Sprintf("seed=%d/%v/%s/par=%d", seed, m, tc.name, par), seq, r)
+					diffResults(t, fmt.Sprintf("seed=%d/%v/%s/par=%d", seed, m, tc.name, par), seq, runPar(t, cfg, progs, par))
 				}
 			}
 		}
 	}
-	requireRollbacks(t, rollbacks)
 }

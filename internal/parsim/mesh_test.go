@@ -47,9 +47,9 @@ func meshConfig(m core.Model, tech core.Technique) sim.Config {
 // must reproduce the sequential run exactly for every worker count. This
 // is the hardest case for the barrier design — arrival times depend on
 // mutable link-occupancy state, so they are only engine-independent
-// because Exchange.Barrier (and Probe, on a scratch copy) replays the
-// topology's Arrival calls in exact sequential send order.
-func meshDiff(t *testing.T, twin bool) (rollbacks uint64) {
+// because Exchange.Barrier replays the topology's Arrival calls in exact
+// sequential send order.
+func meshDiff(t *testing.T, twin bool) {
 	for _, m := range []core.Model{core.SC, core.RC} {
 		for _, tc := range techniques {
 			t.Run(fmt.Sprintf("%v/%s", m, tc.name), func(t *testing.T) {
@@ -60,26 +60,21 @@ func meshDiff(t *testing.T, twin bool) (rollbacks uint64) {
 				progs := wideProgs(16, 3, 3)
 				seq := runSeq(t, cfg, progs)
 				for _, par := range []int{2, 4, 8} {
-					r := runPar(t, cfg, progs, par)
-					rollbacks += r.rollbacks
-					diffResults(t, fmt.Sprintf("par=%d", par), seq, r)
+					diffResults(t, fmt.Sprintf("par=%d", par), seq, runPar(t, cfg, progs, par))
 				}
 			})
 		}
 	}
-	return rollbacks
 }
 
 func TestParallelEngineMeshMatchesSequential(t *testing.T) { meshDiff(t, false) }
 
-func TestParallelEngineOptimisticMesh(t *testing.T) { requireRollbacks(t, meshDiff(t, true)) }
+func TestParallelEngineOptimisticMesh(t *testing.T) { meshDiff(t, true) }
 
 // meshCongested raises contention (LinkGap 4, a narrow 2x8 mesh, two home
 // columns) so link queueing dominates timing; queueing delays must still
-// be byte-identical across engines. Probe evaluates arrivals on a scratch
-// copy of exactly that link state, so replays after the barrier
-// workload's rollbacks are the hardest byte-identity case.
-func meshCongested(t *testing.T, twin bool) (rollbacks uint64) {
+// be byte-identical across engines.
+func meshCongested(t *testing.T, twin bool) {
 	cfg := meshConfig(core.SC, core.Technique{Prefetch: true, SpecLoad: true, ReissueOpt: true})
 	cfg.Topo = "mesh:2x8"
 	cfg.LinkGap = 4
@@ -91,24 +86,18 @@ func meshCongested(t *testing.T, twin bool) (rollbacks uint64) {
 	for _, progs := range [][]*isa.Program{wideProgs(16, 4, 2), barrierProgs(16, 2, 16)} {
 		seq := runSeq(t, cfg, progs)
 		for _, par := range []int{2, 8} {
-			r := runPar(t, cfg, progs, par)
-			rollbacks += r.rollbacks
-			diffResults(t, fmt.Sprintf("par=%d", par), seq, r)
+			diffResults(t, fmt.Sprintf("par=%d", par), seq, runPar(t, cfg, progs, par))
 		}
 	}
-	return rollbacks
 }
 
 func TestParallelEngineMeshCongested(t *testing.T) { meshCongested(t, false) }
 
-func TestParallelEngineOptimisticMeshCongested(t *testing.T) {
-	requireRollbacks(t, meshCongested(t, true))
-}
+func TestParallelEngineOptimisticMeshCongested(t *testing.T) { meshCongested(t, true) }
 
 // mesiDiff pins the protocol axis: exclusive-clean grants and silent MESI
-// evictions are directory/cache transients the rollback checkpoints must
-// capture exactly, on both network shapes.
-func mesiDiff(t *testing.T, twin bool) (rollbacks uint64) {
+// evictions must stay engine-independent on both network shapes.
+func mesiDiff(t *testing.T, twin bool) {
 	uniform := sim.RealisticConfig()
 	uniform.Procs = 3
 	uniform.Model = core.RC
@@ -131,15 +120,12 @@ func mesiDiff(t *testing.T, twin bool) (rollbacks uint64) {
 			}
 			seq := runSeq(t, cfg, c.progs)
 			for _, par := range c.pars {
-				r := runPar(t, cfg, c.progs, par)
-				rollbacks += r.rollbacks
-				diffResults(t, fmt.Sprintf("par=%d", par), seq, r)
+				diffResults(t, fmt.Sprintf("par=%d", par), seq, runPar(t, cfg, c.progs, par))
 			}
 		})
 	}
-	return rollbacks
 }
 
 func TestParallelEngineMESI(t *testing.T) { mesiDiff(t, false) }
 
-func TestParallelEngineOptimisticMESI(t *testing.T) { requireRollbacks(t, mesiDiff(t, true)) }
+func TestParallelEngineOptimisticMESI(t *testing.T) { mesiDiff(t, true) }

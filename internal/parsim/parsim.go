@@ -14,9 +14,8 @@
 // stepping them concurrently is indistinguishable from stepping them in
 // the sequential loop's order. The external-write agent's shard performs
 // its scheduled writes in its own writes phase; its next write is its
-// node wake, like any other node's. Longer windows speculate: they run off a
-// checkpoint and roll back when a send lands inside them (speculate.go).
-// Run's window policy decides which windows speculate.
+// node wake, like any other node's. Every window is exactly W cycles long,
+// so nothing is ever undone.
 //
 // Determinism: the barrier (network.Exchange) sorts the window's sends by
 // the position the sequential loop would have sent them at — (cycle, step
@@ -78,17 +77,13 @@ type engine struct {
 
 	windows     uint64
 	globalJumps uint64
-
-	// Speculative-window state (speculate.go): the adaptive horizon, the
-	// current window's rollback record, and the counters surfaced in the
-	// -schedstats report.
-	horizon     uint64
-	ck          checkpoint
-	checkpoints uint64
-	rollbacks   uint64
-	replayed    uint64 // cycles re-executed after rollbacks
-	maxOptimism uint64 // largest single-window committed advance
 }
+
+// minLookahead is the shortest network lookahead the engine windows.
+// Shorter windows pay a barrier every few cycles and lose to the
+// sequential loop: on a 16-CPU mesh with 1-cycle hops (MeshShards), 2
+// workers took 3.89 ms against 2.02 ms sequentially on a 2-vCPU host.
+const minLookahead = 8
 
 // DeclineReason reports why Run leaves s to the sequential loop, or ""
 // when the engine runs it. Every declined case is sequential-only by
@@ -98,6 +93,8 @@ type engine struct {
 //   - zero minimum network delay: the sequential loop delivers a
 //     zero-latency send mid-phase of the cycle it is made in, which no
 //     window barrier can reproduce;
+//   - a minimum network delay below minLookahead: windows that short
+//     lose to the sequential loop;
 //   - trace hooks: they observe whole-machine state every cycle,
 //     undefined while shards sit at different local times.
 //
@@ -109,6 +106,8 @@ func DeclineReason(s *sim.System, par int) string {
 		return fmt.Sprintf("par=%d: sharding needs at least 2 workers", par)
 	case s.Net.Latency() == 0:
 		return "zero network lookahead: a zero-latency send lands mid-cycle"
+	case s.Net.Latency() < minLookahead:
+		return fmt.Sprintf("network lookahead %d below %d cycles: windows that short lose to the sequential loop", s.Net.Latency(), minLookahead)
 	case len(s.TraceHooks) > 0:
 		return "trace hooks observe the whole machine every cycle"
 	}
@@ -131,21 +130,6 @@ func Drive(s *sim.System, par int) (uint64, error) {
 // sequential loop's.
 // Deliveries already in flight (a machine restored from a mid-flight
 // snapshot) are fine: the exchange absorbs them into the shard inboxes.
-//
-// Window policy. With W the network's minimum delay, a window speculates
-// only when all of these hold, and is otherwise a conservative W-cycle
-// window with no checkpoint:
-//
-//   - W < minHorizon. At W ≥ minHorizon a conservative window is already
-//     as long as the shortest speculative one, so a checkpoint buys
-//     nothing; such machines run conservative windows only.
-//   - No delivery is queued in any inbox, and the previous barrier routed
-//     no message (the run's first window counts as busy). Speculation pays
-//     only across stretches with nothing in flight: a queued delivery
-//     triggers sends that land about W cycles later — the straggler a
-//     speculative window would roll back on. A pending scheduled write is
-//     a node wake, not a queued delivery, so a window may speculate
-//     across it.
 func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	if DeclineReason(s, par) != "" {
 		return 0, false, nil
@@ -153,13 +137,12 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	shards := s.Shards()
 	w := s.Net.Latency()
 	e := &engine{
-		s:       s,
-		shards:  shards,
-		eps:     make([]*network.Endpoint, len(shards)),
-		x:       network.NewExchange(s.Net),
-		st:      make([]shardStats, len(shards)),
-		tasks:   make(chan int, len(shards)),
-		horizon: max(4*w, minHorizon),
+		s:      s,
+		shards: shards,
+		eps:    make([]*network.Endpoint, len(shards)),
+		x:      network.NewExchange(s.Net),
+		st:     make([]shardStats, len(shards)),
+		tasks:  make(chan int, len(shards)),
 	}
 	for i, sh := range shards {
 		e.eps[i] = e.x.Endpoint(sh.NodeID(), sh.Rank(), sh.Handler())
@@ -186,19 +169,13 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 	start := s.Cycle
 	limit := s.BaseCycle() + s.Cfg.MaxCycles
 	work := make([]int, 0, len(shards))
-	busy := true // the previous barrier routed a message (the first window counts as busy)
 	for !e.done() {
 		if s.Cycle-s.BaseCycle() > s.Cfg.MaxCycles {
 			teardown()
 			return 0, true, fmt.Errorf("sim: no convergence after %d cycles\n%s", s.Cfg.MaxCycles, s.Dump())
 		}
 		t := s.Cycle
-		spec := w < minHorizon && !busy && e.x.PendingTotal() == 0
-		end := t + w
-		if spec {
-			end = t + e.horizon
-		}
-		end = min(end, limit+1)
+		end := min(t+w, limit+1)
 		// Global fast-forward: jump the clock to the earliest event of any
 		// shard (mirroring the sequential loop's horizon, including its
 		// deadlock jump past the cycle budget), and dispatch only the
@@ -221,16 +198,9 @@ func Run(s *sim.System, par int) (halt uint64, handled bool, err error) {
 			}
 		}
 		e.windows++
-		if spec {
-			if end, err = e.speculate(t, end, work); err != nil {
-				teardown()
-				return 0, true, err
-			}
-		} else {
-			e.from, e.to = t, end
-			e.dispatch(work)
-		}
-		busy = e.x.Barrier() > 0
+		e.from, e.to = t, end
+		e.dispatch(work)
+		e.x.Barrier()
 		s.Cycle = end
 	}
 
@@ -332,8 +302,6 @@ func (e *engine) finishCycle(start uint64) uint64 {
 }
 
 // report renders the scheduler-observability summary (mcsim -schedstats).
-// The speculation line appears only for runs that took a speculative
-// window.
 func (e *engine) report() string {
 	var b strings.Builder
 	var steps, skipped uint64
@@ -343,10 +311,6 @@ func (e *engine) report() string {
 	}
 	fmt.Fprintf(&b, "parsim: shards=%d workers=%d window=%d windows=%d exchanged=%d global_jumps=%d ff_cycles=%d shard_steps=%d shard_skipped=%d\n",
 		len(e.shards), e.workers, e.s.Net.Latency(), e.windows, e.x.Exchanged, e.globalJumps, e.s.FastForwarded, steps, skipped)
-	if e.checkpoints > 0 {
-		fmt.Fprintf(&b, "parsim: engine=optimistic horizon=%d checkpoints=%d rollbacks=%d replayed_cycles=%d max_optimism=%d\n",
-			e.horizon, e.checkpoints, e.rollbacks, e.replayed, e.maxOptimism)
-	}
 	for i, sh := range e.shards {
 		st := &e.st[i]
 		fmt.Fprintf(&b, "  %-6s windows=%d steps=%d skipped=%d idle_tails=%d delivered=%d sent=%d\n",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mcmsim/internal/core"
@@ -184,7 +185,14 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	for twin.Cycle < s.Cycle {
 		twin.Step()
 	}
+	// Both windows count process-wide mallocs, so each runs on one P (as
+	// testing.AllocsPerRun does), after a collection and with the
+	// collector off: no runtime allocation, such as a GC worker starting,
+	// can land inside one window only.
 	mallocs := func(run func() (uint64, error)) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := run(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"mcmsim/internal/coherence"
 	"mcmsim/internal/core"
 	"mcmsim/internal/isa"
 	"mcmsim/internal/network"
@@ -79,6 +80,21 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("Restore error does not wrap ErrInvalidSnapshot: %v", err)
 		}
 	})
+}
+
+// dirLine returns the seed machine's first directory line that keep
+// accepts, failing the test when there is none.
+func dirLine(t *testing.T, m *sim.Machine, keep func(*coherence.LineState) bool) *coherence.LineState {
+	t.Helper()
+	for d := range m.Dirs {
+		for i := range m.Dirs[d].Lines {
+			if l := &m.Dirs[d].Lines[i]; keep(l) {
+				return l
+			}
+		}
+	}
+	t.Fatal("seed machine has no such directory line")
+	return nil
 }
 
 // TestRestoreRejectsInvalidState breaks one invariant at a time in a valid
@@ -180,6 +196,20 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 				}
 			}
 			t.Fatal("seed machine has no shared directory line")
+		}},
+		{"directory state unknown", func(t *testing.T, m *sim.Machine) {
+			dirLine(t, m, func(l *coherence.LineState) bool { return true }).State = 3
+		}},
+		{"directory sharers unsorted", func(t *testing.T, m *sim.Machine) {
+			l := dirLine(t, m, func(l *coherence.LineState) bool { return len(l.Sharers) > 0 })
+			l.Sharers = append(l.Sharers, l.Sharers[0])
+		}},
+		{"directory busy without request", func(t *testing.T, m *sim.Machine) {
+			l := dirLine(t, m, func(l *coherence.LineState) bool { return !l.Busy })
+			l.Busy = true
+		}},
+		{"directory exclusive without owner", func(t *testing.T, m *sim.Machine) {
+			dirLine(t, m, func(l *coherence.LineState) bool { return l.Owner >= 0 }).Owner = -1
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -76,11 +76,6 @@ func (s *System) partition() {
 	s.nodes = append(s.nodes, NodeShard{kind: shardAgent, sys: s})
 }
 
-// IsHome reports whether the shard is a home module — the only kind that
-// touches the shared memory image, which a speculative window therefore
-// checkpoints only when a home shard is dispatched.
-func (sh *NodeShard) IsHome() bool { return sh.kind == shardDir }
-
 // NodeID returns the network node the shard receives messages at.
 func (sh *NodeShard) NodeID() network.NodeID {
 	switch sh.kind {
@@ -238,63 +233,6 @@ func (sh *NodeShard) Quiescent() bool {
 	default:
 		_, pending := sh.sys.nextWriteAt()
 		return sh.sys.agent.idle() && !pending
-	}
-}
-
-// ShardState is one shard's component checkpoint, taken and restored by
-// the shard engine's speculative windows (internal/parsim). Only the
-// fields for the shard's kind are populated. The memory image is not here:
-// home shards only ever touch their own banks, so the engine checkpoints
-// the one shared Memory once per window alongside the per-shard states.
-type ShardState struct {
-	CPU   cpu.State
-	LSU   core.LSUState
-	Cache cache.SavedState
-	Dir   coherence.State
-
-	AgentOutstanding int
-	NextWrite        int
-}
-
-// ExportStateInto captures the shard's components mid-flight into st,
-// reusing st's backing storage (a speculative window checkpoints every
-// dispatched shard).
-func (sh *NodeShard) ExportStateInto(st *ShardState) error {
-	switch sh.kind {
-	case shardProc:
-		if err := sh.proc.ExportStateInto(&st.CPU); err != nil {
-			return err
-		}
-		if err := sh.lsu.ExportStateInto(&st.LSU); err != nil {
-			return err
-		}
-		return sh.cache.ExportStateInto(&st.Cache)
-	case shardDir:
-		return sh.dir.ExportStateInto(&st.Dir)
-	default:
-		st.AgentOutstanding = sh.sys.agent.outstanding
-		st.NextWrite = sh.sys.nextWrite
-		return nil
-	}
-}
-
-// RestoreState rolls the shard's components back to the exported state.
-func (sh *NodeShard) RestoreState(st ShardState) error {
-	switch sh.kind {
-	case shardProc:
-		if err := sh.proc.RestoreState(st.CPU); err != nil {
-			return err
-		}
-		if err := sh.lsu.RestoreState(st.LSU); err != nil {
-			return err
-		}
-		return sh.cache.RestoreState(st.Cache)
-	case shardDir:
-		return sh.dir.RestoreState(st.Dir)
-	default:
-		sh.sys.agent.outstanding = st.AgentOutstanding
-		sh.sys.nextWrite = st.NextWrite
-		return nil
 	}
 }
 

@@ -116,11 +116,7 @@ func (s *System) Snapshot() (*Machine, error) {
 		return nil, err
 	}
 	for _, d := range s.Dirs {
-		st, err := d.ExportState()
-		if err != nil {
-			return nil, err
-		}
-		m.Dirs = append(m.Dirs, st)
+		m.Dirs = append(m.Dirs, d.ExportState())
 	}
 	for _, c := range s.Caches {
 		st, err := c.ExportState()
@@ -130,17 +126,13 @@ func (s *System) Snapshot() (*Machine, error) {
 		m.Caches = append(m.Caches, st)
 	}
 	for i, p := range s.Procs {
-		cpuSt, err := p.ExportState()
-		if err != nil {
-			return nil, err
-		}
 		lsuSt, err := s.LSUs[i].ExportState()
 		if err != nil {
 			return nil, err
 		}
 		m.Procs = append(m.Procs, ProcState{
 			Prog: exportProgram(p.Program()),
-			CPU:  cpuSt,
+			CPU:  p.ExportState(),
 			LSU:  lsuSt,
 		})
 	}

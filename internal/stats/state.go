@@ -38,31 +38,17 @@ type HistogramState struct {
 // is itself observable in String().
 func (s *Set) ExportState() State {
 	var st State
-	s.ExportStateInto(&st)
-	return st
-}
-
-// ExportStateInto captures the set into st, reusing st's backing storage.
-// A speculative shard window checkpoints every dispatched component;
-// reusing the previous window's buffers keeps that off the allocator.
-func (s *Set) ExportStateInto(st *State) {
-	st.Counters = st.Counters[:0]
 	for _, n := range s.CounterNames() {
 		st.Counters = append(st.Counters, CounterState{Name: n, Value: s.counters[n].Value()})
 	}
-	prev := st.Histograms
-	st.Histograms = st.Histograms[:0]
-	for i, n := range s.HistogramNames() {
-		var vals []int64
-		var counts []uint64
-		if i < len(prev) {
-			vals, counts = prev[i].Values[:0], prev[i].Counts[:0]
-		}
+	for _, n := range s.HistogramNames() {
+		hs := HistogramState{Name: n}
 		for _, b := range s.hists[n].buckets {
-			vals, counts = append(vals, b.v), append(counts, b.n)
+			hs.Values, hs.Counts = append(hs.Values, b.v), append(hs.Counts, b.n)
 		}
-		st.Histograms = append(st.Histograms, HistogramState{Name: n, Values: vals, Counts: counts})
+		st.Histograms = append(st.Histograms, hs)
 	}
+	return st
 }
 
 // Validate checks the invariants RestoreState relies on: every histogram

@@ -156,8 +156,8 @@ type Set struct {
 	hists    map[string]*Histogram
 
 	// Cached sorted name lists (nil = stale). Metric registration is rare
-	// and enumeration is hot: reports and per-window engine checkpoints
-	// both walk the names in sorted order.
+	// and enumeration is frequent: reports and snapshots both walk the
+	// names in sorted order.
 	cNames, hNames []string
 
 	// gen counts restores; a CounterRef resolved under an older generation
