@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcmsim/internal/core"
+	"mcmsim/internal/isa"
 )
 
 // legacyFor builds the legacy superset oracle's outcome set for an abstract
@@ -24,16 +25,24 @@ type litmusCase struct {
 	prog    Program
 	relaxed string              // the outcome that distinguishes the models
 	allowed map[core.Model]bool // exact-oracle expectation for relaxed
+	topo    string              // CheckOptions.Topo for the simulator grid
 }
 
 // litmusCorpus is the named litmus suite: the classic shapes with their
 // textbook per-model verdicts under this machine (single multi-copy-atomic
-// memory, FIFO store buffers, precise retirement). IRIW needs four
+// memory, FIFO store buffers, precise retirement), then the minimized
+// conformance reproducers, named after the generator seed that found them,
+// with the outcome the simulator once produced as relaxed. IRIW needs four
 // processors, one more than the fuzz codec can express, which is exactly
 // why it is pinned here as a direct table entry.
 func litmusCorpus() []litmusCase {
 	forbidEverywhere := map[core.Model]bool{
 		core.SC: false, core.PC: false, core.WC: false, core.RCsc: false, core.RC: false,
+	}
+	// Outcomes that need an acquire to pass its processor's older write:
+	// only SC and WC order a write before a later acquire.
+	acqPassesWrite := map[core.Model]bool{
+		core.SC: false, core.PC: true, core.WC: false, core.RCsc: true, core.RC: true,
 	}
 	return []litmusCase{
 		{
@@ -62,9 +71,7 @@ func litmusCorpus() []litmusCase {
 				{{Kind: KStore, Addr: 1, Val: 3}, {Kind: KAcquire, Addr: 0}},
 			}},
 			relaxed: out([][]int64{{0}, {0}}, []int64{2, 3}),
-			allowed: map[core.Model]bool{
-				core.SC: false, core.PC: true, core.WC: false, core.RCsc: true, core.RC: true,
-			},
+			allowed: acqPassesWrite,
 		},
 		{
 			// Message passing, unsynchronized: flag observed but data stale.
@@ -158,6 +165,62 @@ func litmusCorpus() []litmusCase {
 			relaxed: out([][]int64{{}, {}, {2, 0}, {3, 0}}, []int64{2, 3}),
 			allowed: forbidEverywhere,
 		},
+		{
+			// SB+acq with P0's acquire line warm: the acquire hits at once,
+			// so under WC its speculative-load buffer row must carry the
+			// older plain store as its tag, or the row leaves before the
+			// store performs and an invalidation of A1 goes unseen.
+			name: "conform-3290",
+			prog: Program{NAddr: 2, Ops: [][]Op{
+				{{Kind: KLoad, Addr: 1}, {Kind: KStore, Addr: 0, Val: 2}, {Kind: KAcquire, Addr: 1}},
+				{{Kind: KStore, Addr: 1, Val: 5}, {Kind: KAcquire, Addr: 0}},
+			}},
+			relaxed: out([][]int64{{0, 0}, {0}}, []int64{2, 5}),
+			allowed: acqPassesWrite,
+		},
+		{
+			// SB+acq through coherence order: P0's acquire reads its own
+			// A0 and P1's later store to A0 wins, while P1's acquire hits
+			// its warm A2 before P0's store to A2. Each acquire waits for
+			// its processor's older store under WC.
+			name: "conform-1039",
+			prog: Program{NAddr: 3, Ops: [][]Op{
+				{{Kind: KStore, Addr: 0, Val: 3}, {Kind: KStore, Addr: 2, Val: 4}, {Kind: KAcquire, Addr: 0}},
+				{{Kind: KLoad, Addr: 2}, {Kind: KStore, Addr: 0, Val: 7}, {Kind: KAcquire, Addr: 2}},
+			}},
+			relaxed: out([][]int64{{3}, {0, 0}}, []int64{7, 0, 4}),
+			allowed: acqPassesWrite,
+		},
+		{
+			// SB with read-modify-writes: a load after an RMW waits for it
+			// under every model. When an RMW's atomic issues before its
+			// read-exclusive part, the RMW has no buffer row, so the later
+			// load's row must carry the RMW as its tag until the atomic
+			// completes.
+			name: "conform-2082",
+			prog: Program{NAddr: 3, Ops: [][]Op{
+				{{Kind: KAcquire, Addr: 2}, {Kind: KRMW, Addr: 2, Val: 2, RMW: isa.RMWTestAndSet}, {Kind: KLoad, Addr: 0}},
+				{{Kind: KLoad, Addr: 0}, {Kind: KRMW, Addr: 0, Val: 3, RMW: isa.RMWTestAndSet}, {Kind: KLoad, Addr: 2}},
+				{{Kind: KRelease, Addr: 0, Val: 6}},
+			}},
+			relaxed: out([][]int64{{0, 0, 6}, {0, 6, 0}, {}}, []int64{1, 0, 1}),
+			allowed: forbidEverywhere,
+		},
+		{
+			// P0 stores A0 and then acquires A1; P2 stores A1 and then
+			// updates A0 atomically; P1 is empty. The outcome needs P0's
+			// acquire to pass its older store, which WC forbids. Only a
+			// mesh's hop latencies open the window.
+			name: "conform-48",
+			prog: Program{NAddr: 2, Ops: [][]Op{
+				{{Kind: KLoad, Addr: 0}, {Kind: KStore, Addr: 0, Val: 2}, {Kind: KAcquire, Addr: 1}},
+				{},
+				{{Kind: KStore, Addr: 1, Val: 6}, {Kind: KRMW, Addr: 0, Val: 7, RMW: isa.RMWFetchAdd}},
+			}},
+			relaxed: out([][]int64{{0, 0}, {}, {0}}, []int64{2, 6}),
+			allowed: acqPassesWrite,
+			topo:    "mesh",
+		},
 	}
 }
 
@@ -191,11 +254,11 @@ func TestLitmusCorpusOracles(t *testing.T) {
 // TestLitmusCorpusSimulator runs every corpus program (including the
 // 4-processor IRIW pair, which the fuzz codec cannot reach) through the
 // paper-timing grid: all models, techniques, and both protocols, checked
-// against the exact oracle.
+// against the exact oracle, on the case's own network.
 func TestLitmusCorpusSimulator(t *testing.T) {
 	for _, tc := range litmusCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			_, viols := CheckProgram(tc.prog, CheckOptions{Quick: true})
+			_, viols := CheckProgram(tc.prog, CheckOptions{Quick: true, Topo: tc.topo})
 			for _, v := range viols {
 				t.Errorf("%v", v)
 			}

@@ -1,7 +1,5 @@
 package core
 
-import "mcmsim/internal/cache"
-
 // The SC-violation detector (§6 / reference [6]): a second buffer with the
 // speculative-load buffer's shape but sequential consistency's retirement
 // rules and no correction mechanism. Every load enters at issue; an entry
@@ -17,24 +15,10 @@ import "mcmsim/internal/cache"
 // technique needs to check for violations of SC arising from performing
 // either a read or a write access out of order", §6).
 func (u *LSU) addMonitorEntry(e *Entry) {
-	if !u.olderAccessIncomplete(e) {
+	if u.allOlderDone(e) {
 		return
 	}
 	u.monitor = append(u.monitor, u.newRow(specEntry{e: e, acq: true}))
-}
-
-// olderAccessIncomplete reports whether any access older than e has not
-// performed (software prefetches excluded — they are unordered).
-func (u *LSU) olderAccessIncomplete(e *Entry) bool {
-	for _, o := range u.entries {
-		if o.Seq >= e.Seq {
-			return false
-		}
-		if !o.Done && !o.Class.isSWPrefetch() {
-			return true
-		}
-	}
-	return false
 }
 
 // monitorCoherenceEvent matches a coherence event against the detector and
@@ -66,7 +50,7 @@ func (u *LSU) retireMonitorEntries() {
 		if !s.e.Done {
 			break
 		}
-		if u.olderAccessIncomplete(s.e) {
+		if !u.allOlderDone(s.e) {
 			break
 		}
 		n++
@@ -97,5 +81,3 @@ func (u *LSU) flushMonitor(rob uint64) {
 func (u *LSU) SCViolations() uint64 {
 	return u.Stats.Counter("sc_violations_detected").Value()
 }
-
-var _ = cache.EvInvalidate // the detector consumes the same events as the spec buffer

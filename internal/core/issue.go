@@ -378,6 +378,7 @@ func (u *LSU) issueLoad(e *Entry, now uint64) (usedPort, blocked bool) {
 }
 
 // allOlderDone reports whether every access older than e has performed.
+// Software prefetches are skipped: they are non-binding and unordered.
 func (u *LSU) allOlderDone(e *Entry) bool {
 	for _, o := range u.entries {
 		if o.Seq >= e.Seq {
@@ -439,6 +440,11 @@ func (u *LSU) popLoadQ(e *Entry) {
 // the buffer in addition to being issued to the memory system"). A
 // reissued load keeps its original row — the buffer stays in program order
 // and never holds two rows for one access.
+//
+// Both Figure 4 fields come from Figure 1's delay arcs, the predicate
+// conventional issue uses: the acq bit is set when the load would delay a
+// later ordinary load, and the store tag names the youngest older
+// incomplete write the load would have to wait for.
 func (u *LSU) addSpecEntry(e *Entry, isRMW bool) {
 	for _, existing := range u.spec {
 		if existing.e == e {
@@ -447,20 +453,20 @@ func (u *LSU) addSpecEntry(e *Entry, isRMW bool) {
 	}
 	s := u.newRow(specEntry{
 		e:     e,
-		acq:   loadIsAcquireInSpecBuffer(u.cfg.Model, e.Class),
+		acq:   blocksIssue(u.cfg.Model, e.Class, ClassLoad),
 		isRMW: isRMW,
 	})
 	if isRMW {
 		// Appendix A: the store tag names the RMW's own atomic operation in
 		// the store buffer.
 		s.storeTag = e
-	} else if loadWaitsForStores(u.cfg.Model, e.Class) {
+	} else {
 		for _, o := range u.entries {
 			if o.Seq >= e.Seq {
 				break
 			}
-			if !o.Done && storeTagRelevant(u.cfg.Model, o.Class) {
-				s.storeTag = o // youngest such store wins
+			if !o.Done && o.IsWrite() && blocksIssue(u.cfg.Model, o.Class, e.Class) {
+				s.storeTag = o // youngest such write wins
 			}
 		}
 	}

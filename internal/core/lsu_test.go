@@ -83,6 +83,14 @@ func st(addr int64) isa.Instruction {
 	return isa.Instruction{Op: isa.OpStore, Src: isa.R2, Base: isa.R0, Imm: addr}
 }
 
+func ldAcq(addr int64) isa.Instruction {
+	return isa.Instruction{Op: isa.OpAcquire, Dst: isa.R1, Base: isa.R0, Imm: addr}
+}
+
+func tas(addr int64) isa.Instruction {
+	return isa.Instruction{Op: isa.OpRMW, RMW: isa.RMWTestAndSet, Dst: isa.R1, Src: isa.R0, Base: isa.R0, Imm: addr}
+}
+
 func TestConventionalSCSerializesLoads(t *testing.T) {
 	r := newRig(t, Config{Model: SC})
 	r.lsu.Dispatch(1, ld(0x100), true, 0, true, 0)
@@ -271,10 +279,78 @@ func TestStoreTagAssignmentAndNullify(t *testing.T) {
 	}
 }
 
+// stepWhileTagged steps the rig until write performs. Before every step the
+// speculative-load buffer must hold one row, the row of load row, tagged
+// with that write; once the write performs the row must be gone.
+func stepWhileTagged(t *testing.T, r *rig, write, row uint64, class AccessClass, addr uint64) {
+	t.Helper()
+	for !r.cpu.stores[write] {
+		rows := r.lsu.SpecBufferSnapshot()
+		if len(rows) != 1 || rows[0].Seq != row || !rows[0].HasTag || rows[0].TagClass != class || rows[0].TagAddr != addr {
+			t.Fatalf("cycle %d, %v %d incomplete: spec buffer = %+v, want load %d tagged with it",
+				r.cycle, class, write, rows, row)
+		}
+		if r.cycle > 200 {
+			t.Fatalf("%v %d never performed", class, write)
+		}
+		r.step()
+	}
+	if rows := r.lsu.SpecBufferSnapshot(); len(rows) != 0 {
+		t.Errorf("cycle %d: load row outlived its tag: %+v", r.cycle, rows)
+	}
+}
+
+// TestWCAcquireTaggedWithOlderStore: under WC a synchronization access
+// waits for every older access, plain stores included. A speculative
+// acquire that hits must therefore stay in the buffer, tagged with its
+// processor's older store, until that store performs.
+func TestWCAcquireTaggedWithOlderStore(t *testing.T) {
+	r := newRig(t, Config{Model: WC, Tech: Technique{SpecLoad: true}})
+	r.lsu.Dispatch(1, ld(0x100), true, 0, true, 0) // warm B
+	r.run(20)
+	r.lsu.MarkRetired(1)
+	r.lsu.Dispatch(2, st(0x200), true, 0, true, 5) // no head signal yet
+	r.lsu.Dispatch(3, ldAcq(0x100), true, 0, true, 0)
+	r.run(20)
+	if _, ok := r.cpu.loads[3]; !ok {
+		t.Fatal("speculative acquire did not complete")
+	}
+	if r.cpu.stores[2] {
+		t.Fatal("store performed without the head signal")
+	}
+	r.lsu.StoreAtHead(2)
+	stepWhileTagged(t, r, 2, 3, ClassStore, 0x200)
+}
+
+// TestRMWTagsLaterLoadWhenAtomicIssuesFirst: under RC an ordinary load
+// waits for an older acquire, and a read-modify-write is one. When the RMW
+// reaches the reorder-buffer head before its read-exclusive part issues,
+// the store path wins TickIssue's same-Seq tie: the atomic issues first
+// and the RMW never gets a buffer row of its own. The younger load's row
+// must then carry the RMW as its tag, so the load stays watched until the
+// atomic completes.
+func TestRMWTagsLaterLoadWhenAtomicIssuesFirst(t *testing.T) {
+	r := newRig(t, Config{Model: RC, Tech: Technique{SpecLoad: true}})
+	r.lsu.Dispatch(1, ld(0x100), true, 0, true, 0) // warm B
+	r.run(20)
+	r.lsu.MarkRetired(1)
+	r.lsu.Dispatch(2, tas(0x200), true, 0, true, 0)
+	r.lsu.StoreAtHead(2)
+	r.run(1)
+	if rows := r.lsu.SpecBufferSnapshot(); len(rows) != 0 {
+		t.Fatalf("RMW whose atomic issued first has a buffer row: %+v", rows)
+	}
+	r.lsu.Dispatch(3, ld(0x100), true, 0, true, 0)
+	r.run(1)
+	stepWhileTagged(t, r, 2, 3, ClassRMW, 0x200)
+	if _, ok := r.cpu.loads[3]; !ok {
+		t.Fatal("load never completed")
+	}
+}
+
 func TestRMWSplitSpeculativeReadEx(t *testing.T) {
 	r := newRig(t, Config{Model: SC, Tech: Technique{SpecLoad: true}})
-	rmw := isa.Instruction{Op: isa.OpRMW, RMW: isa.RMWTestAndSet, Dst: isa.R1, Src: isa.R0, Base: isa.R0, Imm: 0x100}
-	r.lsu.Dispatch(1, rmw, true, 0, true, 0)
+	r.lsu.Dispatch(1, tas(0x100), true, 0, true, 0)
 	r.run(1)
 	// The read-exclusive part issues immediately; the atomic waits for the
 	// head signal.

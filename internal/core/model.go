@@ -207,9 +207,11 @@ func (c AccessClass) isSWPrefetch() bool {
 // whether an incomplete older access of class `older` forces access `cur`
 // to be delayed under model m.
 //
-// The speculative-load technique bypasses this predicate for reads; the
-// prefetch technique issues a non-binding prefetch when the predicate says
-// "delay".
+// This is the LSU's one per-model ordering switch. The speculative-load
+// technique issues reads without consulting it and instead records in each
+// speculative-load buffer row what the read would have waited for
+// (addSpecEntry); the prefetch technique issues a non-binding prefetch
+// when the predicate says "delay".
 func blocksIssue(m Model, older, cur AccessClass) bool {
 	switch m {
 	case SC:
@@ -255,57 +257,4 @@ func blocksIssue(m Model, older, cur AccessClass) bool {
 	default:
 		panic("core: unknown model")
 	}
-}
-
-// loadIsAcquireInSpecBuffer reports whether a load of the given class must
-// set the acq field of its speculative-load-buffer entry under model m: the
-// entry then stays in the buffer until the load completes, delaying the
-// retirement of all later entries (paper §4.2: "for SC, all loads are
-// treated as acquires").
-func loadIsAcquireInSpecBuffer(m Model, c AccessClass) bool {
-	switch m {
-	case SC, PC:
-		return true
-	case WC:
-		return c.isSync()
-	case RC, RCsc:
-		return c.isAcquire()
-	default:
-		panic("core: unknown model")
-	}
-}
-
-// loadWaitsForStores reports whether, under model m, a speculative load of
-// class c must carry a store tag naming the most recent incomplete older
-// store (the load may not become non-speculative until that store
-// completes).
-func loadWaitsForStores(m Model, c AccessClass) bool {
-	switch m {
-	case SC:
-		return true
-	case PC:
-		return false // reads bypass previous writes
-	case WC:
-		return true // waits for previous releases; tag selects sync stores
-	case RC:
-		return false
-	case RCsc:
-		// Only acquires wait for previous releases (SC among specials).
-		return c.isAcquire()
-	default:
-		panic("core: unknown model")
-	}
-}
-
-// storeTagRelevant reports whether an older incomplete store of class
-// `older` is the kind of store a speculative load must wait for under model
-// m (SC: any store; WC: only synchronization stores).
-func storeTagRelevant(m Model, older AccessClass) bool {
-	if !older.isWrite() {
-		return false
-	}
-	if m == WC || m == RCsc {
-		return older.isSync()
-	}
-	return true
 }

@@ -116,15 +116,3 @@ func (u *LSU) StoreBufferSnapshot() []StoreRow {
 	}
 	return rows
 }
-
-// EntryByAddr returns the youngest live entry accessing the given word
-// address, for tests.
-func (u *LSU) EntryByAddr(addr uint64) *Entry {
-	var found *Entry
-	for _, e := range u.entries {
-		if e.AddrReady && e.Addr == addr {
-			found = e
-		}
-	}
-	return found
-}

@@ -28,7 +28,7 @@ func TestSuiteOutputPinned(t *testing.T) {
 		want  string
 	}{
 		{"msi", coherence.ProtoInvalidate, "61748193b5252b82"},
-		{"mesi", coherence.ProtoMESI, "5922b5b549a6f234"},
+		{"mesi", coherence.ProtoMESI, "985737751cd0ef79"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := DefaultParams()
