@@ -84,6 +84,9 @@ cover:
 # that are checked against the oracle on the reduced (paper-timing) grid,
 # and arbitrary byte strings fed to snapshot.Read and sim.Restore must come
 # back as a machine or as a sim.ErrInvalidSnapshot error, never a panic.
+# FuzzRestore feeds each input twice: as a whole snapshot (the framing),
+# and as the payload behind a valid header (the gob decoder and Restore,
+# past the checksum that refuses almost every mutated snapshot).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConformance -fuzztime 30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 30s -fuzzminimizetime 3s ./internal/sim

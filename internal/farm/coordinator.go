@@ -7,6 +7,7 @@ import (
 
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
+	"mcmsim/internal/snapshot"
 )
 
 // Stats are the coordinator's counters. They describe scheduling, never
@@ -23,7 +24,7 @@ type Stats struct {
 	StaleCompletes int // results refused because the lease had been reassigned
 
 	Checkpoints         int // checkpoint uploads accepted
-	CheckpointsRejected int // refused: corrupt snapshot or stale lease
+	CheckpointsRejected int // refused: stale lease, or a snapshot.Verify failure
 
 	// WarmFetches is always 0: each worker loop builds its warmups in
 	// its own runner.WarmupCache, so the coordinator serves none. It stays
@@ -44,7 +45,7 @@ type jobState struct {
 	deadline time.Time
 	owner    *session
 
-	checkpoint []byte // latest validated mid-flight snapshot, nil if none
+	checkpoint []byte // latest verified mid-flight snapshot, nil if none
 	ckCycle    uint64
 }
 
@@ -251,31 +252,22 @@ func (c *Coordinator) heldLocked(s *session, job int, seq uint64) bool {
 	return st.status == jobLeased && st.seq == seq && st.owner == s
 }
 
-// checkpoint stores a mid-flight snapshot for a leased job. The lease is
-// checked first, so an upload under a stale or foreign lease is refused
-// before anything decodes it. The snapshot is then validated (framing,
-// format version) before it replaces the previous one: a worker dying
-// mid-upload truncates the payload, and a truncated payload must lose
-// progress, never poison the resume path. The decode runs outside the
-// lock, so the lease is checked again after it.
+// checkpoint stores a mid-flight snapshot for a leased job, in one
+// critical section. The lease is checked first, so an upload under a
+// stale or foreign lease is refused before its bytes are looked at. The
+// upload is then verified (snapshot.Verify: header, exact length,
+// checksum) before it replaces the previous one: a worker dying
+// mid-upload truncates the payload, and a truncated or damaged payload
+// must lose progress, never poison the resume path. Nothing is decoded
+// here; the worker that resumes from the checkpoint decodes it.
 func (c *Coordinator) checkpoint(s *session, a CheckpointArgs) bool {
-	c.mu.Lock()
-	held := c.heldLocked(s, a.Job, a.Seq)
-	if !held {
-		c.stats.CheckpointsRejected++
-	}
-	c.mu.Unlock()
-	if !held {
-		return false
-	}
-	_, err := decodeMachine(a.Snapshot)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.heldLocked(s, a.Job, a.Seq) {
 		c.stats.CheckpointsRejected++
 		return false
 	}
-	if err != nil {
+	if snapshot.Verify(a.Snapshot) != nil {
 		c.stats.CheckpointsRejected++
 		return true // lease is fine; only this upload is refused
 	}

@@ -64,12 +64,15 @@
 //
 // Workers running a checkpoint-enabled farm upload interval snapshots of
 // Measure jobs (sim.RunCheckpointed slices); a reassigned job resumes
-// from its last validated checkpoint instead of cycle zero. Checkpoints
-// are validated (snapshot envelope decode) before they replace the
-// previous one, so a worker dying mid-upload can only lose progress,
-// never corrupt it. Resume lands on the same absolute slice boundaries
-// the uninterrupted run used, so the final machine — and the row — is
-// unchanged.
+// from its last verified checkpoint instead of cycle zero. Checkpoints
+// are verified (snapshot.Verify: header, exact length, CRC-32C; nothing
+// is decoded) before they replace the previous one, so a worker dying
+// mid-upload, or a payload damaged on the way, can only lose progress,
+// never corrupt it. A checkpoint that passes but does not decode or
+// restore was written wrong; the worker handed it runs the job from
+// cycle zero, as under a lease without a checkpoint. Resume lands on the
+// same absolute slice boundaries the uninterrupted run used, so the final
+// machine — and the row — is unchanged.
 //
 // # Version locking
 //

@@ -2,7 +2,9 @@ package farm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"net/rpc"
 	"strings"
@@ -162,23 +164,39 @@ func TestFarmLeaseExpiryReassigns(t *testing.T) {
 	}
 }
 
-// tinySnapshot builds a valid serialized machine snapshot (any machine —
-// the coordinator validates framing and version, not job identity).
-func tinySnapshot(t *testing.T) []byte {
+// tinyMachine is a small valid machine (any machine: the coordinator
+// checks a checkpoint's framing, not which job it belongs to).
+func tinyMachine(t *testing.T) *sim.Machine {
 	t.Helper()
 	cfg := sim.PaperConfig()
 	cfg.Procs = 2
 	halt := isa.NewBuilder().Halt().Build()
-	s := sim.New(cfg, []*isa.Program{halt, halt})
-	m, err := s.Snapshot()
+	m, err := sim.New(cfg, []*isa.Program{halt, halt}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encodeMachine(m)
+	return m
+}
+
+// tinySnapshot is tinyMachine serialized as a checkpoint upload.
+func tinySnapshot(t *testing.T) []byte {
+	t.Helper()
+	b, err := encodeMachine(tinyMachine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// withPayload puts another payload behind snap's magic and version,
+// with the length and CRC-32C of the new payload in the big-endian
+// layout internal/snapshot documents, so the upload passes
+// snapshot.Verify whatever the payload holds.
+func withPayload(snap, payload []byte) []byte {
+	b := bytes.Clone(snap[:20])
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, payload...)
 }
 
 // TestFarmCorruptCheckpointRejected covers the worker killed mid-upload:
@@ -200,35 +218,43 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 	}
 
 	good := tinySnapshot(t)
-	if held := coord.checkpoint(sess, CheckpointArgs{Job: lease.Job, Seq: lease.Seq, Cycle: 1000, Snapshot: good}); !held {
+	valid := CheckpointArgs{Job: lease.Job, Seq: lease.Seq, Cycle: 1000, Snapshot: good}
+	if held := coord.checkpoint(sess, valid); !held {
 		t.Fatal("valid checkpoint refused")
 	}
 	if st := coord.Stats(); st.Checkpoints != 1 {
 		t.Fatalf("Checkpoints = %d, want 1", st.Checkpoints)
 	}
+	// Accepting an upload verifies it and decodes nothing, so it
+	// allocates nothing.
+	if allocs := testing.AllocsPerRun(5, func() { coord.checkpoint(sess, valid) }); allocs > 0 {
+		t.Errorf("an accepted upload allocates %.0f objects, want 0", allocs)
+	}
 
-	// Garbage payload and truncated payload (a worker dying mid-upload):
-	// both refused, lease intact, stored checkpoint untouched.
-	for _, bad := range [][]byte{[]byte("not a snapshot"), good[:len(good)/2]} {
+	// Garbage, truncated (a worker dying mid-upload) and bit-flipped
+	// payloads: all refused, lease intact, stored checkpoint untouched.
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, bad := range [][]byte{[]byte("not a snapshot"), good[:len(good)/2], flipped} {
 		if held := coord.checkpoint(sess, CheckpointArgs{Job: lease.Job, Seq: lease.Seq, Cycle: 2000, Snapshot: bad}); !held {
 			t.Error("corrupt upload revoked the lease; it should only refuse the payload")
 		}
 	}
-	// Stale lease: refused outright, before the payload is decoded (a
-	// decode of even this small snapshot allocates hundreds of objects).
+	// Stale lease: refused outright, before its bytes are verified, and
+	// refusing it allocates nothing.
 	stale := CheckpointArgs{Job: lease.Job, Seq: lease.Seq + 99, Cycle: 2000, Snapshot: good}
 	if held := coord.checkpoint(sess, stale); held {
 		t.Error("checkpoint accepted under a stale lease")
 	}
 	if allocs := testing.AllocsPerRun(5, func() { coord.checkpoint(sess, stale) }); allocs > 0 {
-		t.Errorf("a stale-lease upload allocates %.0f objects; it must be refused before decoding", allocs)
+		t.Errorf("a stale-lease upload allocates %.0f objects, want 0", allocs)
 	}
 	st := coord.Stats()
-	if st.CheckpointsRejected != 3+6 {
-		t.Errorf("CheckpointsRejected = %d, want 9", st.CheckpointsRejected)
+	if st.CheckpointsRejected != 4+6 {
+		t.Errorf("CheckpointsRejected = %d, want 10", st.CheckpointsRejected)
 	}
-	if st.Checkpoints != 1 {
-		t.Errorf("Checkpoints = %d, want 1 (corrupt uploads must not count)", st.Checkpoints)
+	if st.Checkpoints != 1+6 {
+		t.Errorf("Checkpoints = %d, want 7 (corrupt uploads must not count)", st.Checkpoints)
 	}
 
 	// The owner dies; the reassigned lease must carry the intact snapshot.
@@ -249,6 +275,80 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Resumed != 1 || st.Reassigned != 1 {
 		t.Errorf("Resumed/Reassigned = %d/%d, want 1/1", st.Resumed, st.Reassigned)
+	}
+}
+
+// TestFarmBadCheckpointRestartsJob covers a checkpoint that passes the
+// coordinator's check but cannot resume its job: a session leases a job,
+// uploads such a checkpoint and hangs up. The healthy worker handed the
+// job with that checkpoint must run it from cycle zero instead of dying,
+// drain the farm, and render the local pool's bytes. The checkpoints are
+// a machine that decodes but that Restore refuses (a processor state
+// short), and a payload with a valid checksum whose gob body is garbage.
+func TestFarmBadCheckpointRestartsJob(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		snapshot func(t *testing.T) []byte
+	}{
+		{"restore refuses", func(t *testing.T) []byte {
+			m := tinyMachine(t)
+			m.Procs = m.Procs[:1]
+			b, err := encodeMachine(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{"garbage payload", func(t *testing.T) []byte {
+			return withPayload(tinySnapshot(t), []byte("not a gob stream"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{Kind: "sweep", Exps: []string{"equalization"}, Procs: 3, Seed: 7}
+			coord := newCoord(t, spec, 0, 1000)
+			client := rpc.NewClient(pipe(t, coord))
+			var w Welcome
+			hello := Hello{Protocol: ProtocolVersion, Snapshot: sim.SnapshotVersion, Worker: "uploader"}
+			if err := client.Call("Farm.Hello", hello, &w); err != nil {
+				t.Fatal(err)
+			}
+			var lease LeaseReply
+			if err := client.Call("Farm.Lease", LeaseArgs{Fingerprint: w.Fingerprint}, &lease); err != nil {
+				t.Fatal(err)
+			}
+			if lease.Done || lease.Wait || coord.jobs[lease.Job].Measure == nil {
+				t.Fatalf("uploader got no checkpointed job: %+v", lease)
+			}
+			var cr CheckpointReply
+			if err := client.Call("Farm.Checkpoint", CheckpointArgs{
+				Job: lease.Job, Seq: lease.Seq, Cycle: 1000, Snapshot: tc.snapshot(t),
+			}, &cr); err != nil {
+				t.Fatal(err)
+			}
+			if st := coord.Stats(); !cr.Held || st.Checkpoints != 1 {
+				t.Fatalf("upload refused (held %v, stats %+v); the resume path is not reached", cr.Held, st)
+			}
+			client.Close() // the hangup releases the lease
+
+			if err := Work(pipe(t, coord), []*Worker{{Name: "healthy"}}); err != nil {
+				t.Fatal(err)
+			}
+			st := coord.Stats()
+			if st.Completed != st.Jobs {
+				t.Fatalf("farm incomplete: %d of %d (stats %+v)", st.Completed, st.Jobs, st)
+			}
+			if st.Resumed != 1 {
+				t.Errorf("Resumed = %d, want 1: the bad checkpoint was never handed out", st.Resumed)
+			}
+			results := coord.Results()
+			for _, format := range []string{runner.FormatTable, runner.FormatJSON, runner.FormatCSV} {
+				farm := render(t, results, format)
+				local := renderLocal(t, spec, 2, format)
+				if !bytes.Equal(farm, local) {
+					t.Errorf("%s output differs after a bad checkpoint:\n--- farm ---\n%s--- local ---\n%s", format, farm, local)
+				}
+			}
+		})
 	}
 }
 

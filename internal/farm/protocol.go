@@ -163,8 +163,8 @@ func compatible(protocol, snapVersion int, build, selfBuild string) error {
 	return nil
 }
 
-// encodeMachine serializes a machine snapshot in the versioned on-disk
-// framing, so both ends validate magic and format version on decode.
+// encodeMachine serializes a machine snapshot in the on-disk framing, so
+// the coordinator can verify an upload without decoding it.
 func encodeMachine(m *sim.Machine) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, m); err != nil {
@@ -173,7 +173,7 @@ func encodeMachine(m *sim.Machine) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeMachine validates and decodes a shipped snapshot.
+// decodeMachine checks and decodes a shipped snapshot (a resume).
 func decodeMachine(b []byte) (*sim.Machine, error) {
 	return snapshot.Read(bytes.NewReader(b))
 }

@@ -184,17 +184,16 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 		}
 	}
 	if lease.Checkpoint != nil && job.Measure != nil {
-		m, err := decodeMachine(lease.Checkpoint)
-		if err != nil {
-			// A checkpoint the coordinator validated should decode; if it
-			// does not, the builds diverge — fatal, not per-job.
-			return fmt.Errorf("farm: worker %s: resume checkpoint for job %d: %w", w.Name, lease.Job, err)
+		// The coordinator verified the checkpoint's framing and checksum,
+		// and the handshake refused mixed builds and snapshot versions, so
+		// a checkpoint that does not decode or restore was uploaded bad,
+		// not damaged on the way or misread. It costs only its progress:
+		// the job runs from cycle zero, as under a lease without one.
+		if m, err := decodeMachine(lease.Checkpoint); err == nil {
+			if s, err := sim.Restore(m); err == nil {
+				opts.Start = s
+			}
 		}
-		s, err := sim.Restore(m)
-		if err != nil {
-			return fmt.Errorf("farm: worker %s: resume checkpoint for job %d: %w", w.Name, lease.Job, err)
-		}
-		opts.Start = s
 	}
 
 	res := runner.RunJob(job, opts)

@@ -2,7 +2,10 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -60,26 +63,69 @@ func encodeMachine(t testing.TB, m *sim.Machine) []byte {
 	return buf.Bytes()
 }
 
+// gobPayload is a machine's gob encoding, the payload of its snapshot.
+func gobPayload(t testing.TB, m *sim.Machine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// frame puts payload behind a snapshot header of the given format
+// version. It follows the layout internal/snapshot documents, not that
+// package's code: the 16-byte magic, then big-endian the version
+// (uint32), the payload length (uint64) and the payload's CRC-32C
+// (uint32).
+func frame(version uint32, payload []byte) []byte {
+	b := []byte("mcmsim-snapshot\n")
+	b = binary.BigEndian.AppendUint32(b, version)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, payload...)
+}
+
 // FuzzRestore feeds arbitrary bytes through snapshot.Read and sim.Restore,
-// the path a checkpoint upload or a snapshot file takes: every input must
-// come back as a machine or as an error wrapping sim.ErrInvalidSnapshot,
-// never as a panic or a runaway allocation.
+// the path a checkpoint upload or a snapshot file takes, in two arms. The
+// first reads the bytes as a whole snapshot, which tests the framing. The
+// second puts the same bytes as a payload behind a valid header, so they
+// get past the checksum, which refuses almost every mutated snapshot, and
+// reach the gob decoder and Restore. Every input must come back as a
+// machine or as an error wrapping sim.ErrInvalidSnapshot, never as a panic
+// or a runaway allocation. The corpus holds each seed machine's payload
+// and its whole snapshot.
 func FuzzRestore(f *testing.F) {
 	for _, m := range fuzzSeedMachines(f) {
+		f.Add(gobPayload(f, m))
 		f.Add(encodeMachine(f, m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := snapshot.Read(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, sim.ErrInvalidSnapshot) {
-				t.Fatalf("Read error does not wrap ErrInvalidSnapshot: %v", err)
-			}
-			return
+		if err := snapshot.Verify(data); err != nil && !errors.Is(err, sim.ErrInvalidSnapshot) {
+			t.Fatalf("Verify error does not wrap ErrInvalidSnapshot: %v", err)
 		}
-		if _, err := sim.Restore(m); err != nil && !errors.Is(err, sim.ErrInvalidSnapshot) {
-			t.Fatalf("Restore error does not wrap ErrInvalidSnapshot: %v", err)
+		readRestore(t, data)
+		framed := frame(sim.SnapshotVersion, data)
+		if err := snapshot.Verify(framed); err != nil {
+			t.Fatalf("Verify refused a valid header: %v", err)
 		}
+		readRestore(t, framed)
 	})
+}
+
+// readRestore reads a snapshot and restores the machine it holds; every
+// failure must wrap sim.ErrInvalidSnapshot.
+func readRestore(t *testing.T, b []byte) {
+	m, err := snapshot.Read(bytes.NewReader(b))
+	if err != nil {
+		if !errors.Is(err, sim.ErrInvalidSnapshot) {
+			t.Fatalf("Read error does not wrap ErrInvalidSnapshot: %v", err)
+		}
+		return
+	}
+	if _, err := sim.Restore(m); err != nil && !errors.Is(err, sim.ErrInvalidSnapshot) {
+		t.Fatalf("Restore error does not wrap ErrInvalidSnapshot: %v", err)
+	}
 }
 
 // dirLine returns the seed machine's first directory line that keep

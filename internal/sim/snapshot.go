@@ -40,7 +40,10 @@ import (
 //	    forward takes one cycle and the address unit is unbounded.
 //	6 — the machine holds Config and ScheduledWrite, not copies, so the
 //	    config's fields follow Config's order; Snapshot zeroes DenseLoop.
-const SnapshotVersion = 6
+//	7 — the gob envelope gives way to a fixed header (magic, version,
+//	    payload length, CRC-32C of the payload) in front of the gob
+//	    encoding of the Machine, which is unchanged (internal/snapshot).
+const SnapshotVersion = 7
 
 // ErrInvalidSnapshot marks every failure to read or restore a snapshot: a
 // foreign or corrupt stream, another format version, or a machine state

@@ -1,51 +1,131 @@
-// Package snapshot persists machine snapshots: a sim.Machine in a gob
-// envelope that carries a magic string and sim.SnapshotVersion, so a
-// reader rejects foreign or stale streams before it decodes the machine.
-// A snapshot may be taken between any two cycles, quiescent or not, and
+// Package snapshot persists machine snapshots. A snapshot is a fixed
+// 32-byte header followed by the payload, the gob encoding of one
+// sim.Machine. The header's integers are big-endian:
+//
+//	offset  size  field
+//	     0    16  magic "mcmsim-snapshot\n"
+//	    16     4  format version (sim.SnapshotVersion), uint32
+//	    20     8  payload length in bytes, uint64
+//	    28     4  CRC-32C (Castagnoli) of the payload, uint32
+//	    32     n  payload
+//
+// Read refuses a foreign magic or another format version before it reads
+// the payload, and a short or damaged payload before it decodes anything;
+// Verify makes the same checks on bytes in memory without decoding. A
+// snapshot may be taken between any two cycles, quiescent or not, and
 // restoring it (sim.Restore) reproduces every later observable byte for
 // byte; sim.Machine documents what it holds.
 package snapshot
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
 	"mcmsim/internal/sim"
 )
 
-// magic guards against feeding arbitrary gob streams to Read.
-const magic = "mcmsim-snapshot"
+const (
+	magic     = "mcmsim-snapshot\n"
+	headerLen = 32
+)
 
-// envelope is the on-disk framing: magic and version first, so Read can
-// reject foreign or stale streams before decoding the machine.
-type envelope struct {
-	Magic   string
-	Version int
-	Machine sim.Machine
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write encodes the machine to w.
+// Write encodes the machine to w. The payload is encoded once, into the
+// buffer that then carries the header in front of it.
 func Write(w io.Writer, m *sim.Machine) error {
-	return gob.NewEncoder(w).Encode(envelope{Magic: magic, Version: sim.SnapshotVersion, Machine: *m})
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		return err
+	}
+	b := buf.Bytes()
+	payload := b[headerLen:]
+	copy(b, magic)
+	binary.BigEndian.PutUint32(b[16:], sim.SnapshotVersion)
+	binary.BigEndian.PutUint64(b[20:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(b[28:], crc32.Checksum(payload, castagnoli))
+	_, err := w.Write(b)
+	return err
 }
 
-// Read decodes a machine from r, validating the framing. Every failure
-// wraps sim.ErrInvalidSnapshot.
+// Read decodes a machine from r. It reads the header and exactly the
+// payload length the header states; the payload buffer grows with the
+// bytes that arrive, never up front from the stated length. Every
+// failure wraps sim.ErrInvalidSnapshot.
 func Read(r io.Reader) (*sim.Machine, error) {
-	var e envelope
-	if err := gob.NewDecoder(r).Decode(&e); err != nil {
-		return nil, fmt.Errorf("%w: decode: %w", sim.ErrInvalidSnapshot, err)
+	var h [headerLen]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return nil, invalid("header: %w", err)
 	}
-	if e.Magic != magic {
-		return nil, fmt.Errorf("%w: not a machine snapshot (magic %q)", sim.ErrInvalidSnapshot, e.Magic)
+	n, sum, err := parseHeader(h[:])
+	if err != nil {
+		return nil, err
 	}
-	if e.Version != sim.SnapshotVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d", sim.ErrInvalidSnapshot, e.Version, sim.SnapshotVersion)
+	// A length past math.MaxInt64 turns negative here, and the limited
+	// reader then yields nothing: the length check below refuses it.
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, invalid("payload: %w", err)
 	}
-	return &e.Machine, nil
+	if uint64(len(b)) != n {
+		return nil, invalid("payload: %d of %d bytes", len(b), n)
+	}
+	if err := checkSum(b, sum); err != nil {
+		return nil, err
+	}
+	var m sim.Machine
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
+		return nil, invalid("decode: %w", err)
+	}
+	return &m, nil
+}
+
+// Verify checks a whole snapshot in memory: the header, a payload of
+// exactly the stated length, and its checksum. It decodes nothing and
+// allocates only on failure, whose error wraps sim.ErrInvalidSnapshot. A
+// snapshot that passes can still fail to decode or to restore, but only
+// if it was written wrong, not if it was damaged on the way.
+func Verify(b []byte) error {
+	if len(b) < headerLen {
+		return invalid("header: %d of %d bytes", len(b), headerLen)
+	}
+	n, sum, err := parseHeader(b[:headerLen])
+	if err != nil {
+		return err
+	}
+	if got := uint64(len(b) - headerLen); got != n {
+		return invalid("payload of %d bytes, header states %d", got, n)
+	}
+	return checkSum(b[headerLen:], sum)
+}
+
+// parseHeader checks the magic and the format version and returns the
+// stated payload length and checksum.
+func parseHeader(h []byte) (n uint64, sum uint32, err error) {
+	if string(h[:16]) != magic {
+		return 0, 0, invalid("not a machine snapshot (no header; formats before 7 had none)")
+	}
+	if v := binary.BigEndian.Uint32(h[16:]); v != sim.SnapshotVersion {
+		return 0, 0, invalid("format version %d, this build reads %d", v, sim.SnapshotVersion)
+	}
+	return binary.BigEndian.Uint64(h[20:]), binary.BigEndian.Uint32(h[28:]), nil
+}
+
+func checkSum(payload []byte, sum uint32) error {
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return invalid("payload checksum %08x, header states %08x", got, sum)
+	}
+	return nil
+}
+
+func invalid(format string, a ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{sim.ErrInvalidSnapshot}, a...)...)
 }
 
 // WriteFile encodes the machine to a file.
@@ -54,12 +134,7 @@ func WriteFile(path string, m *sim.Machine) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	if err := Write(bw, m); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := Write(f, m); err != nil {
 		f.Close()
 		return err
 	}
@@ -73,5 +148,5 @@ func ReadFile(path string) (*sim.Machine, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(bufio.NewReader(f))
+	return Read(f)
 }
