@@ -118,9 +118,30 @@ func (c *Cache) ExportState() (SavedState, error) {
 		Sets:           make([][]LineState, c.cfg.Sets),
 		NSTOutstanding: c.nstOutstanding,
 	}
+	// Every touched set's lines share one array, and their data words
+	// another, each sized in a first pass; the 3-index slices keep a set
+	// or a line's Data from growing into its neighbour's.
+	var nlines, nwords int
 	for i := range st.Sets {
 		for _, l := range c.set(i) {
-			st.Sets[i] = append(st.Sets[i], LineState{Addr: l.addr, State: uint8(l.state), Data: slices.Clone(l.data), GrantVer: l.grantVer, LastUse: l.lastUse})
+			nlines++
+			nwords += len(l.data)
+		}
+	}
+	lines, words := make([]LineState, 0, nlines), make([]int64, 0, nwords)
+	for i := range st.Sets {
+		first := len(lines)
+		for _, l := range c.set(i) {
+			ls := LineState{Addr: l.addr, State: uint8(l.state), GrantVer: l.grantVer, LastUse: l.lastUse}
+			if len(l.data) > 0 {
+				w := len(words)
+				words = append(words, l.data...)
+				ls.Data = words[w:len(words):len(words)]
+			}
+			lines = append(lines, ls)
+		}
+		if len(lines) > first {
+			st.Sets[i] = lines[first:len(lines):len(lines)]
 		}
 	}
 	for k, n := range c.ackPool {

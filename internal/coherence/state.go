@@ -1,9 +1,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mcmsim/internal/network"
 	"mcmsim/internal/stats"
@@ -46,7 +46,7 @@ type State struct {
 
 // ExportState captures the directory state, busy transactions included.
 func (d *Directory) ExportState() State {
-	st := State{Stats: d.Stats.ExportState()}
+	st := State{Stats: d.Stats.ExportState(), Lines: make([]LineState, 0, len(d.lines))}
 	for addr, l := range d.lines {
 		ls := LineState{
 			Addr: addr, State: uint8(l.state), Owner: l.owner, Ver: l.ver,
@@ -63,7 +63,7 @@ func (d *Directory) ExportState() State {
 		}
 		st.Lines = append(st.Lines, ls)
 	}
-	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Addr < st.Lines[j].Addr })
+	slices.SortFunc(st.Lines, func(a, b LineState) int { return cmp.Compare(a.Addr, b.Addr) })
 	for _, m := range d.ingress {
 		st.Ingress = append(st.Ingress, network.ExportMessage(m))
 	}

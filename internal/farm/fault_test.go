@@ -14,6 +14,7 @@ import (
 	"mcmsim/internal/isa"
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
+	"mcmsim/internal/snapshot"
 )
 
 // TestFarmWorkerDeathResumesFromCheckpoint kills a worker right after its
@@ -181,7 +182,7 @@ func tinyMachine(t *testing.T) *sim.Machine {
 // tinySnapshot is tinyMachine serialized as a checkpoint upload.
 func tinySnapshot(t *testing.T) []byte {
 	t.Helper()
-	b, err := encodeMachine(tinyMachine(t))
+	b, err := snapshot.Append(nil, tinyMachine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestFarmCorruptCheckpointRejected(t *testing.T) {
 // job with that checkpoint must run it from cycle zero instead of dying,
 // drain the farm, and render the local pool's bytes. The checkpoints are
 // a machine that decodes but that Restore refuses (a processor state
-// short), and a payload with a valid checksum whose gob body is garbage.
+// short), and a payload with a valid checksum whose body is garbage.
 func TestFarmBadCheckpointRestartsJob(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -293,14 +294,14 @@ func TestFarmBadCheckpointRestartsJob(t *testing.T) {
 		{"restore refuses", func(t *testing.T) []byte {
 			m := tinyMachine(t)
 			m.Procs = m.Procs[:1]
-			b, err := encodeMachine(m)
+			b, err := snapshot.Append(nil, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return b
 		}},
 		{"garbage payload", func(t *testing.T) []byte {
-			return withPayload(tinySnapshot(t), []byte("not a gob stream"))
+			return withPayload(tinySnapshot(t), []byte("not a machine payload"))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

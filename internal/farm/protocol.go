@@ -1,14 +1,12 @@
 package farm
 
 import (
-	"bytes"
 	"fmt"
 	"runtime/debug"
 	"time"
 
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
-	"mcmsim/internal/snapshot"
 )
 
 // ProtocolVersion is the farm wire protocol. Bumped on any change to the
@@ -161,21 +159,6 @@ func compatible(protocol, snapVersion int, build, selfBuild string) error {
 		return fmt.Errorf("build %s vs %s (mixed-revision fleets can diverge silently)", build, selfBuild)
 	}
 	return nil
-}
-
-// encodeMachine serializes a machine snapshot in the on-disk framing, so
-// the coordinator can verify an upload without decoding it.
-func encodeMachine(m *sim.Machine) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeMachine checks and decodes a shipped snapshot (a resume).
-func decodeMachine(b []byte) (*sim.Machine, error) {
-	return snapshot.Read(bytes.NewReader(b))
 }
 
 // toWire flattens a runner.Result for transport.

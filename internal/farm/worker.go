@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 
 	"mcmsim/internal/runner"
 	"mcmsim/internal/sim"
+	"mcmsim/internal/snapshot"
 )
 
 // leaseWaitBackoff is how long a worker sleeps when the coordinator has
@@ -150,7 +152,10 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 	var hookErr error
 	if welcome.CheckpointEvery > 0 && job.Measure != nil {
 		// Checkpointed drives slice the sequential loop into an
-		// interruptible clock.
+		// interruptible clock. Each checkpoint is encoded once, into the
+		// bytes the call sends; the call has copied them onto the
+		// connection when it returns, so the next checkpoint reuses them.
+		var snap []byte
 		opts.Drive = func(s *sim.System) (uint64, error) {
 			return s.RunCheckpointed(welcome.CheckpointEvery, func(s *sim.System) error {
 				if lost.Load() {
@@ -160,13 +165,12 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 				if err != nil {
 					return err
 				}
-				b, err := encodeMachine(m)
-				if err != nil {
+				if snap, err = snapshot.Append(snap[:0], m); err != nil {
 					return err
 				}
 				var r CheckpointReply
 				if err := client.Call("Farm.Checkpoint", CheckpointArgs{
-					Job: lease.Job, Seq: lease.Seq, Cycle: s.Cycle, Snapshot: b,
+					Job: lease.Job, Seq: lease.Seq, Cycle: s.Cycle, Snapshot: snap,
 				}, &r); err != nil {
 					return err
 				}
@@ -189,7 +193,7 @@ func (w *Worker) execute(client *rpc.Client, welcome Welcome, jobs []runner.Job,
 		// a checkpoint that does not decode or restore was uploaded bad,
 		// not damaged on the way or misread. It costs only its progress:
 		// the job runs from cycle zero, as under a lease without one.
-		if m, err := decodeMachine(lease.Checkpoint); err == nil {
+		if m, err := snapshot.Read(bytes.NewReader(lease.Checkpoint)); err == nil {
 			if s, err := sim.Restore(m); err == nil {
 				opts.Start = s
 			}

@@ -3,10 +3,10 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"testing"
 
 	"mcmsim/internal/coherence"
@@ -63,14 +63,15 @@ func encodeMachine(t testing.TB, m *sim.Machine) []byte {
 	return buf.Bytes()
 }
 
-// gobPayload is a machine's gob encoding, the payload of its snapshot.
-func gobPayload(t testing.TB, m *sim.Machine) []byte {
+// machinePayload is a machine's binary encoding, the payload of its
+// snapshot.
+func machinePayload(t testing.TB, m *sim.Machine) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	b, err := m.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // frame puts payload behind a snapshot header of the given format
@@ -91,13 +92,14 @@ func frame(version uint32, payload []byte) []byte {
 // first reads the bytes as a whole snapshot, which tests the framing. The
 // second puts the same bytes as a payload behind a valid header, so they
 // get past the checksum, which refuses almost every mutated snapshot, and
-// reach the gob decoder and Restore. Every input must come back as a
+// reach the payload decoder and Restore. Every input must come back as a
 // machine or as an error wrapping sim.ErrInvalidSnapshot, never as a panic
-// or a runaway allocation. The corpus holds each seed machine's payload
-// and its whole snapshot.
+// or a runaway allocation, and a payload that decodes must encode again to
+// bytes that decode to the same machine. The corpus holds each seed
+// machine's payload and its whole snapshot.
 func FuzzRestore(f *testing.F) {
 	for _, m := range fuzzSeedMachines(f) {
-		f.Add(gobPayload(f, m))
+		f.Add(machinePayload(f, m))
 		f.Add(encodeMachine(f, m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -109,23 +111,33 @@ func FuzzRestore(f *testing.F) {
 		if err := snapshot.Verify(framed); err != nil {
 			t.Fatalf("Verify refused a valid header: %v", err)
 		}
-		readRestore(t, framed)
+		if m := readRestore(t, framed); m != nil {
+			var again sim.Machine
+			if err := again.UnmarshalBinary(machinePayload(t, m)); err != nil {
+				t.Fatalf("a decoded machine encodes to a payload that does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(m, &again) {
+				t.Fatal("a decoded machine encodes to a payload that decodes to another machine")
+			}
+		}
 	})
 }
 
 // readRestore reads a snapshot and restores the machine it holds; every
-// failure must wrap sim.ErrInvalidSnapshot.
-func readRestore(t *testing.T, b []byte) {
+// failure must wrap sim.ErrInvalidSnapshot. It returns the machine Read
+// decoded, or nil.
+func readRestore(t *testing.T, b []byte) *sim.Machine {
 	m, err := snapshot.Read(bytes.NewReader(b))
 	if err != nil {
 		if !errors.Is(err, sim.ErrInvalidSnapshot) {
 			t.Fatalf("Read error does not wrap ErrInvalidSnapshot: %v", err)
 		}
-		return
+		return nil
 	}
 	if _, err := sim.Restore(m); err != nil && !errors.Is(err, sim.ErrInvalidSnapshot) {
 		t.Fatalf("Restore error does not wrap ErrInvalidSnapshot: %v", err)
 	}
+	return m
 }
 
 // dirLine returns the seed machine's first directory line that keep

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mcmsim/internal/cache"
 	"mcmsim/internal/coherence"
@@ -43,7 +43,10 @@ import (
 //	7 — the gob envelope gives way to a fixed header (magic, version,
 //	    payload length, CRC-32C of the payload) in front of the gob
 //	    encoding of the Machine, which is unchanged (internal/snapshot).
-const SnapshotVersion = 7
+//	8 — the payload is Machine's own binary encoding (codec.go: one
+//	    field list per type, varints, length-prefixed slices) instead of
+//	    gob; the header is unchanged.
+const SnapshotVersion = 8
 
 // ErrInvalidSnapshot marks every failure to read or restore a snapshot: a
 // foreign or corrupt stream, another format version, or a machine state
@@ -52,9 +55,10 @@ const SnapshotVersion = 7
 var ErrInvalidSnapshot = errors.New("snapshot: invalid")
 
 // Machine is the complete serialized state of a machine, mid-flight
-// included (Snapshot lists what it captures); internal/snapshot writes and
-// reads it. No Go map appears anywhere in it, since gob iterates maps in
-// random order: every keyed collection is a slice sorted by its key, so
+// included (Snapshot lists what it captures); AppendBinary and
+// UnmarshalBinary encode it, and internal/snapshot frames it. No Go map
+// appears anywhere in it: the codec writes every collection in slice
+// order, so each keyed collection is a slice sorted by its key, and
 // identical machines encode to identical bytes.
 type Machine struct {
 	Config Config
@@ -353,7 +357,7 @@ func exportProgram(p *isa.Program) ProgramState {
 	for name, target := range p.Labels {
 		st.Labels = append(st.Labels, Label{Name: name, Target: target})
 	}
-	sort.Slice(st.Labels, func(i, j int) bool { return st.Labels[i].Name < st.Labels[j].Name })
+	slices.SortFunc(st.Labels, func(a, b Label) int { return cmp.Compare(a.Name, b.Name) })
 	return st
 }
 

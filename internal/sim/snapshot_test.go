@@ -59,7 +59,7 @@ var snapEngines = []struct {
 // configuration it checks that
 //
 //   - the snapshot survives an encode/decode/re-encode cycle byte-identically
-//     (the gob image is canonical: no map iteration order leaks in),
+//     (the encoding is canonical: no map iteration order leaks in),
 //   - re-snapshotting the restored machine reproduces the original bytes
 //     (restore loses nothing the snapshot captures), and
 //   - loading a second program phase into the original and the restored
@@ -188,7 +188,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	// Damaged snapshots: Read and Verify must each refuse every one with
 	// sim.ErrInvalidSnapshot. Every prefix is a worker dying mid-upload or
 	// a file cut short.
-	tiny := tinySnapshot(t)
+	tiny := encodeMachine(t, tinyMachine(t))
 	type input struct {
 		name string
 		b    []byte
@@ -230,9 +230,9 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// tinySnapshot is a small valid snapshot: two halted processors on the
+// tinyMachine is a small valid machine: two halted processors on the
 // paper machine.
-func tinySnapshot(t *testing.T) []byte {
+func tinyMachine(t *testing.T) *sim.Machine {
 	t.Helper()
 	cfg := sim.PaperConfig()
 	cfg.Procs = 2
@@ -241,7 +241,7 @@ func tinySnapshot(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeMachine(t, m)
+	return m
 }
 
 // TestSnapshotMidFlight is the mid-flight property test: interrupting a
@@ -478,11 +478,13 @@ func TestSnapshotUncachedRMWMidFlight(t *testing.T) {
 }
 
 // TestSnapshotVersionMismatch pins the format-version gate. A header
-// built from the documented layout must reproduce snapshot.Write's bytes.
-// The same payload behind a header of another version must be refused
-// with an error naming both versions, even when nothing follows the
-// header: Read refuses it before it reads the payload. A format-6
-// snapshot, a gob envelope with no header, is refused too.
+// built from the documented layout in front of the machine's payload must
+// reproduce snapshot.Write's bytes. The payload behind a header of another
+// version must be refused with an error naming both versions, even when
+// nothing follows the header: Read refuses it before it reads the payload.
+// A format-7 snapshot (a gob payload behind a version-7 header) is one of
+// them, and a format-6 snapshot, a gob envelope with no header, is refused
+// too.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	cfg := sim.RealisticConfig()
 	cfg.Procs = 2
@@ -494,13 +496,16 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := gobPayload(t, snap)
+	payload := machinePayload(t, snap)
 	if !bytes.Equal(frame(sim.SnapshotVersion, payload), encodeMachine(t, snap)) {
 		t.Fatal("a header built from the documented layout differs from snapshot.Write's")
 	}
 	headerLen := len(frame(sim.SnapshotVersion, nil))
-	for _, version := range []uint32{3, 4, 5, 6, sim.SnapshotVersion + 40} {
+	for _, version := range []uint32{3, 4, 5, 6, 7, sim.SnapshotVersion + 40} {
 		stale := frame(version, payload)
+		if version == 7 {
+			stale = frame(7, gobPayload(t, snap))
+		}
 		want := fmt.Sprintf("format version %d, this build reads %d", version, sim.SnapshotVersion)
 		for name, err := range map[string]error{
 			"Read":             readErr(stale),
@@ -558,6 +563,17 @@ func TestSnapshotBytesIndependentOfReports(t *testing.T) {
 	if !bytes.Equal(plain, reported) {
 		t.Errorf("snapshot bytes differ after StatsReport (%d vs %d bytes)", len(plain), len(reported))
 	}
+}
+
+// gobPayload is a machine's gob encoding, the payload of a format-7
+// snapshot.
+func gobPayload(t testing.TB, m *sim.Machine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // gobEnvelopeWithVersion frames a machine as formats 6 and older did: a

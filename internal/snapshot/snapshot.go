@@ -1,6 +1,7 @@
 // Package snapshot persists machine snapshots. A snapshot is a fixed
-// 32-byte header followed by the payload, the gob encoding of one
-// sim.Machine. The header's integers are big-endian:
+// 32-byte header followed by the payload, the binary encoding of one
+// sim.Machine (sim.Machine.AppendBinary; internal/sim/codec.go lists the
+// fields). The header's integers are big-endian:
 //
 //	offset  size  field
 //	     0    16  magic "mcmsim-snapshot\n"
@@ -18,13 +19,12 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"mcmsim/internal/sim"
 )
@@ -36,21 +36,31 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write encodes the machine to w. The payload is encoded once, into the
-// buffer that then carries the header in front of it.
+// Append appends the machine's whole snapshot, header and payload, to b.
+// The payload is encoded once, straight into b.
+func Append(b []byte, m *sim.Machine) ([]byte, error) {
+	start := len(b)
+	b = append(b, magic...)
+	b = binary.BigEndian.AppendUint32(b, sim.SnapshotVersion)
+	b = binary.BigEndian.AppendUint64(b, 0) // payload length, below
+	b = binary.BigEndian.AppendUint32(b, 0) // payload checksum, below
+	b, err := m.AppendBinary(b)
+	if err != nil {
+		return nil, err
+	}
+	payload := b[start+headerLen:]
+	binary.BigEndian.PutUint64(b[start+20:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(b[start+28:], crc32.Checksum(payload, castagnoli))
+	return b, nil
+}
+
+// Write encodes the machine to w.
 func Write(w io.Writer, m *sim.Machine) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, headerLen))
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	b, err := Append(nil, m)
+	if err != nil {
 		return err
 	}
-	b := buf.Bytes()
-	payload := b[headerLen:]
-	copy(b, magic)
-	binary.BigEndian.PutUint32(b[16:], sim.SnapshotVersion)
-	binary.BigEndian.PutUint64(b[20:], uint64(len(payload)))
-	binary.BigEndian.PutUint32(b[28:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(b)
+	_, err = w.Write(b)
 	return err
 }
 
@@ -80,8 +90,8 @@ func Read(r io.Reader) (*sim.Machine, error) {
 		return nil, err
 	}
 	var m sim.Machine
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return nil, invalid("decode: %w", err)
+	if err := m.UnmarshalBinary(b); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }
@@ -128,17 +138,39 @@ func invalid(format string, a ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{sim.ErrInvalidSnapshot}, a...)...)
 }
 
-// WriteFile encodes the machine to a file.
+// WriteFile encodes the machine to a file, replacing it atomically: the
+// snapshot goes to a temporary file in the same directory, which is
+// synced and then renamed over path. A reader, or a crash at any moment,
+// finds either the old snapshot or the new one whole, never a file cut
+// short; a crash leaves at most the temporary file of the interrupted
+// write behind.
 func WriteFile(path string, m *sim.Machine) error {
-	f, err := os.Create(path)
+	b, err := Append(nil, m)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, m); err != nil {
-		f.Close()
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	// The mode os.Create gives under the usual umask, not CreateTemp's 0600.
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(b)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // ReadFile decodes a machine from a file.
